@@ -4,7 +4,7 @@ from repro.benchmarking import analyse_query11, scan_count_comparison, unified_t
 
 
 def _analyse():
-    return analyse_query11(scale=0.3)
+    return analyse_query11(scale=1.0)
 
 
 def test_listing4_query11_analysis(benchmark):

@@ -54,7 +54,7 @@ def main() -> None:
     print("High-variance queries (> 2.0):", high_variance_queries(variances, 2.0))
 
     print("\nListing 4 — TPC-H query 11 analysis (PostgreSQL vs TiDB):")
-    analysis = analyse_query11(scale=0.5)
+    analysis = analyse_query11(scale=1.0)
     print("  Producer operations:", scan_count_comparison(analysis))
     for scan in analysis.scan_timings:
         print(f"  {scan.operation:14s} on {scan.table:10s} {scan.milliseconds:7.3f} ms")

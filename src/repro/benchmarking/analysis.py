@@ -17,7 +17,10 @@ from repro.converters import converter_for
 from repro.core.categories import OperationCategory
 from repro.core.model import UnifiedPlan
 from repro.dialects import create_dialect
+from repro.dialects.prepared import reset_runtime
 from repro.benchmarking import tpch
+from repro.optimizer.physical import INIT_PLANS, PRODUCER_KINDS
+from repro.sqlparser.parser import parse_one
 
 
 @dataclass
@@ -71,39 +74,49 @@ def analyse_query11(scale: float = 1.0) -> Query11Analysis:
         analysis.postgresql_plan.operations_in(OperationCategory.PRODUCER)
     )
 
-    # Collect per-scan actual timings from the analyzed physical plan.
-    physical = postgresql.planner.plan_statement(
-        __import__("repro.sqlparser.parser", fromlist=["parse_one"]).parse_one(query)
-    )
-    rows = postgresql.executor.execute(physical, analyze=True)
-    del rows
-    total = physical.runtime.actual_time_ms
-    scans: List[ScanTiming] = []
-    from repro.optimizer.physical import PRODUCER_KINDS
+    # Collect per-scan actual timings from the analyzed physical plan.  The
+    # HAVING subquery is an init-plan attached to the filter above the
+    # aggregate: its three scans are the redundant ones, and they carry
+    # their own timings (all zero when no group reaches the HAVING clause —
+    # no supplier in the nation below scale 1.0 — because the init-plan is
+    # then never executed).  Timed on the row executor, whose scans
+    # materialise every row as the studied DBMSs' do; the vectorized engine
+    # hands out cached column snapshots, so a re-scan costs it ~2 %.
+    postgresql.set_executor("row")
+    physical = postgresql.planner.plan_statement(parse_one(query))
+    init_plans = [
+        init_plan
+        for node in physical.walk()
+        for init_plan in node.info.get(INIT_PLANS, ())
+    ]
 
-    for node in physical.walk():
-        if node.kind in PRODUCER_KINDS and node.info.get("table"):
-            scans.append(
-                ScanTiming(
-                    operation=node.kind.value,
-                    table=node.info["table"],
-                    milliseconds=node.runtime.actual_time_ms,
-                )
+    def scan_timings(nodes) -> List[ScanTiming]:
+        return [
+            ScanTiming(
+                operation=node.kind.value,
+                table=node.info["table"],
+                milliseconds=node.runtime.actual_time_ms,
             )
-    analysis.scan_timings = scans
-    analysis.total_time_ms = max(total, sum(scan.milliseconds for scan in scans), 0.001)
-    # The HAVING subquery re-scans partsupp, supplier, and nation.  When those
-    # re-scans appear as separate plan nodes their own timings are used;
-    # otherwise (the executor evaluates the subquery inline) the re-scan cost
-    # equals the cost of scanning the same three tables again.
-    if len(scans) > 3:
-        redundant = scans[len(scans) // 2 :]
-        analysis.redundant_scan_time_ms = sum(scan.milliseconds for scan in redundant)
-    else:
-        analysis.redundant_scan_time_ms = sum(scan.milliseconds for scan in scans)
-        analysis.total_time_ms = max(
-            analysis.total_time_ms, 2.0 * analysis.redundant_scan_time_ms + 0.001
+            for node in nodes
+            if node.kind in PRODUCER_KINDS and node.info.get("table")
+        ]
+
+    def analyzed_run():
+        postgresql.executor.execute(reset_runtime(physical), analyze=True)
+        redundant = scan_timings(
+            node for init_plan in init_plans for node in init_plan.walk()
         )
+        return physical.runtime.actual_time_ms, scan_timings(physical.walk()), redundant
+
+    # The least disturbed of five runs (the first also compiles the plan's
+    # expressions): the scans are ~7 % of a run, so one slow join would
+    # otherwise move the share by more than its size.
+    total, scans, redundant = min(
+        (analyzed_run() for _ in range(5)), key=lambda run: run[0]
+    )
+    analysis.scan_timings = scans + redundant
+    analysis.total_time_ms = max(total, 0.001)
+    analysis.redundant_scan_time_ms = sum(scan.milliseconds for scan in redundant)
 
     # --- TiDB: unified plan ------------------------------------------------------
     tidb = create_dialect("tidb")

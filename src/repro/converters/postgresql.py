@@ -15,6 +15,8 @@ _NODE_LINE = re.compile(
     r"\s+rows=(?P<rows>\d+)\s+width=(?P<width>\d+)\)?"
 )
 _PLAN_PROPERTY_LINE = re.compile(r"^(?P<key>[A-Za-z ]+Time):\s*(?P<value>[\d.]+)\s*ms")
+#: ``InitPlan 1 (returns $0)`` / ``SubPlan 2``: labels the node line below it.
+_SUBQUERY_PLAN_LINE = re.compile(r"^(?P<relationship>InitPlan|SubPlan)\b")
 _ON_CLAUSE = re.compile(
     r"^(?P<operator>.+?)\s+(?:using\s+(?P<index>\S+)\s+)?on\s+(?P<relation>\S+)(?:\s+(?P<alias>\S+))?$"
 )
@@ -70,8 +72,13 @@ class PostgreSQLConverter(PlanConverter):
     def _parse_text(self, serialized: str) -> UnifiedPlan:
         plan = UnifiedPlan()
         stack: List[Tuple[int, PlanNode]] = []
+        relationship: Optional[str] = None
         for raw_line in serialized.splitlines():
             if not raw_line.strip():
+                continue
+            subquery_plan = _SUBQUERY_PLAN_LINE.match(raw_line.strip())
+            if subquery_plan:
+                relationship = subquery_plan.group("relationship")
                 continue
             plan_property = _PLAN_PROPERTY_LINE.match(raw_line.strip())
             if plan_property:
@@ -90,6 +97,11 @@ class PostgreSQLConverter(PlanConverter):
                 node.properties.append(self.property("Plan Width", int(node_match.group("width"))))
                 for key, value in extra_properties:
                     node.properties.append(self.property(key, value))
+                if relationship is not None:
+                    node.properties.append(
+                        self.property("Parent Relationship", relationship)
+                    )
+                    relationship = None
                 while stack and stack[-1][0] >= depth:
                     stack.pop()
                 if stack:

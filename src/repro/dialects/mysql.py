@@ -171,7 +171,7 @@ class MySQLDialect(RelationalDialect):
             )
             if predicate is not None:
                 raw.properties["attached_condition"] = print_expression(predicate)
-            for subplan in node.info.get("subplans", []):
+            for subplan in node.attached_plans():
                 child = self._shape(subplan, analyze)
                 child.properties["select_type"] = "SUBQUERY"
                 raw.children.append(child)

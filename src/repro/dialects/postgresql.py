@@ -23,7 +23,7 @@ from repro.dialects.base import (
 )
 from repro.errors import DialectError
 from repro.optimizer.cost import CostModel
-from repro.optimizer.physical import OpKind, PhysicalNode
+from repro.optimizer.physical import INIT_PLANS, SUBPLANS, OpKind, PhysicalNode
 from repro.optimizer.planner import PlannerOptions
 from repro.sqlparser.printer import print_expression
 
@@ -204,8 +204,7 @@ class PostgreSQLDialect(RelationalDialect):
             return raw
 
         if kind is OpKind.FILTER:
-            # PostgreSQL attaches residual predicates to the node below; any
-            # subqueries inside the predicate appear as SubPlan children.
+            # PostgreSQL attaches residual predicates to the node below.
             predicate = node.info.get("predicate")
             target = children[0]
             if predicate is not None:
@@ -214,10 +213,7 @@ class PostgreSQLDialect(RelationalDialect):
                 target.properties["Filter"] = (
                     f"{existing} AND {printed}" if existing else printed
                 )
-            for subplan_physical in node.info.get("subplans", []):
-                subplan_raw = self._shape(subplan_physical, analyze)
-                subplan_raw.properties["Parent Relationship"] = "SubPlan"
-                target.children.append(subplan_raw)
+            self._attach_subquery_plans(node, target, analyze)
             return target
 
         if kind is OpKind.PROJECT:
@@ -228,6 +224,7 @@ class PostgreSQLDialect(RelationalDialect):
             output = [name for _, name in items]
             if output and "Output" not in target.properties:
                 target.properties["Output"] = ", ".join(output)
+            self._attach_subquery_plans(node, target, analyze)
             return target
 
         if kind is OpKind.DISTINCT:
@@ -277,6 +274,24 @@ class PostgreSQLDialect(RelationalDialect):
             return raw
 
         raise DialectError(self.name, f"cannot shape operator {kind.value}")
+
+    def _attach_subquery_plans(
+        self, node: PhysicalNode, target: RawPlanNode, analyze: bool
+    ) -> None:
+        """Hang *node*'s subquery plans on *target* the way PostgreSQL lists
+        them: ``InitPlan`` children (run once, result kept in a parameter)
+        before the operator's inputs, ``SubPlan`` children (re-run per row)
+        after them."""
+        init_plans = [
+            self._shape(plan, analyze) for plan in node.info.get(INIT_PLANS, ())
+        ]
+        for raw in init_plans:
+            raw.properties["Parent Relationship"] = "InitPlan"
+        target.children[:0] = init_plans
+        for plan in node.info.get(SUBPLANS, ()):
+            raw = self._shape(plan, analyze)
+            raw.properties["Parent Relationship"] = "SubPlan"
+            target.children.append(raw)
 
     # ------------------------------------------------------------------ serialization
 
@@ -348,8 +363,17 @@ class PostgreSQLDialect(RelationalDialect):
 
     def _serialize_text(self, plan: RawPlan) -> str:
         lines: List[str] = []
+        subquery_plans = 0
 
         def visit(node: RawPlanNode, depth: int) -> None:
+            nonlocal subquery_plans
+            relationship = node.properties.get("Parent Relationship")
+            if relationship is not None:
+                # ``InitPlan 1`` / ``SubPlan 2``: a label line of its own,
+                # with the subquery's plan one level below it.
+                subquery_plans += 1
+                lines.append(f"{'  ' * depth}{relationship} {subquery_plans}")
+                depth += 1
             indent = "  " * depth
             arrow = "->  " if depth > 0 else ""
             lines.append(f"{indent}{arrow}{self._node_headline(node)}")

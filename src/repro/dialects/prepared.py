@@ -35,7 +35,7 @@ import re
 from typing import Callable, List, Tuple
 
 from repro.core.caching import CacheStats, LRUCache
-from repro.optimizer.physical import PhysicalNode, RuntimeStats
+from repro.optimizer.physical import ATTACHED_KEYS, PhysicalNode, RuntimeStats
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.parser import parse_sql
 
@@ -137,9 +137,10 @@ def reset_runtime(plan: PhysicalNode) -> PhysicalNode:
 
     Cached plans are shared across executions; an ``EXPLAIN ANALYZE`` must
     report the statistics of *its* run, not an accumulation over every run
-    the cached tree has seen, so analyzing executions reset first.
-    Returns the plan for chaining.
+    the cached tree has seen, so analyzing executions reset first —
+    including the attached subquery plans, whose init-plans execute under
+    the statement's ANALYZE.  Returns the plan for chaining.
     """
-    for node in plan.walk():
+    for node in plan.walk(ATTACHED_KEYS):
         node.runtime = RuntimeStats()
     return plan

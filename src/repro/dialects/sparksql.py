@@ -184,7 +184,7 @@ class SparkSQLDialect(RelationalDialect):
                 properties,
                 children,
             )
-            for subplan in node.info.get("subplans", []):
+            for subplan in node.attached_plans():
                 raw.children.append(RawPlanNode("Subquery", {}, [self._shape(subplan, analyze)]))
             return raw
         if kind is OpKind.PROJECT:

@@ -122,7 +122,7 @@ class SQLiteDialect(RelationalDialect):
             return self._flatten(node.children[0])
         if kind is OpKind.FILTER:
             steps = self._flatten(node.children[0])
-            for subplan in node.info.get("subplans", []):
+            for subplan in node.attached_plans():
                 inner = self._flatten(subplan)
                 steps.append(RawPlanNode("LIST SUBQUERY", {}, inner))
             return steps

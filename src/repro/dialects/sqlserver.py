@@ -144,7 +144,7 @@ class SQLServerDialect(RelationalDialect):
             raw = RawPlanNode("Filter", properties, children)
             if node.info.get("predicate") is not None:
                 raw.properties["Predicate"] = print_expression(node.info["predicate"])
-            for subplan in node.info.get("subplans", []):
+            for subplan in node.attached_plans():
                 raw.children.append(self._shape(subplan, analyze))
             return raw
         if kind is OpKind.PROJECT:

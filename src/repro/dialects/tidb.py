@@ -216,7 +216,7 @@ class TiDBDialect(RelationalDialect):
             raw = RawPlanNode(self._label("Selection"), properties, children)
             if node.info.get("predicate") is not None:
                 raw.properties["operator info"] = print_expression(node.info["predicate"])
-            for subplan in node.info.get("subplans", []):
+            for subplan in node.attached_plans():
                 raw.children.append(self._shape(subplan, analyze, "root"))
             return raw
 

@@ -13,6 +13,7 @@ analysis of the paper relies on these timings.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -27,12 +28,43 @@ from repro.engine.expressions import (
     resolve_column,
 )
 from repro.errors import ExecutionError
-from repro.optimizer.physical import OpKind, PhysicalNode
+from repro.optimizer.physical import ATTACHED_KEYS, INIT_PLANS, OpKind, PhysicalNode
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.printer import print_expression
 from repro.storage.index import sortable
 
 Row = Dict[str, object]
+
+
+class _StatementSubqueries:
+    """Subquery plans and init-plan results of one top-level ``execute()``.
+
+    Lives from the start to the end of that call, on the calling thread
+    only: nothing here is stored on a plan node, so a cached plan shared by
+    concurrent readers, or executed again after the heap changed, never
+    sees another execution's rows.
+    """
+
+    __slots__ = ("root", "analyze", "plans", "rows")
+
+    def __init__(self, root: PhysicalNode, analyze: bool) -> None:
+        self.root = root
+        self.analyze = analyze
+        #: ``id(subquery AST) -> (plan, runs once)``; indexed from the
+        #: plans the planner attached under *root* on first use.
+        self.plans: Optional[Dict[int, Tuple[PhysicalNode, bool]]] = None
+        #: ``id(subquery AST) -> rows`` of the init-plans evaluated so far.
+        self.rows: Dict[int, List[Row]] = {}
+
+    def plan_index(self) -> Dict[int, Tuple[PhysicalNode, bool]]:
+        if self.plans is None:
+            self.plans = {
+                id(plan.info["subquery"]): (plan, key == INIT_PLANS)
+                for node in self.root.walk(ATTACHED_KEYS)
+                for key in ATTACHED_KEYS
+                for plan in node.info.get(key, ())
+            }
+        return self.plans
 
 
 class Executor:
@@ -46,9 +78,13 @@ class Executor:
 
     def __init__(self, database: Database, planner: Optional[object] = None) -> None:
         self.database = database
-        # The planner is only needed to plan subqueries found in expressions;
+        # The planner is only needed for subqueries the statement's planner
+        # did not attach (DML, VALUES, constant SELECTs, sort / group keys);
         # it is created lazily to avoid an import cycle.
         self._planner = planner
+        # Reader threads of the query service share one executor, so the
+        # per-statement subquery state is kept per thread.
+        self._local = threading.local()
 
     # ------------------------------------------------------------------ public API
 
@@ -59,8 +95,16 @@ class Executor:
         outer_row: Optional[Row] = None,
     ) -> List[Row]:
         """Execute *plan* and return its output rows."""
+        local = self._local
+        top_level = getattr(local, "subqueries", None) is None
+        if top_level:
+            local.subqueries = _StatementSubqueries(plan, analyze)
         started = time.perf_counter()
-        rows = self._execute_node(plan, analyze=analyze, outer_row=outer_row or {})
+        try:
+            rows = self._execute_node(plan, analyze=analyze, outer_row=outer_row or {})
+        finally:
+            if top_level:
+                local.subqueries = None
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if analyze:
             plan.runtime.executed = True
@@ -129,14 +173,31 @@ class Executor:
         return compiled
 
     def _run_subquery(self, query: ast.SelectStatement, outer_row: Row) -> List[Row]:
-        planner = self._get_planner()
-        # Predicate subqueries may legally reference the outer row, so they
-        # plan through the scope-relaxed entry point.
-        if hasattr(planner, "plan_subquery"):
-            plan = planner.plan_subquery(query)
-        else:  # pragma: no cover - custom planner objects
-            plan = planner.plan_select(query)
-        return self.execute(plan, analyze=False, outer_row=outer_row)
+        """The rows of subquery *query* for *outer_row* (the expression hook).
+
+        The plan is the one the statement's planner attached for this AST.
+        An init-plan runs on first reference only — so never when no outer
+        row reaches it — with an empty outer row, which keeps the batch
+        handlers available to it, and its rows serve every later reference
+        of this statement execution.  Any other subquery runs once per
+        evaluation and may read *outer_row*.
+        """
+        state: _StatementSubqueries = self._local.subqueries
+        key = id(query)
+        entry = state.plan_index().get(key)
+        if entry is None:
+            # Not attached: planned on first use, at most once per statement
+            # execution, through the scope-relaxed entry point (it may
+            # legally reference the outer row), and run per evaluation.
+            entry = (self._get_planner().plan_subquery(query), False)
+            state.plans[key] = entry
+        plan, once = entry
+        if not once:
+            return self.execute(plan, analyze=False, outer_row=outer_row)
+        rows = state.rows.get(key)
+        if rows is None:
+            rows = state.rows[key] = self.execute(plan, analyze=state.analyze)
+        return rows
 
     def _get_planner(self):
         if self._planner is None:

@@ -17,7 +17,9 @@ Design rules:
   row dictionaries); only the internals move to batches.
 * **Per-node fallback** — operators without a batch implementation
   (subqueries, VALUES, RESULT, DML, DDL) and every operator evaluated under
-  a correlated outer row run the inherited row handlers; batches and rows
+  a correlated outer row run the inherited row handlers (an init-plan is
+  evaluated with an empty outer row, so it stays on the batch path);
+  batches and rows
   convert at the boundary (:func:`batches_from_rows` groups consecutive
   rows with identical key sets, so every batch is *uniform* and per-batch
   column resolution is exactly per-row resolution).
@@ -53,7 +55,7 @@ from repro.engine.expressions import (
     resolve_batch_column,
 )
 from repro.errors import ExecutionError, StorageError
-from repro.optimizer.physical import OpKind, PhysicalNode
+from repro.optimizer.physical import INIT_PLANS, OpKind, PhysicalNode
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.printer import print_expression
 from repro.storage.index import sortable
@@ -258,7 +260,11 @@ class VectorizedExecutor(Executor):
         if threshold <= 0:
             return False
         total = 0
-        for node in plan.walk():
+        # Init-plans run with an empty outer row, so the batch handlers
+        # serve them and their scans count toward the decision.  Per-row
+        # subplans do not: under an outer row every operator takes the
+        # inherited row handler whichever way the statement is routed.
+        for node in plan.walk((INIT_PLANS,)):
             if node.kind in _SCAN_KINDS:
                 table_name = node.info.get("table")
                 if table_name is None:

@@ -26,16 +26,18 @@ Because the bound is proven, it does double duty:
   a campaign bug report (``found_by="Bound"``), and the oracle stays silent
   across every toggle combination.
 
-Nodes executed more than once (the rescanned inner of a nested loop, filter
-subplans) accumulate ambiguous actual-row counters, so the runtime check
-only judges nodes with ``loops <= 1``.
+Nodes executed more than once (the rescanned inner of a nested loop)
+accumulate ambiguous actual-row counters, so the runtime check only judges
+nodes with ``loops <= 1``.  That includes the nodes of an init-plan — an
+uncorrelated predicate subquery, which runs at most once per statement;
+per-row subplans run outside ANALYZE and are never judged.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.optimizer.physical import OpKind, PhysicalNode
+from repro.optimizer.physical import ATTACHED_KEYS, OpKind, PhysicalNode
 
 #: Join types whose output is exactly the set of matching row pairs.
 _INNER_TYPES = {"INNER", "CROSS", ""}
@@ -144,7 +146,7 @@ def bound_violations(plan: PhysicalNode) -> List[Dict[str, object]]:
     so callers (EXPLAIN output, the campaign oracle) can serialize them.
     """
     violations: List[Dict[str, object]] = []
-    for node in plan.walk():
+    for node in plan.walk(ATTACHED_KEYS):
         bound = node.info.get("size_bound")
         if bound is None:
             continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 
 class OpKind(enum.Enum):
@@ -80,6 +80,15 @@ PRODUCER_KINDS = frozenset(
     }
 )
 
+#: ``info`` keys under which the planner attaches predicate-subquery plans to
+#: the node that evaluates them.  ``init_plans`` are provably uncorrelated and
+#: run at most once per statement execution; ``subplans`` may see the outer
+#: row and run once per evaluation.  Each attached root names the AST it
+#: implements in ``info["subquery"]``.
+INIT_PLANS = "init_plans"
+SUBPLANS = "subplans"
+ATTACHED_KEYS = (INIT_PLANS, SUBPLANS)
+
 #: Operator kinds implementing joins.
 JOIN_KINDS = frozenset(
     {
@@ -127,11 +136,24 @@ class PhysicalNode:
 
     # -- tree helpers --------------------------------------------------------------
 
-    def walk(self) -> Iterator["PhysicalNode"]:
-        """Yield this node and its descendants in pre-order."""
+    def walk(self, attached: Sequence[str] = ()) -> Iterator["PhysicalNode"]:
+        """Yield this node and its descendants in pre-order.
+
+        *attached* names the ``info`` keys (a subset of :data:`ATTACHED_KEYS`)
+        whose subquery plans are walked too, after the node's children —
+        attached plans are not children, so the default walk, ``size`` and
+        ``depth`` do not see them.
+        """
         yield self
         for child in self.children:
-            yield from child.walk()
+            yield from child.walk(attached)
+        for key in attached:
+            for plan in self.info.get(key, ()):
+                yield from plan.walk(attached)
+
+    def attached_plans(self) -> List["PhysicalNode"]:
+        """The subquery plans attached to this node: init-plans, then subplans."""
+        return [plan for key in ATTACHED_KEYS for plan in self.info.get(key, ())]
 
     def size(self) -> int:
         """Return the number of nodes in this subtree."""

@@ -23,8 +23,12 @@ Main features:
   as the oracle the optimizing planner is fuzzed against: flipping the
   toggle changes plans and coverage, never results or Table V,
 * hash or sorted aggregation, DISTINCT, set operations, ORDER BY / LIMIT,
-* subqueries in FROM (planned recursively) and subqueries in predicates
-  (planned as attached subplans, mirroring how PostgreSQL displays them),
+* subqueries in FROM (planned recursively) and subqueries in WHERE
+  residuals, HAVING and select lists, each planned exactly once — here,
+  never at execution time — and attached to the node that evaluates it:
+  as an ``init_plans`` entry when provably uncorrelated (the executor runs
+  it at most once per statement; PostgreSQL's ``InitPlan``), as a
+  ``subplans`` entry otherwise (once per evaluation; ``SubPlan``),
 * DML and DDL plans for the Consumer-category operations.
 
 Planner behaviour is configurable through :class:`PlannerOptions`; the
@@ -35,6 +39,7 @@ different — yet conceptually equivalent — plans the case study observed.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -49,7 +54,14 @@ from repro.optimizer.cardinality import (
     estimate_selectivity,
 )
 from repro.optimizer.cost import CostModel
-from repro.optimizer.physical import CostEstimate, OpKind, PhysicalNode, make_node
+from repro.optimizer.physical import (
+    INIT_PLANS,
+    SUBPLANS,
+    CostEstimate,
+    OpKind,
+    PhysicalNode,
+    make_node,
+)
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.printer import print_expression
 
@@ -108,6 +120,15 @@ class _SemiJoinTarget:
     probe: Optional[ast.Expression] = None
 
 
+def _subquery_of(expression: ast.Expression) -> Optional[ast.SelectStatement]:
+    """The query a scalar / ``IN`` / ``EXISTS`` subquery expression runs."""
+    if isinstance(expression, (ast.ScalarSubquery, ast.Exists)):
+        return expression.query
+    if isinstance(expression, ast.InSubquery):
+        return expression.subquery
+    return None
+
+
 class Planner:
     """Plans statements for one :class:`~repro.catalog.database.Database`."""
 
@@ -144,6 +165,15 @@ class Planner:
         #: legal (correlation); plan-time unknown-column validation is
         #: therefore restricted to depth 0.
         self._subquery_depth = 0
+        #: ``.names``: lower-cased *bare* row keys the enclosing evaluation
+        #: contexts expose to the subquery being planned (aggregate output
+        #: names, one set per enclosing HAVING / select-list level).  The
+        #: engine resolves an unqualified reference by exact bare key before
+        #: it tries qualified scan columns, so such a name reads the outer
+        #: row even when the subquery's own scope has the column: it is
+        #: never provably own-scope (:meth:`_reference_in_scope`).  Per
+        #: thread, because the service's readers plan on one planner.
+        self._exposed = threading.local()
 
     # ------------------------------------------------------------------ entry points
 
@@ -368,15 +398,20 @@ class Planner:
 
         # Aggregation.
         aggregates = self._collect_aggregates(core)
+        aggregate: Optional[PhysicalNode] = None
         if group_by or aggregates:
-            plan = self._add_aggregate(plan, core, aggregates, group_by, resolver)
+            plan = aggregate = self._add_aggregate(
+                plan, core, aggregates, group_by, resolver
+            )
             if core.having is not None:
-                plan = self._add_filter(plan, core.having, is_having=True)
+                plan = self._add_filter(
+                    plan, core.having, is_having=True, aggregate=aggregate
+                )
         elif core.having is not None:
             plan = self._add_filter(plan, core.having, is_having=True)
 
         # Projection.
-        plan = self._add_projection(plan, core)
+        plan = self._add_projection(plan, core, aggregate)
 
         if core.distinct:
             plan = self._add_distinct(plan)
@@ -666,15 +701,9 @@ class Planner:
         if source is None:
             return True
         for expression in ast.iter_expressions(source):
-            if isinstance(expression, ast.ScalarSubquery):
-                if expression.query is not None:
-                    pending.append(expression.query)
-            elif isinstance(expression, ast.InSubquery):
-                if expression.subquery is not None:
-                    pending.append(expression.subquery)
-            elif isinstance(expression, ast.Exists):
-                if expression.query is not None:
-                    pending.append(expression.query)
+            query = _subquery_of(expression)
+            if query is not None:
+                pending.append(query)
             elif isinstance(expression, ast.ColumnRef):
                 if not self._reference_in_scope(expression, scope):
                     return False
@@ -694,6 +723,8 @@ class Planner:
             return columns is not None and any(
                 name.lower() == lowered for name in columns
             )
+        if any(lowered in names for names in getattr(self._exposed, "names", ())):
+            return False
         return any(
             columns is not None
             and any(name.lower() == lowered for name in columns)
@@ -1582,6 +1613,7 @@ class Planner:
         predicate: Optional[ast.Expression],
         is_having: bool = False,
         resolver=None,
+        aggregate: Optional[PhysicalNode] = None,
     ) -> PhysicalNode:
         if predicate is None:
             return child
@@ -1595,7 +1627,6 @@ class Planner:
             # original flat magic numbers.
             selectivity = 0.5 if self._contains_subquery(predicate) else 0.33
         output_rows = max(child.estimated_rows * selectivity, 1.0)
-        subplans = self._plan_predicate_subqueries(predicate)
         return self._propagate_bound(
             make_node(
                 OpKind.FILTER,
@@ -1607,25 +1638,64 @@ class Planner:
                 width=child.width,
                 predicate=predicate,
                 is_having=is_having,
-                subplans=subplans,
+                **self._plan_predicate_subqueries([predicate], aggregate),
             )
         )
 
     def _plan_predicate_subqueries(
-        self, predicate: ast.Expression
-    ) -> List[PhysicalNode]:
-        subplans: List[PhysicalNode] = []
-        for expression in ast.iter_expressions(predicate):
-            query: Optional[ast.SelectStatement] = None
-            if isinstance(expression, ast.ScalarSubquery):
-                query = expression.query
-            elif isinstance(expression, ast.InSubquery):
-                query = expression.subquery
-            elif isinstance(expression, ast.Exists):
-                query = expression.query
-            if query is not None:
-                subplans.append(self.plan_subquery(query))
-        return subplans
+        self,
+        expressions: Sequence[ast.Expression],
+        aggregate: Optional[PhysicalNode] = None,
+    ) -> Dict[str, List[PhysicalNode]]:
+        """Plan every subquery *expressions* evaluate, as node ``info``.
+
+        The PR-5 self-containment proof decides how often each one runs: a
+        provably uncorrelated subquery yields the same rows for every outer
+        row, so it becomes an init-plan; anything else (and everything
+        under ``decorrelate=False``, the per-row oracle) stays a subplan.
+        Each root records the AST it implements so the executor resolves a
+        subquery expression to its plan instead of planning it again.
+        *aggregate* is the aggregation whose output rows the expressions
+        are evaluated against (HAVING, a grouped select list), if any.
+        """
+        attached: Dict[str, List[PhysicalNode]] = {INIT_PLANS: [], SUBPLANS: []}
+        queries = [
+            query
+            for source in expressions
+            for expression in ast.iter_expressions(source)
+            if (query := _subquery_of(expression)) is not None
+        ]
+        if not queries:
+            return attached
+        enclosing: List[Set[str]] = getattr(self._exposed, "names", [])
+        if aggregate is not None:
+            self._exposed.names = enclosing + [self._aggregate_output_names(aggregate)]
+        try:
+            for query in queries:
+                plan = self.plan_subquery(query)
+                plan.info["subquery"] = query
+                once = self.decorrelate and self._subquery_is_uncorrelated(query)
+                attached[INIT_PLANS if once else SUBPLANS].append(plan)
+        finally:
+            self._exposed.names = enclosing
+        return attached
+
+    def _aggregate_output_names(self, aggregate: PhysicalNode) -> Set[str]:
+        """The lower-cased bare keys of *aggregate*'s output rows: printed
+        group keys and aggregates, plus a grouped column's own name."""
+        names = {
+            print_expression(expression).lower()
+            for expression in (
+                *aggregate.info["group_keys"],
+                *aggregate.info["aggregates"],
+            )
+        }
+        names.update(
+            key.column.lower()
+            for key in aggregate.info["group_keys"]
+            if isinstance(key, ast.ColumnRef)
+        )
+        return names
 
     def _collect_aggregates(self, core: ast.SelectCore) -> List[ast.FunctionCall]:
         aggregates: List[ast.FunctionCall] = []
@@ -1706,7 +1776,12 @@ class Planner:
             product *= float(statistics.distinct_values)
         return product
 
-    def _add_projection(self, child: PhysicalNode, core: ast.SelectCore) -> PhysicalNode:
+    def _add_projection(
+        self,
+        child: PhysicalNode,
+        core: ast.SelectCore,
+        aggregate: Optional[PhysicalNode] = None,
+    ) -> PhysicalNode:
         items: List[Tuple[ast.Expression, str]] = []
         for item in core.items:
             name = item.alias or print_expression(item.expression)
@@ -1721,6 +1796,9 @@ class Planner:
                 + child.estimated_rows * self.cost_model.cpu_tuple_cost,
                 width=child.width,
                 items=items,
+                **self._plan_predicate_subqueries(
+                    [expression for expression, _ in items], aggregate
+                ),
             )
         )
 

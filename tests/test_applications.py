@@ -276,7 +276,7 @@ class TestTPCH:
 
 class TestQuery11Analysis:
     def test_listing4_analysis(self):
-        analysis = analyse_query11(scale=0.2)
+        analysis = analyse_query11(scale=1.0)
         comparison = scan_count_comparison(analysis)
         assert comparison["postgresql"] == 6  # six table scans, as in the paper
         assert analysis.tidb_producer_count >= 3
@@ -284,7 +284,7 @@ class TestQuery11Analysis:
         assert len(analysis.scan_timings) >= 3
 
     def test_unified_text_rendering(self):
-        analysis = analyse_query11(scale=0.2)
+        analysis = analyse_query11(scale=1.0)
         text = unified_text(analysis.postgresql_plan)
         assert "Producer->Full Table Scan" in text
         assert "partsupp" in text

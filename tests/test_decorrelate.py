@@ -12,16 +12,29 @@ changes only the plans (coverage), never the results (Table V).
 The NOT IN + inner-NULL trap is covered explicitly: under three-valued
 logic, any NULL in the inner relation makes ``x NOT IN (…)`` unsatisfiable,
 so the anti join must return nothing.
+
+PR 16 adds init-plans: a provably uncorrelated subquery the rewrite leaves
+in a filter or a select list is planned once and evaluated at most once per
+statement.  The same oracle judges it (``TestInitPlanFuzz``), and the
+"once" is asserted by counting, not by timing (``TestInitPlanCounts``).
 """
+
+import json
+import random
+import threading
 
 import pytest
 
+from repro.benchmarking import tpch
 from repro.converters import ConverterHub
 from repro.core.compare import structural_fingerprint
 from repro.dialects import create_dialect
 from repro.dialects.prepared import reset_runtime
-from repro.optimizer.physical import OpKind
-from repro.sqlparser.parser import parse_sql
+from repro.optimizer.bounds import bound_violations
+from repro.optimizer.physical import ATTACHED_KEYS, INIT_PLANS, SUBPLANS, OpKind
+from repro.optimizer.planner import Planner
+from repro.service import QueryService, ServiceClient, ServiceDialect
+from repro.sqlparser.parser import parse_one, parse_sql
 from repro.testing.campaign import TestingCampaign
 from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
 
@@ -479,3 +492,465 @@ class TestCampaignEquivalence:
         assert baseline.queries_generated == per_row_baseline.queries_generated
         assert baseline.cert_pairs_checked == per_row_baseline.cert_pairs_checked
         assert baseline.plan_fingerprints != per_row_baseline.plan_fingerprints
+
+
+# ---------------------------------------------------------------------------
+# PR 16: init-plans
+# ---------------------------------------------------------------------------
+
+
+def _attached(plan, key):
+    """Every plan attached under *key* anywhere in *plan* (nested included)."""
+    return [
+        attached
+        for node in plan.walk(ATTACHED_KEYS)
+        for attached in node.info.get(key, ())
+    ]
+
+
+class _SubqueryShapes:
+    """Seeded queries whose subqueries the semi/anti rewrite leaves in place.
+
+    ``t`` is the outer table; ``s`` and ``u`` feed the subqueries.  ``u.b``
+    shares its name with ``t.b`` so the look-alikes have something to
+    capture.
+    """
+
+    def __init__(self, seed):
+        self.random = random.Random(seed)
+
+    def setup_statements(self):
+        rng = self.random
+
+        def values(count, width):
+            rows = []
+            for _ in range(count):
+                cells = [
+                    "NULL" if rng.random() < 0.08 else str(rng.randrange(12))
+                    for _ in range(width)
+                ]
+                rows.append("(" + ", ".join(cells) + ")")
+            return ", ".join(rows)
+
+        return [
+            "CREATE TABLE t (a INT, b INT)",
+            "CREATE TABLE s (x INT, y INT)",
+            "CREATE TABLE u (k INT, b INT)",
+            "CREATE TABLE e (z INT)",
+            # Forty outer rows: above the vectorized row-path threshold.
+            f"INSERT INTO t (a, b) VALUES {values(40, 2)}",
+            f"INSERT INTO s (x, y) VALUES {values(25, 2)}",
+            f"INSERT INTO u (k, b) VALUES {values(15, 2)}",
+        ]
+
+    def mutation(self):
+        return f"INSERT INTO s (x, y) VALUES ({self.random.randrange(12)}, 11)"
+
+    # -- subqueries ----------------------------------------------------------
+
+    def _scalar(self):
+        c = self.random.randrange(10)
+        return self.random.choice([
+            "(SELECT MAX(x) FROM s)",
+            f"(SELECT AVG(y) FROM s WHERE x > {c})",
+            "(SELECT MIN(z) FROM e)",
+            # Nested two deep, every level self-contained.
+            f"(SELECT COUNT(*) FROM u WHERE k IN (SELECT x FROM s WHERE y > {c}))",
+            "(SELECT MIN(k) FROM u WHERE u.b > (SELECT AVG(y) FROM s))",
+            # Look-alikes that must stay per-row: ``a`` is the outer t.a ...
+            f"(SELECT COUNT(*) FROM s WHERE x > a - {c})",
+            # ... ``b`` is exported by neither derived table, so it is t.b ...
+            "(SELECT COUNT(*) FROM (SELECT k FROM u) AS d WHERE k < b)",
+            # ... and the nested level correlates to the middle one.
+            "(SELECT COUNT(*) FROM u WHERE EXISTS (SELECT x FROM s WHERE x = u.k))",
+        ])
+
+    def _predicate(self, probe):
+        c = self.random.randrange(10)
+        negated = self.random.choice(["", "NOT "])
+        return self.random.choice([
+            f"{probe} {negated}IN (SELECT x FROM s WHERE y > {c})",
+            f"{probe} {negated}IN (SELECT z FROM e)",
+            f"{negated}EXISTS (SELECT x FROM s WHERE x > {c + 2})",
+            f"{probe} > {self._scalar()}",
+            f"{probe} {negated}IN (SELECT x FROM s WHERE s.y = t.b)",
+        ])
+
+    def query(self):
+        c = self.random.randrange(10)
+        shape = self.random.randrange(6)
+        if shape == 0:  # under OR: not a conjunct the rewrite can take
+            return f"SELECT a, b FROM t WHERE b > {c} OR {self._predicate('a')}"
+        if shape == 1:  # scalar comparison in WHERE
+            return f"SELECT a, b FROM t WHERE a <= {self._scalar()}"
+        if shape == 2:  # select list
+            return f"SELECT a, {self._scalar()} AS v FROM t WHERE b < {c}"
+        if shape == 3:  # HAVING over a grouped column and an aggregate
+            return (
+                "SELECT a, COUNT(*) AS n FROM t GROUP BY a "
+                f"HAVING COUNT(*) > {self._scalar()} OR {self._predicate('a')}"
+            )
+        if shape == 4:  # select list above an aggregate
+            return f"SELECT a, {self._scalar()} AS v, SUM(b) AS total FROM t GROUP BY a"
+        # The grouped name is a bare key of the HAVING row, which the engine
+        # resolves before u.b: self-contained by SQL scoping, per-row here.
+        return (
+            "SELECT b, COUNT(*) AS n FROM t GROUP BY b "
+            f"HAVING COUNT(*) >= (SELECT COUNT(*) FROM u WHERE b = {c})"
+        )
+
+
+class TestInitPlanFuzz:
+    """decorrelate × executor × cache: one answer per query."""
+
+    SEEDS = (11, 12)
+    QUERIES_PER_SEED = 30
+    MUTATE_EVERY = 10
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_configuration_agrees(self, seed):
+        shapes = _SubqueryShapes(seed)
+        dialects = {
+            (decorrelate, executor, cache): create_dialect(
+                "postgresql",
+                decorrelate=decorrelate,
+                executor=executor,
+                prepared_cache=cache,
+            )
+            for decorrelate in (False, True)
+            for executor in ("row", "vectorized", "parallel")
+            for cache in (False, True)
+        }
+        # The pre-PR behaviour: per-row, row executor, nothing cached.
+        oracle = dialects[(False, "row", False)]
+        for statement in shapes.setup_statements():
+            for dialect in dialects.values():
+                dialect.execute(statement)
+        answered = 0
+        for position in range(1, self.QUERIES_PER_SEED + 1):
+            query = shapes.query()
+            expected = _run(oracle, query)
+            answered += expected[0] == "ok"
+            for key, dialect in dialects.items():
+                assert _run(dialect, query) == expected, (key, query)
+                if dialect.prepared.enabled:
+                    # The repeat executes the cached plan tree.
+                    assert _run(dialect, query) == expected, (key, query)
+            if position % self.MUTATE_EVERY == 0:
+                mutation = shapes.mutation()
+                for dialect in dialects.values():
+                    dialect.execute(mutation)
+        assert answered >= self.QUERIES_PER_SEED * 3 // 4
+
+    def test_shapes_cover_both_classes(self):
+        dialect = create_dialect("postgresql")
+        shapes = _SubqueryShapes(11)
+        for statement in shapes.setup_statements():
+            dialect.execute(statement)
+        init_plans = subplans = 0
+        for _ in range(120):
+            plan = dialect.planner.plan_statement(parse_one(shapes.query()))
+            init_plans += len(_attached(plan, INIT_PLANS))
+            subplans += len(_attached(plan, SUBPLANS))
+        assert init_plans >= 40 and subplans >= 40
+
+
+class TestInitPlanClassification:
+    """The PR-5 proof decides; look-alikes stay per-row."""
+
+    def _plan(self, query, decorrelate=True):
+        dialect = create_dialect("postgresql", decorrelate=decorrelate)
+        dialect.execute("CREATE TABLE t (a INT, b INT)")
+        dialect.execute("CREATE TABLE s (x INT, y INT)")
+        dialect.execute("CREATE TABLE u (k INT, b INT)")
+        return dialect.planner.plan_statement(parse_one(query))
+
+    @pytest.mark.parametrize("query", [
+        "SELECT a FROM t WHERE b > 1 OR a IN (SELECT x FROM s)",
+        "SELECT a FROM t WHERE a > (SELECT MAX(x) FROM s)",
+        "SELECT a, (SELECT MAX(x) FROM s) AS m FROM t",
+        "SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > (SELECT MIN(y) FROM s)",
+        "SELECT a FROM t WHERE b > 1 OR NOT EXISTS (SELECT x FROM s WHERE y = 3)",
+    ])
+    def test_uncorrelated_subqueries_become_init_plans(self, query):
+        plan = self._plan(query)
+        assert len(_attached(plan, INIT_PLANS)) == 1
+        assert not _attached(plan, SUBPLANS)
+        # ... and the per-row oracle keeps them all as subplans.
+        oracle = self._plan(query, decorrelate=False)
+        assert len(_attached(oracle, SUBPLANS)) == 1
+        assert not _attached(oracle, INIT_PLANS)
+
+    def test_nested_uncorrelated_levels_are_each_an_init_plan(self):
+        plan = self._plan(
+            "SELECT a FROM t WHERE a > (SELECT COUNT(*) FROM u "
+            "WHERE u.b > (SELECT AVG(y) FROM s))"
+        )
+        assert len(_attached(plan, INIT_PLANS)) == 2
+
+    @pytest.mark.parametrize("query", [
+        # Unqualified outer column.
+        "SELECT a FROM t WHERE b > (SELECT COUNT(*) FROM s WHERE x > a)",
+        # Visible only inside the nested derived table.
+        "SELECT a FROM t WHERE a > (SELECT COUNT(*) FROM (SELECT k FROM u) AS d WHERE b > 5)",
+        # Qualified outer reference.
+        "SELECT a, (SELECT MAX(x) FROM s WHERE s.y = t.b) AS m FROM t",
+        # A grouped name is a bare key of the HAVING row: the engine reads
+        # it before u.b, so the subquery is not provably self-contained.
+        "SELECT b, COUNT(*) FROM t GROUP BY b "
+        "HAVING COUNT(*) > (SELECT COUNT(*) FROM u WHERE b = 1)",
+        "SELECT b, (SELECT COUNT(*) FROM u WHERE b = 1) AS m FROM t GROUP BY b",
+    ])
+    def test_look_alikes_stay_subplans(self, query):
+        plan = self._plan(query)
+        assert not _attached(plan, INIT_PLANS)
+        assert len(_attached(plan, SUBPLANS)) == 1
+
+    def test_exposed_names_reach_nested_levels(self):
+        # The innermost level is self-contained by SQL scoping, but it is
+        # evaluated under the HAVING row, whose bare key ``b`` it would read.
+        plan = self._plan(
+            "SELECT b, COUNT(*) FROM t GROUP BY b HAVING COUNT(*) > "
+            "(SELECT COUNT(*) FROM s WHERE s.x = t.b "
+            "AND s.y > (SELECT COUNT(*) FROM u WHERE b = 1))"
+        )
+        assert not _attached(plan, INIT_PLANS)
+        assert len(_attached(plan, SUBPLANS)) == 2
+
+    def test_estimates_and_costs_do_not_move(self):
+        query = "SELECT a FROM t WHERE b > 1 OR a IN (SELECT x FROM s)"
+        on, off = self._plan(query), self._plan(query, decorrelate=False)
+        for on_node, off_node in zip(on.walk(ATTACHED_KEYS), off.walk(ATTACHED_KEYS)):
+            assert on_node.kind is off_node.kind
+            assert on_node.estimated_rows == off_node.estimated_rows
+            assert on_node.cost == off_node.cost
+
+
+class TestInitPlanCounts:
+    """"Once" is counted, never timed."""
+
+    @pytest.fixture(scope="class")
+    def tpch_dialect(self):
+        # Scale 1.0: below it no supplier is in Q11's nation, no group
+        # reaches the HAVING clause, and the init-plan never runs.
+        dialect = create_dialect("postgresql")
+        tpch.load_into(dialect, scale=1.0)
+        return dialect
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized", "parallel"])
+    @pytest.mark.parametrize("number", [11, 22])
+    def test_tpch_init_plan_nodes_loop_once(self, tpch_dialect, executor, number):
+        tpch_dialect.set_executor(executor)
+        plan = tpch_dialect.planner.plan_statement(parse_one(tpch.QUERIES[number]))
+        init_plans = _attached(plan, INIT_PLANS)
+        assert len(init_plans) == 1
+        # Twice on one tree, as a cached plan is: loops must not accumulate.
+        for _ in range(2):
+            rows = tpch_dialect.executor.execute(reset_runtime(plan), analyze=True)
+            assert rows
+            for node in init_plans[0].walk():
+                assert node.runtime.executed
+                assert node.runtime.loops == 1
+            assert init_plans[0].runtime.actual_rows == 1
+            assert bound_violations(plan) == []
+
+    @pytest.mark.parametrize("number", [11, 22])
+    def test_analyze_counts_match_across_executors(self, tpch_dialect, number):
+        counts = {}
+        for executor in ("row", "vectorized"):
+            tpch_dialect.set_executor(executor)
+            plan = tpch_dialect.planner.plan_statement(parse_one(tpch.QUERIES[number]))
+            tpch_dialect.executor.execute(plan, analyze=True)
+            counts[executor] = [
+                (node.kind, node.runtime.actual_rows, node.runtime.loops)
+                for node in plan.walk(ATTACHED_KEYS)
+            ]
+        assert counts["row"] == counts["vectorized"]
+
+    def test_bound_oracle_silent_on_every_timed_tpch_query(self, tpch_dialect):
+        tpch_dialect.set_executor("vectorized")
+        for number, sql in tpch.QUERIES.items():
+            if number == 15:  # ROADMAP item 1(b): does not execute yet
+                continue
+            assert not tpch_dialect.explain(sql, analyze=True).bound_violations, number
+
+    def test_cached_plan_executes_without_planning(self, tpch_dialect, monkeypatch):
+        tpch_dialect.set_executor("vectorized")
+        queries = [
+            tpch.QUERIES[11],
+            tpch.QUERIES[22],
+            # A correlated subplan reuses its attached plan too.
+            "SELECT s_suppkey FROM supplier WHERE s_acctbal > "
+            "(SELECT AVG(ps_supplycost) FROM partsupp WHERE ps_suppkey = s_suppkey)",
+        ]
+        expected = [tpch_dialect.execute(query) for query in queries]
+        calls = []
+        for name in ("plan_statement", "plan_select", "plan_subquery"):
+            original = getattr(Planner, name)
+
+            def counted(self, statement, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, statement)
+
+            monkeypatch.setattr(Planner, name, counted)
+        assert [tpch_dialect.execute(query) for query in queries] == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_empty_outer_relation_never_runs_the_init_plan(self, executor):
+        dialect = create_dialect("postgresql", executor=executor)
+        dialect.execute("CREATE TABLE t (a INT)")
+        dialect.execute("CREATE TABLE s (x INT)")
+        dialect.execute("INSERT INTO s (x) VALUES " + ", ".join(f"({i})" for i in range(40)))
+        # NO_SUCH_FUNCTION fails only when a row is evaluated: with no outer
+        # row the per-row path never gets there, and neither may this one.
+        query = "SELECT a FROM t WHERE a > (SELECT MAX(NO_SUCH_FUNCTION(x)) FROM s)"
+        plan = dialect.planner.plan_statement(parse_one(query))
+        assert dialect.executor.execute(plan, analyze=True) == []
+        (init_plan,) = _attached(plan, INIT_PLANS)
+        assert not any(node.runtime.executed for node in init_plan.walk())
+        # EXPLAIN ANALYZE shows it the way PostgreSQL does: never executed.
+        document = json.loads(dialect.explain(query, format="json", analyze=True).text)
+        stack, shaped = [document[0]["Plan"]], []
+        while stack:
+            shaped.append(stack.pop())
+            stack.extend(shaped[-1].get("Plans", ()))
+        (init_node,) = [
+            node for node in shaped if node.get("Parent Relationship") == "InitPlan"
+        ]
+        assert "Actual Rows" in document[0]["Plan"]
+        assert "Actual Rows" not in init_node
+        # One outer row later the rejection appears, as on the per-row path.
+        dialect.execute("INSERT INTO t (a) VALUES (1)")
+        oracle = create_dialect("postgresql", executor=executor, decorrelate=False)
+        for statement in ("CREATE TABLE t (a INT)", "CREATE TABLE s (x INT)",
+                          "INSERT INTO s (x) VALUES (1)", "INSERT INTO t (a) VALUES (1)"):
+            oracle.execute(statement)
+        assert _run(dialect, query) == _run(oracle, query) == ("error", "ExecutionError")
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_memo_does_not_outlive_the_call(self, executor):
+        dialect = create_dialect("postgresql", executor=executor)
+        dialect.execute("CREATE TABLE t (a INT)")
+        dialect.execute("CREATE TABLE s (x INT)")
+        dialect.execute("INSERT INTO t (a) VALUES " + ", ".join(f"({i})" for i in range(40)))
+        dialect.execute("INSERT INTO s (x) VALUES (10)")
+        plan = dialect.planner.plan_statement(
+            parse_one("SELECT a FROM t WHERE a > (SELECT MAX(x) FROM s)")
+        )
+        assert len(dialect.executor.execute(plan)) == 29
+        # The same tree again after the heap changed underneath it.
+        dialect.database.insert_rows("s", [{"x": 30}])
+        assert len(dialect.executor.execute(plan)) == 9
+
+    def test_concurrent_service_readers_match_the_direct_twin(self):
+        twin = create_dialect("postgresql")
+        tpch.load_into(twin, scale=1.0)
+        expected = {number: twin.execute(tpch.QUERIES[number]) for number in (11, 22)}
+        assert all(expected.values())
+        answers = {11: [], 22: []}
+        failures = []
+        with QueryService(max_workers=4, read_dispatch="thread") as service:
+            with ServiceClient(service.address) as loader:
+                session = loader.open_session("postgresql", tenant="tpch")
+                tpch.load_into(ServiceDialect(session), scale=1.0)
+
+            def reader(number):
+                try:
+                    with ServiceClient(service.address) as client:
+                        session = client.open_session("postgresql", tenant="tpch")
+                        for _ in range(6):
+                            answers[number].append(session.execute(tpch.QUERIES[number]))
+                except Exception as exc:  # surfaced below, on the main thread
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=reader, args=(number,)) for number in (11, 22)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        for number, results in answers.items():
+            assert len(results) == 6
+            assert all(rows == expected[number] for rows in results), number
+
+
+class TestInitPlanShaping:
+    """PostgreSQL says InitPlan / SubPlan; the converter reads both back."""
+
+    SETUP = (
+        "CREATE TABLE t (a INT, b INT)",
+        "CREATE TABLE s (x INT, y INT)",
+        "INSERT INTO t (a, b) VALUES (1, 10), (2, 20)",
+        "INSERT INTO s (x, y) VALUES (1, 10)",
+    )
+    QUERY = (
+        "SELECT a, (SELECT MAX(x) FROM s) AS m FROM t "
+        "WHERE b > 1 OR a IN (SELECT x FROM s WHERE s.y = t.b)"
+    )
+
+    def _dialect(self, dbms, **options):
+        dialect = create_dialect(dbms, **options)
+        for statement in self.SETUP:
+            dialect.execute(statement)
+        return dialect
+
+    def _relationships(self, plan):
+        return sorted(
+            prop.value
+            for node in plan.root.walk()
+            for prop in node.properties
+            if prop.identifier == "Parent Relationship"
+        )
+
+    @pytest.mark.parametrize("analyze", [False, True])
+    def test_text_and_json_round_trip_both_labels(self, analyze):
+        dialect = self._dialect("postgresql")
+        hub = ConverterHub()
+        plans = {
+            plan_format: hub.convert(
+                "postgresql",
+                dialect.explain(self.QUERY, format=plan_format, analyze=analyze).text,
+                plan_format,
+                use_cache=False,
+            )
+            for plan_format in ("text", "json")
+        }
+        for plan in plans.values():
+            assert self._relationships(plan) == ["InitPlan", "SubPlan"]
+        assert structural_fingerprint(plans["text"]) == structural_fingerprint(plans["json"])
+
+    def test_text_labels_each_subquery_plan(self):
+        text = self._dialect("postgresql").explain(self.QUERY, format="text").text
+        assert "InitPlan 1" in text and "SubPlan 2" in text
+
+    def test_per_row_oracle_emits_subplans_only(self):
+        dialect = self._dialect("postgresql", decorrelate=False)
+        plan = ConverterHub().convert(
+            "postgresql", dialect.explain(self.QUERY, format="json").text, "json"
+        )
+        assert self._relationships(plan) == ["SubPlan", "SubPlan"]
+
+    @pytest.mark.parametrize("dbms", ["mysql", "tidb", "sqlite", "sqlserver", "sparksql"])
+    def test_other_dialects_render_attached_plans_where_they_did(self, dbms):
+        # Same text whichever list the filter's plan is in; a select-list
+        # subquery stays invisible, as before.
+        hub = ConverterHub()
+        plan_format = hub.converter(dbms).formats[0]
+
+        def explained(query, **options):
+            return self._dialect(dbms, **options).explain(query, format=plan_format).text
+
+        query = "SELECT a FROM t WHERE b > 1 OR a IN (SELECT x FROM s)"
+        assert explained(query) == explained(query, decorrelate=False)
+        with_subquery = hub.convert(dbms, explained(query), plan_format)
+        without = hub.convert(
+            dbms, explained("SELECT a FROM t WHERE b > 1 OR a > 5"), plan_format
+        )
+        assert with_subquery.node_count() > without.node_count()
+        in_select_list = hub.convert(
+            dbms, explained("SELECT a, (SELECT MAX(x) FROM s) AS m FROM t"), plan_format
+        )
+        plain = hub.convert(dbms, explained("SELECT a, b AS m FROM t"), plan_format)
+        assert in_select_list.node_count() == plain.node_count()
