@@ -18,14 +18,40 @@ once.  The concurrency contract lives here:
 * :meth:`Database.pin_view` captures a :class:`DatabaseView` — an immutable
   ``{table name → TableSnapshot}`` mapping at one version.  A statement that
   pinned a view reads only those snapshots; later writers replace the
-  table's cached snapshot rather than mutating it, so the pinned view stays
-  valid by reference-holding (MVCC without a retention policy).
+  written table's cached snapshot rather than mutating it, so the pinned
+  view stays valid by reference-holding (MVCC without a retention policy),
+  and the tables a write did not touch keep serving the identical snapshot
+  object to every later view.
+
+Freshness is per table.  :attr:`Database.version` is the one global counter
+every mutation advances, but no cache keys on it (its readers are the
+process-replica handshake, the ``catalog`` wire op and
+:attr:`DatabaseView.version`).  What a cached plan may depend on is recorded
+as *which value the counter had* when that input last changed:
+
+==============================================  =========================
+mutation                                        advances
+==============================================  =========================
+create / drop table, create / drop index,       the catalog epoch
+``analyze()`` of the whole database             (every plan misses)
+``insert_rows`` / ``update_rows`` /             the written table's
+``delete_rows`` (≥ 1 row), ``analyze(table)``   planning version (plans
+— the dialects' post-DML auto-analyze and the   naming that table miss)
+lazy one in :meth:`Database.statistics` too
+==============================================  =========================
+
+:meth:`Database.plan_freshness` folds the two into the plan-cache key.
+Because both are draws from the same monotonic counter, a value is never
+reused — not by another table, not after drop + recreate.  Row contents are
+the heap's business (:attr:`~repro.storage.table.HeapTable.data_version`
+keys the snapshots).  Add the bump with the mutation, never rely on callers.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Column, DataType, Index, TableSchema
 from repro.catalog.statistics import TableStatistics, collect_table_statistics
@@ -41,7 +67,9 @@ class DatabaseView:
     The view holds direct references to the :class:`TableSnapshot` objects
     that existed at pin time; snapshots are never mutated in place, so the
     view keeps serving version-consistent data even while writers advance
-    the live database underneath it.
+    the live database underneath it.  ``version`` is the global
+    :attr:`Database.version` at pin time; each snapshot carries its own
+    table's data version.
     """
 
     __slots__ = ("version", "_snapshots")
@@ -73,12 +101,15 @@ class Database:
         self._tables: Dict[str, HeapTable] = {}
         self._indexes: Dict[str, OrderedIndex] = {}
         self._statistics: Dict[str, TableStatistics] = {}
-        #: Monotonic catalog/statistics version.  Every mutation that can
-        #: change how a statement parses into a *different best plan* — DDL,
-        #: DML (row counts feed the cost model), and statistics collection —
-        #: bumps it.  The prepared-query cache keys plans by this number, so
-        #: a mutated database can never serve a stale plan.
+        #: Monotonic global version.  Every mutation that can change how a
+        #: statement plans — DDL, DML (row counts feed the cost model and the
+        #: proven size bounds), statistics collection — advances it, and
+        #: records the new value as either the catalog epoch or one table's
+        #: planning version (module docstring).  Plans are keyed on those
+        #: two, never on this number.
         self._version = 0
+        self._epoch = 0
+        self._table_versions: Dict[str, int] = {}
         self._version_lock = threading.Lock()
         #: Readers-writer gate for the serving layer: read-only statements
         #: hold it shared, DDL/DML hold it exclusively.  Embedded (direct
@@ -91,8 +122,12 @@ class Database:
         """The current catalog/statistics version (see ``__init__``)."""
         return self._version
 
-    def bump_version(self) -> int:
-        """Advance the catalog version, invalidating cached prepared plans.
+    def bump_version(self, table_name: Optional[str] = None) -> int:
+        """Advance the global version and record what the mutation touched.
+
+        With *table_name*, only that table's planning version moves (cached
+        plans naming other tables stay reachable); without, the catalog
+        epoch moves and every cached plan misses.
 
         Guarded by a lock: ``+= 1`` on a plain attribute is a
         read-modify-write race, and the version doubles as the snapshot-
@@ -101,21 +136,34 @@ class Database:
         """
         with self._version_lock:
             self._version += 1
+            if table_name is None:
+                self._epoch = self._version
+            else:
+                self._table_versions[table_name.lower()] = self._version
             return self._version
+
+    def plan_freshness(self, table_keys: Sequence[str]) -> Tuple[int, ...]:
+        """The freshness part of a plan-cache key for a statement naming *table_keys*.
+
+        ``(catalog epoch, planning version of each table)``; *table_keys*
+        are lower-cased names in a fixed order.  A name with no table behind
+        it reads 0 — creating the table moves the epoch.
+        """
+        versions = self._table_versions
+        return (self._epoch, *[versions.get(key, 0) for key in table_keys])
 
     def pin_view(self) -> DatabaseView:
         """Capture a :class:`DatabaseView` of every table at the current version.
 
         Intended to be called while holding :attr:`gate` in shared mode (or
-        from a single-threaded caller): the version cannot move mid-capture,
-        so all snapshots in the view belong to one version.  Snapshot builds
-        are cached per table, so repeated pins at an unchanged version reuse
-        the same :class:`TableSnapshot` objects.
+        from a single-threaded caller): no table can change mid-capture, so
+        all snapshots in the view belong to one version.  Snapshot builds
+        are cached per table on the table's own data version, so a pin
+        rebuilds only the tables written since the last one and shares
+        every other :class:`TableSnapshot` object with earlier views.
         """
         version = self._version
-        snapshots = {
-            key: table.column_batch(version) for key, table in self._tables.items()
-        }
+        snapshots = {key: table.column_batch() for key, table in self._tables.items()}
         return DatabaseView(version, snapshots)
 
     # -- DDL ------------------------------------------------------------------------
@@ -150,6 +198,7 @@ class Database:
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
         self._statistics.pop(key, None)
+        self._table_versions.pop(key, None)
         for index_name in [
             index_name
             for index_name, index in self._indexes.items()
@@ -231,6 +280,22 @@ class Database:
 
     # -- DML -------------------------------------------------------------------------
 
+    @contextmanager
+    def _writing(self, table_name: str) -> Iterator[HeapTable]:
+        """Yield *table_name*'s heap; advance its planning version if rows changed.
+
+        The heap's own data version decides, so the bump can neither be
+        forgotten by a caller nor skipped by a statement that fails half-way
+        (a unique index rejecting a key mid-batch leaves earlier rows in).
+        """
+        table = self.table(table_name)
+        before = table.data_version
+        try:
+            yield table
+        finally:
+            if table.data_version != before:
+                self.bump_version(table_name)
+
     def insert_rows(self, table_name: str, rows: Iterable[Row]) -> int:
         """Insert rows into *table_name*, maintaining its indexes.
 
@@ -238,64 +303,61 @@ class Database:
         (:meth:`~repro.storage.table.HeapTable.insert_many`); indexed tables
         interleave heap and index inserts per row, preserving the historical
         partial state when a unique index rejects a key mid-batch.  Either
-        way the catalog version is bumped exactly once per statement, so the
-        prepared-plan and columnar-snapshot caches see a single invalidation
-        per batch.
+        way the table's planning version advances exactly once per
+        statement, and no other table's does.
         """
-        table = self.table(table_name)
         indexes = self.indexes_for(table_name)
-        if not indexes:
-            row_ids = table.insert_many(rows)
-        else:
-            row_ids = []
+        with self._writing(table_name) as table:
+            if not indexes:
+                return len(table.insert_many(rows))
+            count = 0
             for row in rows:
                 row_id = table.insert(row)
                 stored = table.get(row_id)
                 for index in indexes:
                     key = tuple(stored[column] for column in index.definition.columns)
                     index.insert(key, row_id)
-                row_ids.append(row_id)
-        if row_ids:
-            self.bump_version()
-        return len(row_ids)
+                count += 1
+            return count
 
     def update_rows(self, table_name: str, row_ids: Sequence[int], changes_per_row: Sequence[Row]) -> int:
         """Apply per-row changes, maintaining indexes."""
-        table = self.table(table_name)
         indexes = self.indexes_for(table_name)
-        for row_id, changes in zip(row_ids, changes_per_row):
-            before = dict(table.get(row_id))
-            table.update(row_id, changes)
-            after = table.get(row_id)
-            for index in indexes:
-                columns = index.definition.columns
-                old_key = tuple(before[column] for column in columns)
-                new_key = tuple(after[column] for column in columns)
-                if old_key != new_key:
-                    index.remove(old_key, row_id)
-                    index.insert(new_key, row_id)
-        if row_ids:
-            self.bump_version()
+        with self._writing(table_name) as table:
+            for row_id, changes in zip(row_ids, changes_per_row):
+                before = dict(table.get(row_id))
+                table.update(row_id, changes)
+                after = table.get(row_id)
+                for index in indexes:
+                    columns = index.definition.columns
+                    old_key = tuple(before[column] for column in columns)
+                    new_key = tuple(after[column] for column in columns)
+                    if old_key != new_key:
+                        index.remove(old_key, row_id)
+                        index.insert(new_key, row_id)
         return len(row_ids)
 
     def delete_rows(self, table_name: str, row_ids: Sequence[int]) -> int:
         """Delete rows by id, maintaining indexes."""
-        table = self.table(table_name)
         indexes = self.indexes_for(table_name)
-        for row_id in row_ids:
-            row = dict(table.get(row_id))
-            for index in indexes:
-                key = tuple(row[column] for column in index.definition.columns)
-                index.remove(key, row_id)
-            table.delete(row_id)
-        if row_ids:
-            self.bump_version()
+        with self._writing(table_name) as table:
+            for row_id in row_ids:
+                row = dict(table.get(row_id))
+                for index in indexes:
+                    key = tuple(row[column] for column in index.definition.columns)
+                    index.remove(key, row_id)
+                table.delete(row_id)
         return len(row_ids)
 
     # -- statistics ---------------------------------------------------------------------
 
     def analyze(self, table_name: Optional[str] = None) -> None:
-        """Collect statistics for one table, or for every table."""
+        """Collect statistics for one table, or for every table.
+
+        One table's statistics feed only the plans that name it, so
+        ``analyze(table)`` advances that table's planning version; the
+        whole-database form advances the catalog epoch.
+        """
         names = [table_name] if table_name else self.table_names()
         for name in names:
             table = self.table(name)
@@ -310,7 +372,7 @@ class Database:
                 numeric_columns,
                 table.schema.column_names(),
             )
-        self.bump_version()
+        self.bump_version(table_name or None)
 
     def statistics(self, table_name: str) -> TableStatistics:
         """Return the most recently collected statistics for *table_name*.
@@ -417,8 +479,8 @@ class Database:
         """Rebuild a database from :meth:`to_payload` output.
 
         The replica's tables, rows, indexes, and statistics match the source;
-        its :attr:`version` is forced to the payload's version so prepared
-        plans keyed on it line up across processes.
+        its :attr:`version` is forced to the payload's version, which is
+        what the replica handshake compares.
         """
         database = cls(payload["name"])
         for spec in payload["tables"]:

@@ -155,10 +155,12 @@ class RelationalDialect(SimulatedDBMS):
         self.executor_kind = executor
         self.executor = create_executor(executor, self.database, self.planner)
         self._statements_executed = 0
-        #: Memoised lex→parse→plan results for the campaign hot path.  The
-        #: cache is keyed on the database's catalog version, so DDL / DML /
-        #: ``analyze_tables`` invalidate it implicitly; ``prepared_cache=False``
-        #: (or ``self.prepared.enabled = False``) turns it off with byte-for-
+        #: Memoised lex→parse→plan results for the campaign hot path.  A plan
+        #: is keyed on the catalog epoch and the planning versions of the
+        #: tables its statement names, so DDL and ``analyze_tables``
+        #: invalidate everything and DML only the plans that name the written
+        #: table, all implicitly; ``prepared_cache=False`` (or
+        #: ``self.prepared.enabled = False``) turns it off with byte-for-
         #: byte identical results — see tests/test_prepared_cache.py.
         self.prepared = PreparedQueryCache(enabled=prepared_cache)
 
@@ -179,8 +181,8 @@ class RelationalDialect(SimulatedDBMS):
         """Toggle subquery decorrelation (plans change, results never do).
 
         Cached physical plans were produced under the previous setting, so
-        the prepared-query cache is dropped on an actual switch — the
-        catalog version alone would not invalidate them.
+        the prepared-query cache is dropped on an actual switch — no
+        catalog or table version would invalidate them.
         """
         if enabled != self.planner.decorrelate:
             self.planner.decorrelate = enabled
@@ -222,9 +224,10 @@ class RelationalDialect(SimulatedDBMS):
 
         Parsing and planning go through :attr:`prepared`: repeated statement
         texts reuse their AST, and their physical plan too as long as the
-        database's catalog version is unchanged.  Plans for each statement of
-        a multi-statement script are keyed at the version current when that
-        statement runs, so earlier statements' mutations are always seen.
+        catalog and the tables they name are unchanged.  Plans for each
+        statement of a multi-statement script are keyed at the freshness
+        current when that statement runs, so earlier statements' mutations
+        are always seen.
         """
         results: List[Row] = []
         text_key, statements = self.prepared.parse(statement)
@@ -237,7 +240,7 @@ class RelationalDialect(SimulatedDBMS):
             plan = self.prepared.plan(
                 text_key,
                 index,
-                self.database.version,
+                self.prepared.freshness(statements, index, self.database),
                 lambda parsed=parsed: self.planner.plan_statement(parsed),
             )
             results = self.executor.execute(plan)
@@ -272,7 +275,7 @@ class RelationalDialect(SimulatedDBMS):
         physical = self.prepared.plan(
             text_key,
             0,
-            self.database.version,
+            self.prepared.freshness(statements, 0, self.database),
             lambda: self.planner.plan_statement(parsed),
         )
         violations: Sequence[Dict[str, Any]] = ()

@@ -11,12 +11,18 @@ re-plans the text from scratch.
 * **Parsing** — keyed by the normalized statement text alone.  Parsing is
   schema-independent, so a parsed AST never goes stale.  Consumers share the
   cached AST objects and must treat them as frozen (the planner and executor
-  only read them).
-* **Planning** — keyed by ``(normalized text, statement index, catalog
-  version)``.  The catalog version (:attr:`repro.catalog.database.Database.version`)
-  advances on every DDL/DML/statistics mutation, so a plan cached against a
-  since-mutated database simply misses and is re-planned; stale plans are
-  unreachable by construction.  Entries for dead versions age out of the LRU.
+  only read them).  The tables each statement names are noted by the
+  parser as it meets them and kept beside the AST.
+* **Planning** — keyed by ``(normalized text, statement index, freshness)``,
+  where the freshness of a statement is
+  :meth:`repro.catalog.database.Database.plan_freshness` of the tables it
+  names: the catalog epoch (DDL, whole-database ``analyze``) and each named
+  table's planning version (DML, ``analyze(table)``).  That is everything a
+  plan may depend on — schema, indexes, statistics, and the actual row
+  counts behind the proven size bounds — so a write to one table re-plans
+  only the statements that name it, and a plan cached against since-changed
+  inputs simply misses; stale plans are unreachable by construction and are
+  never explicitly invalidated.  Entries for dead keys age out of the LRU.
 
 The cache is semantically invisible: with ``enabled=False`` every lookup
 misses and the dialect behaves exactly as before (asserted by the
@@ -32,12 +38,12 @@ normalize alike therefore always tokenize alike.
 from __future__ import annotations
 
 import re
-from typing import Callable, List, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple
 
 from repro.core.caching import CacheStats, LRUCache
 from repro.optimizer.physical import ATTACHED_KEYS, PhysicalNode, RuntimeStats
 from repro.sqlparser import ast_nodes as ast
-from repro.sqlparser.parser import parse_sql
+from repro.sqlparser.parser import parse_script, parse_sql
 
 #: Characters whose presence makes whitespace-collapsing unsafe: quotes keep
 #: raw text, ``-`` and ``/`` may open comments (a line comment's terminating
@@ -53,12 +59,23 @@ def normalize_sql(sql: str) -> str:
     return _WHITESPACE_RUN.sub(" ", sql.strip())
 
 
+class ParsedScript(list):
+    """The statements of one cached text, and the tables each of them names."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, statements: List[ast.Statement], tables: List[Tuple[str, ...]]) -> None:
+        super().__init__(statements)
+        #: Per statement, as :func:`repro.sqlparser.parser.parse_script` reports.
+        self.tables = tables
+
+
 class PreparedQueryCache:
-    """LRU caches for parsed statements and version-keyed physical plans.
+    """LRU caches for parsed statements and freshness-keyed physical plans.
 
     One instance belongs to one dialect (and therefore one
-    :class:`~repro.catalog.database.Database`); the catalog version in the
-    plan key refers to that database.
+    :class:`~repro.catalog.database.Database`); the freshness in the plan
+    key refers to that database.
     """
 
     def __init__(self, ast_size: int = 512, plan_size: int = 1024, enabled: bool = True) -> None:
@@ -81,30 +98,42 @@ class PreparedQueryCache:
         key = normalize_sql(sql)
         statements = self._asts.get(key)
         if statements is None:
-            statements = parse_sql(sql)
+            statements = ParsedScript(*parse_script(sql))
             self._asts.put(key, statements)
         return key, statements
 
     # -- planning ----------------------------------------------------------------
 
+    def freshness(self, statements: List[ast.Statement], index: int, database) -> Optional[Hashable]:
+        """The freshness key of statement *index* of a :meth:`parse` result.
+
+        *database*'s catalog epoch plus the planning versions of the tables
+        the statement names.  A disabled cache keys nothing and so never
+        looks at the statement.
+        """
+        if not self.enabled:
+            return None
+        return database.plan_freshness(statements.tables[index])
+
     def plan(
         self,
         text_key: str,
         index: int,
-        version: int,
+        freshness: Hashable,
         planner_callable: Callable[[], PhysicalNode],
     ) -> PhysicalNode:
         """Return the cached plan for statement *index* of *text_key*.
 
-        *version* is the owning database's current catalog version; a miss
-        invokes *planner_callable* and stores its plan under that version.
+        *freshness* (see :meth:`freshness`) stands for every planning input
+        that can change under the statement; a miss invokes
+        *planner_callable* and stores its plan under that value.
         The returned tree is shared across repeats of the same text: the
         executor treats plans as read-only (runtime statistics excepted —
         see :func:`reset_runtime`), and dialects re-shape them per call.
         """
         if not self.enabled:
             return planner_callable()
-        key = (text_key, index, version)
+        key = (text_key, index, freshness)
         plan = self._plans.get(key)
         if plan is None:
             plan = planner_callable()

@@ -347,14 +347,14 @@ class VectorizedExecutor(Executor):
         snapshot of the table — the version the statement was planned
         against — even if writers have advanced the live database since.
         Without a view, behavior is unchanged: the table's cached snapshot
-        at the current version.
+        of its current rows.
         """
         view = self.snapshot_view
         if view is not None:
             snapshot = view.get(table.schema.name)
             if snapshot is not None:
                 return snapshot
-        return table.column_batch(self.database.version)
+        return table.column_batch()
 
     def _batch_seq_scan(self, node: PhysicalNode, analyze: bool) -> List[RowBatch]:
         table = self.database.table(node.info["table"])

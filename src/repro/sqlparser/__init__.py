@@ -8,13 +8,14 @@ operations, ordering, limits, and (scalar / IN / EXISTS) subqueries.
 
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.lexer import tokenize
-from repro.sqlparser.parser import Parser, parse_one, parse_sql
+from repro.sqlparser.parser import Parser, parse_one, parse_script, parse_sql
 from repro.sqlparser.printer import print_expression, print_select, print_statement
 
 __all__ = [
     "ast",
     "tokenize",
     "Parser",
+    "parse_script",
     "parse_sql",
     "parse_one",
     "print_expression",

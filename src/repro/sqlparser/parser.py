@@ -10,7 +10,7 @@ precedence:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from repro.errors import ParseError
 from repro.sqlparser import ast_nodes as ast
@@ -32,6 +32,11 @@ class Parser:
         self._sql = sql
         self._tokens = tokenize(sql)
         self._index = 0
+        #: Lower-cased names of the tables the statement being parsed names
+        #: (see :meth:`_expect_table`); :meth:`parse_statements` files one
+        #: sorted tuple per statement under :attr:`statement_tables`.
+        self._tables: Set[str] = set()
+        self.statement_tables: List[Tuple[str, ...]] = []
 
     # ------------------------------------------------------------------ utils
 
@@ -89,6 +94,16 @@ class Parser:
             token,
         )
 
+    def _expect_table(self) -> str:
+        """Consume the name of a table the statement reads or writes.
+
+        Every table a statement names enters its AST through here, so the
+        set this records cannot miss one, wherever the reference sits.
+        """
+        name = self._expect_identifier()
+        self._tables.add(name.lower())
+        return name
+
     # ------------------------------------------------------------- entry points
 
     def parse_statements(self) -> List[ast.Statement]:
@@ -97,7 +112,9 @@ class Parser:
         while self._peek().type is not TokenType.EOF:
             if self._accept_punctuation(";"):
                 continue
+            self._tables = set()
             statements.append(self.parse_statement())
+            self.statement_tables.append(tuple(sorted(self._tables)))
             self._accept_punctuation(";")
         return statements
 
@@ -326,7 +343,7 @@ class Parser:
             inner = self._parse_from_clause()
             self._expect_punctuation(")")
             return inner
-        name = self._expect_identifier()
+        name = self._expect_table()
         alias = self._parse_optional_alias()
         return ast.TableRef(name, alias)
 
@@ -435,7 +452,7 @@ class Parser:
     def _parse_create_index(self, unique: bool) -> ast.CreateIndex:
         name = self._expect_identifier()
         self._expect_keyword("ON")
-        table = self._expect_identifier()
+        table = self._expect_table()
         self._expect_punctuation("(")
         columns = [self._expect_identifier()]
         while self._accept_punctuation(","):
@@ -455,7 +472,7 @@ class Parser:
     def _parse_insert(self) -> ast.Insert:
         self._expect_keyword("INSERT")
         self._expect_keyword("INTO")
-        table = self._expect_identifier()
+        table = self._expect_table()
         statement = ast.Insert(table)
         if self._peek().is_punctuation("(") and not self._peek(1).matches_keyword("SELECT"):
             self._expect_punctuation("(")
@@ -479,7 +496,7 @@ class Parser:
 
     def _parse_update(self) -> ast.Update:
         self._expect_keyword("UPDATE")
-        table = self._expect_identifier()
+        table = self._expect_table()
         self._expect_keyword("SET")
         statement = ast.Update(table)
         while True:
@@ -498,7 +515,7 @@ class Parser:
     def _parse_delete(self) -> ast.Delete:
         self._expect_keyword("DELETE")
         self._expect_keyword("FROM")
-        table = self._expect_identifier()
+        table = self._expect_table()
         where = None
         if self._accept_keyword("WHERE"):
             where = self.parse_expression()
@@ -720,6 +737,20 @@ class Parser:
 def parse_sql(sql: str) -> List[ast.Statement]:
     """Parse every statement in *sql* and return the list of AST roots."""
     return Parser(sql).parse_statements()
+
+
+def parse_script(sql: str) -> Tuple[List[ast.Statement], List[Tuple[str, ...]]]:
+    """Parse *sql* into its statements and, per statement, the tables it names.
+
+    A statement's tables are the sorted lower-cased names of every table it
+    reads or writes: each FROM item anywhere below it (subqueries in any
+    expression position, derived tables, set-operation arms, the SELECT of an
+    ``INSERT … SELECT``, an EXPLAIN's inner statement) and a DML or
+    ``CREATE INDEX`` target — what a cached plan of the statement may depend
+    on beyond the catalog itself.
+    """
+    parser = Parser(sql)
+    return parser.parse_statements(), parser.statement_tables
 
 
 def parse_one(sql: str) -> ast.Statement:

@@ -5,10 +5,13 @@ row a stable integer row id, which secondary indexes reference.
 
 For the vectorized executor the heap also serves **columnar snapshots**
 (:meth:`HeapTable.column_batch`): parallel per-column value lists plus a
-row-id vector.  A snapshot is cached on the table and keyed by the owning
-:attr:`repro.catalog.database.Database.version`, so the PR-3 version-bump
-rules (every DDL/DML/analyze mutation bumps) are the only freshness signal —
-a stale snapshot is unreachable exactly as a stale prepared plan is.
+row-id vector.  A snapshot is cached on the table and keyed by the table's
+own :attr:`HeapTable.data_version`, a monotonic counter that every row
+mutation (``insert`` / ``insert_many`` / ``update`` / ``delete`` /
+``truncate``) advances.  Nothing else can make a snapshot stale, so a write
+to one table leaves every other table's snapshot — the identical object —
+in place, however the mutation reached the heap (through the
+:class:`~repro.catalog.database.Database` or directly).
 
 Snapshot columns of tables at or above
 :data:`repro.engine.arrays.ARRAY_MIN_ROWS` rows are upgraded to typed
@@ -32,9 +35,11 @@ Row = Dict[str, object]
 
 
 class TableSnapshot:
-    """A columnar snapshot of a heap table at one catalog version.
+    """A columnar snapshot of a heap table at one of its data versions.
 
-    ``columns`` maps each column name (schema order) to a list of values;
+    ``version`` is the :attr:`HeapTable.data_version` the rows were read at
+    (never a catalog-wide number).  ``columns`` maps each column name
+    (schema order) to a list of values;
     all lists are parallel to ``row_ids``.  Snapshots are shared between
     executions and must be treated as immutable by consumers.
     """
@@ -108,6 +113,9 @@ class HeapTable:
         self._defaults: List[Tuple[str, object]] = [
             (column.name, column.default) for column in schema.columns
         ]
+        #: Monotonic count of row mutations: the snapshot cache's freshness
+        #: key.  Advanced *after* the rows change (see :meth:`_mutated`).
+        self._data_version = 0
         self._snapshot: Optional[TableSnapshot] = None
         # Serializes snapshot *builds* only: concurrent readers that find a
         # valid cached snapshot never touch the lock (a slot read is atomic),
@@ -117,6 +125,22 @@ class HeapTable:
         self._snapshot_lock = threading.Lock()
 
     # -- modification ------------------------------------------------------------
+
+    @property
+    def data_version(self) -> int:
+        """How many row mutations the heap has seen (monotonic)."""
+        return self._data_version
+
+    def _mutated(self) -> None:
+        """Record a finished row mutation.
+
+        Runs after the rows changed, so a snapshot build that read the
+        counter first and raced this mutation carries the old number and is
+        recognisably stale.  The slot is cleared only to release the old
+        snapshot early; freshness never depends on it.
+        """
+        self._data_version += 1
+        self._snapshot = None
 
     def _complete(self, row: Row) -> Row:
         """Validate *row* and fill missing columns with their defaults."""
@@ -140,7 +164,7 @@ class HeapTable:
         row_id = self._next_row_id
         self._next_row_id += 1
         self._rows[row_id] = complete
-        self._snapshot = None
+        self._mutated()
         return row_id
 
     def insert_many(self, rows: Iterable[Row]) -> List[int]:
@@ -157,7 +181,7 @@ class HeapTable:
         for offset, complete in enumerate(completed):
             heap[first_id + offset] = complete
         if completed:
-            self._snapshot = None
+            self._mutated()
         return list(range(first_id, self._next_row_id))
 
     def update(self, row_id: int, changes: Row) -> None:
@@ -170,19 +194,19 @@ class HeapTable:
                     f"unknown column {column_name!r} for table {self.schema.name!r}"
                 )
         self._rows[row_id].update(changes)
-        self._snapshot = None
+        self._mutated()
 
     def delete(self, row_id: int) -> None:
         """Delete the row identified by *row_id*."""
         if row_id not in self._rows:
             raise StorageError(f"row id {row_id} does not exist in {self.schema.name!r}")
         del self._rows[row_id]
-        self._snapshot = None
+        self._mutated()
 
     def truncate(self) -> None:
         """Remove every row (row ids are not reused)."""
         self._rows.clear()
-        self._snapshot = None
+        self._mutated()
 
     # -- access --------------------------------------------------------------------
 
@@ -212,15 +236,12 @@ class HeapTable:
         """The number of live rows."""
         return len(self._rows)
 
-    def column_batch(self, version: int) -> TableSnapshot:
-        """Return the columnar snapshot of the table at catalog *version*.
+    def column_batch(self) -> TableSnapshot:
+        """Return the columnar snapshot of the table's current rows.
 
-        The snapshot is cached: repeated scans at an unchanged catalog
-        version reuse it.  *version* should be the owning database's
-        :attr:`~repro.catalog.database.Database.version`; every mutation
-        that can change table contents bumps it (the PR-3 rules), and the
-        heap additionally drops the cache on direct mutation, so consumers
-        never observe stale data.
+        The snapshot is cached on ``(data_version, arrays.state_token())``:
+        repeated scans of an unmutated table reuse the identical object, and
+        any row mutation — and nothing else — makes the next call rebuild.
         """
         # Imported lazily: repro.engine transitively imports this module.
         from repro.engine import arrays
@@ -229,14 +250,18 @@ class HeapTable:
         snapshot = self._snapshot
         if (
             snapshot is not None
-            and snapshot.version == version
+            and snapshot.version == self._data_version
             and snapshot.arrays_token == token
         ):
             return snapshot
         with self._snapshot_lock:
+            # The counter is read before the rows: a mutation racing this
+            # build can only leave a snapshot labelled with the older number,
+            # which the check above rejects.
+            version = self._data_version
             # Double-check: another thread may have built the snapshot while
-            # this one waited; reuse it so concurrent same-version scans
-            # share one object instead of building duplicates.
+            # this one waited; reuse it so concurrent scans share one object
+            # instead of building duplicates.
             snapshot = self._snapshot
             if (
                 snapshot is not None
@@ -249,9 +274,9 @@ class HeapTable:
                 name: [row[name] for row in rows] for name in self._column_names
             }
             if len(rows) >= arrays.ARRAY_MIN_ROWS:
-                # Typed-array upgrade (dtype inference runs once per snapshot
-                # version); tiny tables keep plain lists — array setup costs
-                # more than it saves below this size.
+                # Typed-array upgrade (dtype inference runs once per snapshot);
+                # tiny tables keep plain lists — array setup costs more than
+                # it saves below this size.
                 columns = {
                     name: arrays.make_column(values)
                     for name, values in columns.items()

@@ -142,10 +142,10 @@ class TestRuntimeToggle:
             )
         )
         table.insert_many([{"a": i} for i in range(arrays.ARRAY_MIN_ROWS)])
-        snapshot = table.column_batch(version=1)
+        snapshot = table.column_batch()
         assert isinstance(snapshot.columns["a"], arrays.ArrayColumn)
         arrays.set_numpy_enabled(False)
-        downgraded = table.column_batch(version=1)
+        downgraded = table.column_batch()
         assert downgraded is not snapshot
         assert downgraded.columns["a"] == list(range(arrays.ARRAY_MIN_ROWS))
         assert not isinstance(downgraded.columns["a"], arrays.ArrayColumn)
@@ -158,7 +158,7 @@ class TestRuntimeToggle:
         )
         table.insert_many([{"a": i} for i in range(arrays.ARRAY_MIN_ROWS - 1)])
         assert not isinstance(
-            table.column_batch(version=1).columns["a"], arrays.ArrayColumn
+            table.column_batch().columns["a"], arrays.ArrayColumn
         )
 
 
@@ -520,9 +520,7 @@ class TestHashJoinProbeParity:
         ]
         dialects = self._dialects(left, right)
         # The snapshot columns really are typed arrays with validity bitmaps.
-        snapshot = dialects[1][1].database.table("lt").column_batch(
-            dialects[1][1].database.version
-        )
+        snapshot = dialects[1][1].database.table("lt").column_batch()
         assert isinstance(snapshot.columns["k"], arrays.ArrayColumn)
         assert snapshot.columns["k"].has_nulls()
         status, rows = self._assert_parity(
@@ -572,8 +570,8 @@ class TestHashJoinProbeParity:
         ]
         dialects = self._dialects(left, right)
         db = dialects[1][1].database
-        snapshot_left = db.table("lt").column_batch(db.version)
-        snapshot_right = db.table("rt").column_batch(db.version)
+        snapshot_left = db.table("lt").column_batch()
+        snapshot_right = db.table("rt").column_batch()
         assert isinstance(snapshot_left.columns["k"], arrays.ArrayColumn)
         assert not isinstance(snapshot_right.columns["k"], arrays.ArrayColumn)
         status, rows = self._assert_parity(

@@ -238,7 +238,7 @@ class TestPicklableSnapshots:
         table = HeapTable(schema)
         for i in range(rows):
             table.insert({"a": i if i % 5 else None, "b": float(i)})
-        return table.column_batch(version=1)
+        return table.column_batch()
 
     def test_slice_is_zero_copy_view(self):
         snapshot = self._snapshot()

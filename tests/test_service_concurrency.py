@@ -135,17 +135,19 @@ class TestSnapshotBuildAtomicity:
     def test_concurrent_builds_share_one_snapshot(self):
         database = self._database()
         table = database.table("t")
-        version = database.version
         barrier = threading.Barrier(8)
         snapshots = []
 
         def build():
             barrier.wait()
-            snapshots.append(table.column_batch(version))
+            snapshots.append(table.column_batch())
 
         _run_threads([build] * 8)
         assert len({id(snapshot) for snapshot in snapshots}) == 1
-        assert all(snapshot.version == version for snapshot in snapshots)
+        # The snapshot carries the table's own data version, not the
+        # catalog's: one insert_rows batch is one step on the heap.
+        assert table.data_version == 1
+        assert all(snapshot.version == table.data_version for snapshot in snapshots)
 
     def test_no_torn_snapshot_during_mutation_churn(self):
         database = self._database()
@@ -162,7 +164,7 @@ class TestSnapshotBuildAtomicity:
         def scanner():
             try:
                 for _ in range(300):
-                    snapshot = table.column_batch(database.version)
+                    snapshot = table.column_batch()
                     length = snapshot.length
                     for name, values in snapshot.columns.items():
                         if len(values) != length:
@@ -177,15 +179,17 @@ class TestSnapshotBuildAtomicity:
         assert not failures
 
     def test_direct_mutation_still_invalidates_same_version_snapshot(self):
-        # The PR-4 rule survives the locking: direct table mutation clears
-        # the cache, so a same-version rebuild serves the new data.
+        # The PR-4 rule survives the locking: a direct table mutation moves
+        # the heap's data version though the catalog version stands still,
+        # so the rebuild serves the new data.
         database = self._database(rows=4)
         table = database.table("t")
         version = database.version
-        before = table.column_batch(version)
+        before = table.column_batch()
         assert before.length == 4
         table.insert({"a": 99, "b": 198})
-        after = table.column_batch(version)
+        after = table.column_batch()
+        assert database.version == version
         assert after is not before
         assert after.length == 5
 

@@ -71,18 +71,25 @@ class TestDatabaseViewPinning:
         assert "ITEMS" in view  # case-insensitive like the catalog
         assert view.table_names() == ["items"]
         snapshot = view.get("items")
-        assert snapshot.version == view.version
+        # The view carries the global version; the snapshot carries its own
+        # table's data version.
+        table = database.table("items")
+        assert view.version == database.version
+        assert snapshot.version == table.data_version != view.version
         assert snapshot.length == 96
         # Mutating the database does not touch the pinned snapshot.
         database.insert_rows("items", [{"id": 500, "score": 1, "label": "late"}])
         assert view.get("items") is snapshot
         assert snapshot.length == 96
+        later = database.pin_view()
+        assert later.version > view.version
+        assert later.get("items") is not snapshot
+        assert later.get("items").version == table.data_version > snapshot.version
 
     def test_pin_view_returns_same_snapshots_as_column_batch(self):
         database = _build_database()
-        version = database.version
         view = database.pin_view()
-        assert view.get("items") is database.table("items").column_batch(version)
+        assert view.get("items") is database.table("items").column_batch()
 
 
 class TestCatalogPayloadRoundTrip:

@@ -16,6 +16,7 @@ on, off); the numpy axis drops out when numpy is not importable.
 
 import pytest
 
+from repro.catalog.database import Database
 from repro.catalog.schema import Column, DataType, TableSchema
 from repro.converters import ConverterHub
 from repro.core.compare import structural_fingerprint
@@ -301,25 +302,53 @@ class TestColumnarSnapshots:
     def test_snapshot_matches_rows_and_is_cached(self):
         table = self._table()
         table.insert_many([{"a": 1, "b": 2}, {"a": 3}])
-        snapshot = table.column_batch(version=5)
+        snapshot = table.column_batch()
         assert snapshot.columns == {"a": [1, 3], "b": [2, 7]}
         assert snapshot.row_ids == [1, 2]
-        assert table.column_batch(version=5) is snapshot
+        assert table.column_batch() is snapshot
 
     def test_version_bump_invalidates(self):
-        table = self._table()
-        table.insert({"a": 1})
-        old = table.column_batch(version=1)
-        assert table.column_batch(version=2) is not old
+        # A *mutation* of this table invalidates; a version number that
+        # moved for any other reason does not.
+        database = Database()
+        database.create_table(self._table().schema)
+        database.create_table(
+            TableSchema(name="other", columns=[Column(name="x", data_type=DataType.INTEGER)])
+        )
+        table = database.table("t")
+        database.insert_rows("t", [{"a": 1}])
+        old = table.column_batch()
+        assert old.version == table.data_version
+        before = database.version
+        database.insert_rows("other", [{"x": 1}])
+        database.analyze("t")
+        database.create_index("other_x", "other", ["x"])
+        assert database.version > before
+        assert table.column_batch() is old
+        for mutate in (
+            lambda: table.insert({"a": 2}),
+            lambda: table.insert_many([{"a": 3}]),
+            lambda: table.update(1, {"a": 10}),
+            lambda: table.delete(1),
+            table.truncate,
+        ):
+            stale, version = table.column_batch(), table.data_version
+            mutate()
+            assert table.data_version == version + 1
+            fresh = table.column_batch()
+            assert fresh is not stale
+            assert fresh.version == table.data_version
+        table.insert_many([])
+        assert table.column_batch() is fresh
 
     def test_direct_mutation_invalidates_even_without_bump(self):
         table = self._table()
         row_id = table.insert({"a": 1})
-        table.column_batch(version=1)
+        table.column_batch()
         table.update(row_id, {"a": 10})
-        assert table.column_batch(version=1).columns["a"] == [10]
+        assert table.column_batch().columns["a"] == [10]
         table.delete(row_id)
-        assert table.column_batch(version=1).length == 0
+        assert table.column_batch().length == 0
 
     def test_insert_many_assigns_sequential_ids_and_validates_upfront(self):
         table = self._table()
