@@ -1,24 +1,14 @@
-"""E-COV — persistent coverage: warm-start ingest and process-pool parsing.
+"""E-COV — persistent coverage: warm-start ingest.
 
-The two scale-out levers PR 2 adds to the pipeline:
-
-* **Warm starts** — a :class:`~repro.pipeline.CoverageStore` persisted by an
-  earlier run lets a fresh process (fresh hub, empty conversion cache)
-  resolve already-seen raw plans from the source index without parsing at
-  all.  The benchmark ingests a duplicate-heavy corpus cold, then re-ingests
-  it warm and reports how many conversions the persisted index skipped
-  (acceptance: >= 90 %).
-* **Process pools** — conversion is CPU-bound pure Python, so threads cannot
-  scale it past the GIL; ``executor="process"`` can.  The benchmark parses a
-  CPU-heavy batch single-threaded and through the pool and reports the
-  speedup.  The pool can only win where hardware parallelism exists, so the
-  snapshot records the host's CPU count and the invariant is gated on
-  having at least two CPUs (on a single-CPU host the pool's pickling
-  overhead is pure loss by construction, not a regression).
+A :class:`~repro.pipeline.CoverageStore` persisted by an earlier run lets a
+fresh process (fresh hub, empty conversion cache) resolve already-seen raw
+plans from the source index without parsing at all.  The benchmark ingests
+a duplicate-heavy corpus cold, then re-ingests it warm and reports how many
+conversions the persisted index skipped (acceptance: >= 90 %).
 
 Plans here are synthetic PostgreSQL ``EXPLAIN (FORMAT JSON)`` documents:
 wide ``Append`` fans over per-leaf filters, large enough that parsing
-dominates pickling.
+dominates everything else in the batch.
 """
 
 import json
@@ -64,13 +54,6 @@ def duplicate_corpus(unique: int, duplicates: int, nodes: int = 160):
     return [
         PlanSource("postgresql", raws[index % unique], "json")
         for index in range(unique * duplicates)
-    ]
-
-
-def unique_corpus(count: int, nodes: int = 160):
-    return [
-        PlanSource("postgresql", heavy_raw(seed, nodes), "json")
-        for seed in range(count)
     ]
 
 
@@ -155,97 +138,19 @@ def measure_warm_start(unique=30, duplicates=12, nodes=160, repeats=3) -> dict:
     }
 
 
-def measure_process_pool(count=120, nodes=200, repeats=3, workers=None) -> dict:
-    """Single-thread vs process-pool conversion of a CPU-heavy batch."""
-    cpus = os.cpu_count() or 1
-    workers = workers or max(2, min(4, cpus))
-    corpus = unique_corpus(count, nodes)
-
-    def single():
-        service = PlanIngestService(hub=ConverterHub(), max_workers=1)
-        return _timed_ingest(service, corpus)
-
-    single_seconds, single_report = _best_of(repeats, single)
-
-    pooled_service = PlanIngestService(
-        hub=ConverterHub(),
-        executor="process",
-        max_workers=workers,
-        process_threshold=1,
-    )
-    try:
-        # Warm the pool once so worker start-up is not billed to the batch
-        # (a long-running service pays it exactly once).
-        pooled_service.ingest_batch(unique_corpus(workers, nodes=8))
-
-        def pooled():
-            # Drop every parse-avoidance layer so the pool really parses:
-            # the hub's conversion cache and the in-memory source index.
-            pooled_service.hub.clear_cache()
-            pooled_service.coverage = CoverageStore()
-            return _timed_ingest(pooled_service, corpus)
-
-        pool_seconds, pool_report = _best_of(repeats, pooled)
-        # In restricted environments the service silently falls back to
-        # threads; record that so the invariant is not judged against a
-        # pool that never ran.
-        pool_active = (
-            pooled_service._pool is not None and not pooled_service._pool_broken
-        )
-    finally:
-        pooled_service.close()
-
-    return {
-        "corpus": {"sources": count, "nodes_per_plan": nodes},
-        "cpus": cpus,
-        "workers": workers,
-        "pool_active": pool_active,
-        "single_thread": {
-            "seconds": single_seconds,
-            "conversions": single_report.conversions,
-            "plans_per_second": count / single_seconds,
-        },
-        "process_pool": {
-            "seconds": pool_seconds,
-            "conversions": pool_report.conversions,
-            "plans_per_second": count / pool_seconds,
-        },
-        "speedup": single_seconds / pool_seconds if pool_seconds else 0.0,
-    }
-
-
 def collect_snapshot(quick: bool = False) -> dict:
     """The BENCH_coverage.json payload."""
-    cpus = os.cpu_count() or 1
     if quick:
         warm = measure_warm_start(unique=10, duplicates=6, nodes=60, repeats=1)
-        pool = measure_process_pool(count=24, nodes=80, repeats=1)
     else:
         warm = measure_warm_start()
-        pool = measure_process_pool()
-    # The pool invariant is only judged where it is judgeable: a real pool
-    # ran (no thread fallback), at least two CPUs exist for it to use, and
-    # the corpus is the full-size one (--quick batches are too small to
-    # amortize IPC, so their speedup is a timing coin-flip, recorded but
-    # not enforced).  On gated hosts the measured speedup is still in the
-    # snapshot above.
-    pool_judgeable = cpus >= 2 and pool["pool_active"] and not quick
     return {
         "benchmark": "coverage",
         "quick": quick,
-        "cpus": cpus,
-        # Explicit single-core marker: downstream consumers (CI dashboards,
-        # tests/test_bench_invariants.py) should not have to re-derive the
-        # gating condition from `cpus`.
-        "skipped_multicore": cpus < 2,
+        "cpus": os.cpu_count() or 1,
         "warm_start": warm,
-        "process_pool": pool,
         "invariants": {
             "warm_start_skips_at_least_90pct": warm["skip_ratio"] >= 0.9,
-            "process_pool_beats_single_thread": (
-                pool["speedup"] > 1.0 if pool_judgeable else True
-            ),
-            "process_pool_gated": not pool_judgeable,
         },
     }
 
@@ -275,21 +180,3 @@ def test_warm_start_skips_conversions(benchmark):
         assert report.index_hits == len(corpus)
     finally:
         shutil.rmtree(root, ignore_errors=True)
-
-
-def test_process_pool_matches_single_thread(benchmark):
-    corpus = unique_corpus(12, nodes=40)
-    single = PlanIngestService(hub=ConverterHub(), max_workers=1)
-    expected = [entry.fingerprint for entry in single.ingest_batch(corpus).entries]
-    with PlanIngestService(
-        hub=ConverterHub(), executor="process", max_workers=2, process_threshold=1
-    ) as service:
-        service.ingest_batch(corpus)  # warm the pool + hub cache
-
-        def pooled_ingest():
-            service.hub.clear_cache()
-            service.coverage = CoverageStore()
-            return service.ingest_batch(corpus)
-
-        report = benchmark(pooled_ingest)
-        assert [entry.fingerprint for entry in report.entries] == expected

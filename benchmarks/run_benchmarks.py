@@ -14,8 +14,7 @@ Nine snapshots are written:
   the dedup invariant (conversions happen only for unique source texts);
 * ``BENCH_coverage.json`` — warm-start ingest over a persisted
   :class:`~repro.pipeline.CoverageStore` (how many conversions the
-  persistent source index skips) and process-pool vs single-thread
-  conversion throughput on a CPU-heavy batch;
+  persistent source index skips);
 * ``BENCH_campaign.json`` — end-to-end QPG queries/sec with cold vs warm
   prepared-query/conversion caches, a per-stage lifecycle profile, and the
   cache-on vs cache-off campaign-equivalence check;
@@ -260,19 +259,12 @@ def main(argv=None) -> int:
         coverage_snapshot = bench_coverage.collect_snapshot(quick=args.quick)
         write_snapshot(coverage_snapshot, args.coverage_output)
         warm = coverage_snapshot["warm_start"]
-        pool = coverage_snapshot["process_pool"]
         print(
-            "warm-start ingest: skipped {:.0f}% of conversions ({:.1f}x faster); "
-            "process pool: {:.2f}x vs single thread on {} cpu(s)".format(
-                warm["skip_ratio"] * 100,
-                warm["warm_speedup"],
-                pool["speedup"],
-                coverage_snapshot["cpus"],
+            "warm-start ingest: skipped {:.0f}% of conversions ({:.1f}x faster)".format(
+                warm["skip_ratio"] * 100, warm["warm_speedup"]
             )
         )
-        coverage_invariants = dict(coverage_snapshot["invariants"])
-        coverage_invariants.pop("process_pool_gated", None)  # informational
-        if not all(coverage_invariants.values()):
+        if not all(coverage_snapshot["invariants"].values()):
             print(
                 "COVERAGE INVARIANTS VIOLATED:", coverage_snapshot["invariants"],
                 file=sys.stderr,

@@ -105,7 +105,8 @@ class ConverterHub:
     :func:`register_converter` decorator), and each hub instance lazily
     instantiates one converter per DBMS against its name registry and caches
     conversions by ``(dbms, format, source-hash)``.  All methods are
-    thread-safe, so one hub serves the ingestion service's worker pool.
+    thread-safe, so one hub serves the ingestion service's worker threads;
+    the cache is filled only by conversions the hub itself ran.
     """
 
     #: Class-level registry shared by every hub, populated at import time by
@@ -246,17 +247,6 @@ class ConverterHub:
     def contains_key(self, key: Tuple[str, str, str]) -> bool:
         """Like :meth:`is_cached` for callers that already hold the key."""
         return key in self._cache
-
-    def put_cached(self, key: Tuple[str, str, str], plan: UnifiedPlan) -> None:
-        """Seed the cache with an externally produced conversion.
-
-        The ingestion service's process-pool path parses in worker processes
-        and hands the unpickled plans back here, so later batches hit the
-        parent hub's cache exactly as if the parse had happened in-process.
-        The plan's fingerprint is pre-computed, matching :meth:`convert_traced`.
-        """
-        plan.fingerprint()
-        self._cache.put(key, plan)
 
     # -- introspection ---------------------------------------------------------
 

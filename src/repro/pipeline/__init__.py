@@ -8,12 +8,14 @@ plans from any mix of the nine DBMSs into a deduplicated corpus:
 * :class:`PlanSource` — one raw serialized plan plus its provenance,
 * :class:`PlanIngestService` — batched ingestion with source-level dedup,
   LRU-cached conversion (via the
-  :class:`~repro.converters.base.ConverterHub`), thread- or process-pooled
-  parsing, and fingerprint-level dedup,
+  :class:`~repro.converters.base.ConverterHub`), thread-pooled parsing
+  for large batches, and fingerprint-level dedup,
 * :class:`CoverageStore` — the durable, sharded fingerprint/coverage index
-  (append-only JSONL segments keyed by fingerprint prefix, atomic
-  save/load, exact cross-process merge) that lets coverage survive
-  restarts and campaigns resume,
+  (exact cross-process merge) that lets coverage survive restarts and
+  campaigns resume; a typed view of :mod:`repro.pipeline.shardlog`'s
+  ``ShardedLog`` (append-only JSONL segments keyed by fingerprint prefix,
+  atomic save/load, one set of crash-safety rules), which
+  :class:`repro.similarity.PlanIndex` is the second view of,
 * :class:`IngestReport` / :class:`ServiceStats` — per-batch and cumulative
   observability (conversions, cache hits, index hits, unique plans,
   per-DBMS splits).

@@ -9,14 +9,11 @@ durable and sharded:
 * **Shards** — entries are partitioned into ``shard_count`` buckets keyed by
   the fingerprint's leading hex digits, so large corpora split into many
   small segment files and two stores merge shard-by-shard.
-* **Append-only segments** — each shard persists as one JSONL segment file
-  (``shard-000.jsonl`` …).  A store opened with a directory path appends
-  every new record immediately, so a crashed campaign loses at most the
-  unflushed tail of each segment; :meth:`load` tolerates a torn final line.
-* **Atomic save/load** — :meth:`save` rewrites every segment to a temporary
-  file and ``os.replace``-s it into place, then writes the manifest last, so
-  a reader never observes a half-written store and two campaign runs in
-  different processes can merge their coverage exactly.
+* **Durability** — every record is appended to its shard's JSONL segment
+  (``shard-000.jsonl`` …) as it is added; :meth:`save` and :meth:`compact`
+  rewrite the segments atomically with the manifest last.  The rules (what
+  a crash can lose, how a torn tail is skipped and never extended) are the
+  log's, stated in :mod:`repro.pipeline.shardlog`.
 * **Record kinds** — besides plan fingerprints (with optional metadata such
   as the structural fingerprint and source DBMS), the store holds a
   *source index* mapping raw-source digests to fingerprints — this is what
@@ -26,80 +23,27 @@ durable and sharded:
 
 The store is thread-safe; all mutating operations take an internal lock.
 
-**Sidecar contract** — other durable, per-fingerprint structures may live in
-the *same* directory as a store's segments provided their file names do not
-collide with ``shard-*.jsonl`` / ``MANIFEST.json``.  Sidecars share the
-store's durability primitives (:func:`atomic_write_lines` /
-:func:`atomic_write_json` below) and its merge discipline (exact set union).
-:class:`repro.similarity.PlanIndex` persists plan embeddings this way
-(``sim-*.jsonl`` + ``SIMILARITY.json``), so a campaign directory carries
-coverage and its similarity index side by side and both survive crashes the
-same way.
+**Views of one log** — the store is a typed view of
+:class:`repro.pipeline.shardlog.ShardedLog`, which owns every byte of disk
+handling (attach, manifest validation, torn-tail rules, appends, flush,
+atomic save, compact).  This module supplies only the record codec and the
+file names ``shard-NNN.jsonl`` / ``MANIFEST.json``.
+:class:`repro.similarity.PlanIndex` is a second view of the same log
+(``sim-NNN.jsonl`` + ``SIMILARITY.json``), so a campaign directory carries
+coverage and its similarity index side by side and both survive crashes by
+the same rules.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-import json
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Union
 
-#: Default number of shards; a power of two so hex-prefix keys spread evenly.
-DEFAULT_SHARD_COUNT = 16
-
-#: Schema version recorded in the manifest.
-_MANIFEST_VERSION = 1
-
-_MANIFEST_NAME = "MANIFEST.json"
-
-
-def atomic_write_lines(target: str, lines: Iterable[str]) -> int:
-    """Write *lines* to *target* via tmp file + fsync + ``os.replace``.
-
-    The write is all-or-nothing: a reader (or a crash) never observes a
-    half-written file.  Returns the number of lines written.  This is the
-    segment-durability primitive shared by the store and its sidecars.
-    """
-    tmp = target + ".tmp"
-    count = 0
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
-            count += 1
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
-    return count
-
-
-def atomic_write_json(target: str, payload: Dict[str, object]) -> None:
-    """Atomically write *payload* as pretty-printed JSON (manifests)."""
-    tmp = target + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
-
-
-def shard_for(key: str, shard_count: int) -> int:
-    """Map *key* (a fingerprint or digest) to its shard index.
-
-    Fingerprints are hex digests, so the leading four hex digits are a
-    uniform shard key; non-hex keys (marks, foreign identifiers) fall back
-    to hashing so every string routes deterministically.
-    """
-    try:
-        prefix = int(key[:4], 16)
-    except (ValueError, IndexError):
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=4).hexdigest()
-        prefix = int(digest, 16)
-    return prefix % shard_count
+from repro.errors import ReproError
+# DEFAULT_SHARD_COUNT is re-exported: with shard_for it keeps importing from
+# here (and repro.pipeline) as it did before the log moved out.
+from repro.pipeline.shardlog import DEFAULT_SHARD_COUNT, ShardedLog, shard_for  # noqa: F401
 
 
 def source_key_digest(dbms: str, format: str, text_hash: str) -> str:
@@ -137,141 +81,34 @@ class CoverageSnapshot:
         }
 
 
-class CoverageStoreError(Exception):
+class CoverageStoreError(ReproError):
     """Raised for unrecoverable store problems (e.g. shard-count mismatch)."""
 
 
-class CoverageStore:
+class CoverageStore(ShardedLog):
     """A sharded, optionally durable fingerprint/coverage index.
 
-    Parameters
-    ----------
-    path:
-        Directory to persist into.  ``None`` keeps the store purely
-        in-memory (``save`` then requires an explicit path).  When the
-        directory already holds a store, its contents are loaded and new
-        records are appended to the existing segments.
-    shard_count:
-        Number of segment files.  Must match an existing store's manifest.
+    ``path`` and ``shard_count`` are the log's: see :class:`ShardedLog`.
     """
 
-    def __init__(
-        self, path: Optional[str] = None, shard_count: int = DEFAULT_SHARD_COUNT
-    ) -> None:
-        if shard_count <= 0:
-            raise ValueError("shard_count must be positive")
-        self.path = path
-        self.shard_count = shard_count
-        self._lock = threading.RLock()
+    _segment_prefix = "shard-"
+    _manifest_name = "MANIFEST.json"
+    _noun = "coverage store"
+    _error = CoverageStoreError
+
+    # -- record codec ----------------------------------------------------------
+
+    def _reset(self) -> None:
         #: fingerprint -> metadata dict (may be empty), per shard.
-        self._shards: List[Dict[str, Dict[str, object]]] = []
+        self._shards: List[Dict[str, Dict[str, object]]] = [
+            dict() for _ in range(self.shard_count)
+        ]
         #: source digest -> fingerprint, per shard (sharded by the digest).
-        self._sources: List[Dict[str, str]] = []
+        self._sources: List[Dict[str, str]] = [
+            dict() for _ in range(self.shard_count)
+        ]
         #: free-form labels (completed campaign rounds etc.), per shard.
-        self._marks: List[Set[str]] = []
-        self._handles: List[Optional[io.TextIOBase]] = []
-        #: Whether records were appended since the last flush (makes
-        #: flush() a no-op on the hot path when there is nothing to do).
-        self._dirty = False
-        self._reset_in_memory()
-        if path is not None:
-            self._attach(path)
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def _reset_in_memory(self) -> None:
-        self._shards = [dict() for _ in range(self.shard_count)]
-        self._sources = [dict() for _ in range(self.shard_count)]
-        self._marks = [set() for _ in range(self.shard_count)]
-        self._close_handles()
-        self._handles = [None] * self.shard_count
-
-    def _attach(self, path: str) -> None:
-        """Bind the store to *path*, loading any existing segments."""
-        os.makedirs(path, exist_ok=True)
-        manifest_path = os.path.join(path, _MANIFEST_NAME)
-        if os.path.exists(manifest_path):
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            stored = int(manifest.get("shard_count", self.shard_count))
-            if stored != self.shard_count:
-                raise CoverageStoreError(
-                    f"store at {path!r} has {stored} shards, "
-                    f"requested {self.shard_count}"
-                )
-        else:
-            # A store that crashed before its first save has segments but
-            # no manifest; a wrong shard_count would silently drop the
-            # out-of-range segments.  Detect stray segments, then write
-            # the manifest immediately so future opens validate normally.
-            for name in os.listdir(path):
-                if not (name.startswith("shard-") and name.endswith(".jsonl")):
-                    continue
-                try:
-                    index = int(name[len("shard-"): -len(".jsonl")])
-                except ValueError:
-                    continue
-                if index >= self.shard_count:
-                    raise CoverageStoreError(
-                        f"store at {path!r} has segment {name} outside the "
-                        f"requested {self.shard_count} shards"
-                    )
-            self._write_manifest(path)
-        self.path = path
-        for shard in range(self.shard_count):
-            segment = self._segment_path(shard)
-            if not os.path.exists(segment):
-                continue
-            with open(segment, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        # A torn tail from a crashed writer; everything
-                        # before it already loaded.  compact() heals it.
-                        continue
-                    self._apply_record(shard, record)
-
-    @classmethod
-    def open(
-        cls, path: str, shard_count: int = DEFAULT_SHARD_COUNT
-    ) -> "CoverageStore":
-        """Open (creating if absent) the store persisted at *path*."""
-        return cls(path=path, shard_count=shard_count)
-
-    def close(self) -> None:
-        """Flush and close the segment file handles."""
-        with self._lock:
-            self._close_handles()
-            self._handles = [None] * self.shard_count
-
-    def _close_handles(self) -> None:
-        for handle in getattr(self, "_handles", []):
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-
-    def __enter__(self) -> "CoverageStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort; close() is the real API
-        try:
-            self._close_handles()
-        except Exception:
-            pass
-
-    # -- record plumbing -------------------------------------------------------
-
-    def _segment_path(self, shard: int, root: Optional[str] = None) -> str:
-        return os.path.join(root or self.path, f"shard-{shard:03d}.jsonl")
+        self._marks: List[Set[str]] = [set() for _ in range(self.shard_count)]
 
     def _apply_record(self, shard: int, record: Dict[str, object]) -> bool:
         """Apply one decoded record to the in-memory index.  True if new."""
@@ -306,17 +143,28 @@ class CoverageStore:
             return True
         return False
 
-    def _append(self, shard: int, record: Dict[str, object]) -> None:
-        """Append one record to the shard's segment (durable stores only)."""
-        if self.path is None:
-            return
-        handle = self._handles[shard]
-        if handle is None:
-            handle = open(self._segment_path(shard), "a", encoding="utf-8")
-            self._handles[shard] = handle
-        handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        handle.write("\n")
-        self._dirty = True
+    def _shard_records(self, shard: int) -> List[Dict[str, object]]:
+        records: List[Dict[str, object]] = []
+        for fingerprint in sorted(self._shards[shard]):
+            meta = self._shards[shard][fingerprint]
+            record: Dict[str, object] = {"t": "p", "f": fingerprint}
+            if meta:
+                record["m"] = meta
+            records.append(record)
+        for digest in sorted(self._sources[shard]):
+            records.append(
+                {"t": "s", "k": digest, "f": self._sources[shard][digest]}
+            )
+        for label in sorted(self._marks[shard]):
+            records.append({"t": "m", "k": label})
+        return records
+
+    def _manifest_fields(self) -> Dict[str, object]:
+        return {
+            "entries": sum(len(shard) for shard in self._shards),
+            "sources": sum(len(shard) for shard in self._sources),
+            "marks": sum(len(shard) for shard in self._marks),
+        }
 
     # -- core API --------------------------------------------------------------
 
@@ -452,28 +300,9 @@ class CoverageStore:
         another store, a ``fingerprint -> meta`` mapping, or a plain
         iterable of fingerprints.
         """
-        added = 0
         if isinstance(other, CoverageStore):
-            with other._lock:
-                entries = [
-                    (fingerprint, dict(meta))
-                    for shard in other._shards
-                    for fingerprint, meta in shard.items()
-                ]
-                sources = [
-                    (digest, fingerprint)
-                    for shard in other._sources
-                    for digest, fingerprint in shard.items()
-                ]
-                marks = [label for shard in other._marks for label in shard]
-            for fingerprint, meta in entries:
-                if self.add(fingerprint, meta or None):
-                    added += 1
-            for digest, fingerprint in sources:
-                self.map_source(digest, fingerprint)
-            for label in marks:
-                self.mark(label)
-            return added
+            return self.merge_payload(other.to_payload())
+        added = 0
         if isinstance(other, dict):
             for fingerprint, meta in other.items():
                 if self.add(fingerprint, meta or None):
@@ -529,7 +358,7 @@ class CoverageStore:
             self.mark(label)
         return added
 
-    # -- snapshot / persistence ------------------------------------------------
+    # -- snapshot ------------------------------------------------------------
 
     def snapshot(self) -> CoverageSnapshot:
         """An independent summary of the store's current contents."""
@@ -549,119 +378,3 @@ class CoverageStore:
                 per_dbms=per_dbms,
                 path=self.path,
             )
-
-    def flush(self) -> None:
-        """Flush buffered appends to disk.
-
-        A cheap no-op for in-memory stores and when nothing was appended
-        since the last flush — the ingest service calls this once per
-        batch, which for single-plan batches is a hot path.
-        """
-        if self.path is None or not self._dirty:
-            return
-        with self._lock:
-            for handle in self._handles:
-                if handle is not None:
-                    handle.flush()
-            self._dirty = False
-
-    def _shard_records(self, shard: int) -> List[Dict[str, object]]:
-        records: List[Dict[str, object]] = []
-        for fingerprint in sorted(self._shards[shard]):
-            meta = self._shards[shard][fingerprint]
-            record: Dict[str, object] = {"t": "p", "f": fingerprint}
-            if meta:
-                record["m"] = meta
-            records.append(record)
-        for digest in sorted(self._sources[shard]):
-            records.append(
-                {"t": "s", "k": digest, "f": self._sources[shard][digest]}
-            )
-        for label in sorted(self._marks[shard]):
-            records.append({"t": "m", "k": label})
-        return records
-
-    def _write_segment_atomic(self, shard: int, root: str) -> int:
-        """Write one deduplicated segment via tmp-file + rename; line count."""
-        return atomic_write_lines(
-            self._segment_path(shard, root),
-            (
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
-                for record in self._shard_records(shard)
-            ),
-        )
-
-    def _write_manifest(self, root: str) -> None:
-        atomic_write_json(
-            os.path.join(root, _MANIFEST_NAME),
-            {
-                "version": _MANIFEST_VERSION,
-                "shard_count": self.shard_count,
-                "entries": sum(len(shard) for shard in self._shards),
-                "sources": sum(len(shard) for shard in self._sources),
-                "marks": sum(len(shard) for shard in self._marks),
-            },
-        )
-
-    def save(self, path: Optional[str] = None) -> str:
-        """Atomically persist the whole store; returns the directory written.
-
-        Every segment is rewritten deduplicated (tmp file + ``os.replace``)
-        and the manifest is written last, so concurrent readers either see
-        the previous complete state or the new one — never a torn mix.
-        Saving to a new *path* re-binds a previously in-memory store —
-        but only into an empty/fresh directory: saving over a *different*
-        existing store would silently destroy its contents, so that fails
-        loudly (load-and-:meth:`merge` it instead).
-        """
-        with self._lock:
-            root = path or self.path
-            if root is None:
-                raise CoverageStoreError("in-memory store: save() needs a path")
-            if root != self.path and os.path.exists(
-                os.path.join(root, _MANIFEST_NAME)
-            ):
-                raise CoverageStoreError(
-                    f"{root!r} already holds a coverage store; open it and "
-                    "merge() instead of overwriting"
-                )
-            os.makedirs(root, exist_ok=True)
-            if root == self.path:
-                # The append handles hold positions inside files we are about
-                # to replace; close them so later appends reopen fresh.
-                self._close_handles()
-                self._handles = [None] * self.shard_count
-            for shard in range(self.shard_count):
-                self._write_segment_atomic(shard, root)
-            self._write_manifest(root)
-            if self.path is None:
-                self.path = root
-            return root
-
-    def compact(self) -> Tuple[int, int]:
-        """Rewrite segments dropping duplicate/torn lines.
-
-        Returns ``(lines_before, lines_after)`` summed over all segments.
-        For a durable store this is also how append-only segments that
-        accumulated re-merged records are shrunk back to one line per fact.
-        """
-        with self._lock:
-            if self.path is None:
-                total = sum(
-                    len(self._shard_records(shard))
-                    for shard in range(self.shard_count)
-                )
-                return (total, total)
-            before = 0
-            for shard in range(self.shard_count):
-                segment = self._segment_path(shard)
-                if os.path.exists(segment):
-                    with open(segment, "r", encoding="utf-8") as handle:
-                        before += sum(1 for _ in handle)
-            after = 0
-            self._close_handles()
-            self._handles = [None] * self.shard_count
-            for shard in range(self.shard_count):
-                after += self._write_segment_atomic(shard, self.path)
-            self._write_manifest(self.path)
-            return (before, after)

@@ -23,12 +23,6 @@ coverage layer (:mod:`repro.pipeline.coverage`):
   the process.  A warm-started service recognises already-seen raw plans
   *before* converting them and skips the parse entirely, so re-ingesting a
   persisted corpus costs near zero conversions.
-* **Process pools** — ``executor="process"`` routes large batches through a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (conversion is
-  CPU-bound pure Python, so threads alone cannot scale it past the GIL).
-  Conversion tasks are picklable ``(dbms, text, format)`` triples handled
-  by a per-worker :class:`ConverterHub`; returned plans are seeded back
-  into the parent hub's cache.  Small batches fall back to threads.
 
 Invariants the service relies on (and preserves):
 
@@ -47,35 +41,15 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.converters.base import ConverterHub, default_hub, source_hash
 from repro.core.compare import structural_fingerprint
 from repro.core.model import UnifiedPlan
+from repro.errors import ConversionError
 from repro.pipeline.coverage import CoverageStore, source_key_digest
-
-
-#: Per-worker-process converter hub for the process-pool conversion path.
-#: Each worker builds its own hub (and name registry) on first use; plans
-#: travel back to the parent by pickling, which drops their fingerprint
-#: caches, so the parent recomputes (stable) fingerprints on arrival.
-_WORKER_HUB: Optional[ConverterHub] = None
-
-
-def _pool_convert(
-    job: Tuple[str, str, Optional[str]],
-) -> Tuple[Optional[UnifiedPlan], Optional[str]]:
-    """Convert one ``(dbms, text, format)`` triple in a worker process."""
-    global _WORKER_HUB
-    if _WORKER_HUB is None:
-        _WORKER_HUB = ConverterHub()
-    dbms, text, format = job
-    try:
-        return _WORKER_HUB.convert(dbms, text, format), None
-    except Exception as exc:  # conversion errors become per-entry data
-        return None, str(exc)
 
 
 @dataclass(frozen=True)
@@ -231,18 +205,10 @@ class PlanIngestService:
     hub:
         The converter hub to parse through (process-wide default if None).
     max_workers:
-        Worker count for both the thread and the process conversion path.
+        Worker count of the thread-pooled conversion path.
     parallel_threshold:
         Batches with fewer unique sources than this convert sequentially;
         pool startup would dominate for tiny batches.
-    executor:
-        ``"thread"`` (default) or ``"process"``.  The process path parses
-        CPU-heavy batches in a :class:`ProcessPoolExecutor` (true
-        parallelism beyond the GIL) and falls back to threads for batches
-        below *process_threshold* or when no pool can be started.
-    process_threshold:
-        Minimum number of unconverted unique sources before the process
-        pool is engaged.
     persist_to:
         Directory for the durable coverage store.  Existing contents are
         loaded (warm start); new fingerprints are appended per batch.
@@ -257,20 +223,14 @@ class PlanIngestService:
         hub: Optional[ConverterHub] = None,
         max_workers: Optional[int] = None,
         parallel_threshold: int = 8,
-        executor: str = "thread",
-        process_threshold: int = 32,
         persist_to: Optional[str] = None,
         coverage: Optional[CoverageStore] = None,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError(f"executor must be 'thread' or 'process', got {executor!r}")
         self.hub = hub or default_hub()
         self.max_workers = max_workers or _default_worker_count()
         #: Batches with fewer unique sources than this convert sequentially;
         #: thread-pool startup would dominate for tiny batches.
         self.parallel_threshold = parallel_threshold
-        self.executor = executor
-        self.process_threshold = process_threshold
         if coverage is not None:
             self.coverage = coverage
         else:
@@ -284,18 +244,11 @@ class PlanIngestService:
         #: QPG's one-plan-per-query ingests.
         self._indexed: set = set()
         self.stats.unique_plans = len(self.coverage)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: Latched after the first pool failure so a restricted environment
-        #: pays the failed pool start-up at most once per service.
-        self._pool_broken = False
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the process pool (if any) and the coverage store."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Close the coverage store."""
         self.coverage.close()
 
     def __enter__(self) -> "PlanIngestService":
@@ -320,7 +273,7 @@ class PlanIngestService:
         """Resolve aliases so 'postgres' and 'postgresql' share one bucket."""
         try:
             return self.hub.resolve_name(dbms)
-        except Exception:
+        except ConversionError:
             return dbms.strip().lower()
 
     def _group_key(self, source: PlanSource):
@@ -333,7 +286,7 @@ class PlanIngestService:
             # The hub's own key also resolves the default format, so
             # format=None and an explicit default-format spelling coincide.
             return self.hub.cache_key(source.dbms, source.text, source.format), True
-        except Exception:
+        except ConversionError:
             # Unregistered DBMS: group by the raw spelling; the conversion
             # stage will record the per-entry error.
             key = (source.dbms.strip().lower(), source.format, source_hash(source.text))
@@ -365,7 +318,7 @@ class PlanIngestService:
         # Stage 2: resolve one representative per group — from the hub's
         # conversion cache, from the persistent source index (warm start:
         # the fingerprint is known without parsing at all), or by actually
-        # converting (thread-pooled, or process-pooled for heavy batches).
+        # converting (thread-pooled for large batches).
         group_items = list(groups.items())
         jobs: List[Tuple[PlanSource, Optional[Tuple[str, str, str]]]] = []
         job_positions: List[int] = []
@@ -515,81 +468,10 @@ class PlanIngestService:
             except Exception as exc:  # conversion errors become per-entry data
                 return None, str(exc), False
 
-        if (
-            self.executor == "process"
-            and not self._pool_broken
-            and self.max_workers > 1
-            and len(jobs) >= self.process_threshold
-        ):
-            results = self._convert_via_processes(jobs)
-            if results is not None:
-                return results
-            # Pool unavailable (restricted environment): threads still work.
         if len(jobs) < self.parallel_threshold or self.max_workers <= 1:
             return [convert_one(job) for job in jobs]
         with ThreadPoolExecutor(max_workers=self.max_workers) as executor:
             return list(executor.map(convert_one, jobs))
-
-    def _convert_via_processes(
-        self, jobs: Sequence[Tuple[PlanSource, Optional[Tuple[str, str, str]]]]
-    ) -> Optional[List[Tuple[Optional[UnifiedPlan], Optional[str], bool]]]:
-        """Convert *jobs* in the process pool; None when no pool can run.
-
-        Jobs already present in the parent hub's cache resolve locally (a
-        cache hit, not a parse); the rest ship as picklable ``(dbms, text,
-        format)`` triples to worker processes, each owning a private
-        :class:`ConverterHub`.  Returned plans are re-fingerprinted (pickle
-        drops the caches; the digest is content-stable) and seeded into the
-        parent hub's cache so later batches and services hit it.
-        """
-        local: Dict[int, Tuple[Optional[UnifiedPlan], Optional[str], bool]] = {}
-        remote_positions: List[int] = []
-        payload: List[Tuple[str, str, Optional[str]]] = []
-        for position, (source, key) in enumerate(jobs):
-            if key is not None and self.hub.contains_key(key):
-                plan, parsed = self.hub.convert_traced(
-                    source.dbms, source.text, source.format, key=key
-                )
-                local[position] = (plan, None, parsed)
-                continue
-            remote_positions.append(position)
-            # The key's format component is already alias/default-resolved;
-            # fall back to the source's own spelling for keyless jobs.
-            payload.append(
-                (source.dbms, source.text, key[1] if key else source.format)
-            )
-        outcomes: List[Tuple[Optional[UnifiedPlan], Optional[str]]] = []
-        if payload:
-            try:
-                pool = self._ensure_pool()
-                chunksize = max(1, len(payload) // (self.max_workers * 4))
-                outcomes = list(
-                    pool.map(_pool_convert, payload, chunksize=chunksize)
-                )
-            except Exception:
-                # Pool start-up or dispatch failed (e.g. sandboxed
-                # environment without working multiprocessing); the caller
-                # falls back to the thread path, and the latch keeps later
-                # batches from re-paying the failed start-up.
-                self._pool_broken = True
-                if self._pool is not None:
-                    self._pool.shutdown()
-                    self._pool = None
-                return None
-        for position, (plan, error) in zip(remote_positions, outcomes):
-            if plan is not None:
-                key = jobs[position][1]
-                if key is not None:
-                    self.hub.put_cached(key, plan)
-                else:
-                    plan.fingerprint()
-            local[position] = (plan, error, plan is not None)
-        return [local[position] for position in range(len(jobs))]
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool
 
     # -- coverage index -----------------------------------------------------------
 

@@ -16,12 +16,14 @@ three contracts as the structures it sits beside:
   fingerprint)``: exact distance ties break by fingerprint, so results are
   stable across shard layouts, insertion orders, numpy on/off, and process
   boundaries.
-* **CoverageStore sidecar durability** — with a ``path`` the index persists
-  next to a :class:`~repro.pipeline.coverage.CoverageStore`'s segments as
-  append-only ``sim-NNN.jsonl`` shards (keyed by the same
-  :func:`~repro.pipeline.coverage.shard_for`) plus a ``SIMILARITY.json``
-  manifest written last, using the store's tmp-file + ``os.replace``
-  primitives.  Loads tolerate a torn final line; :meth:`compact` heals it.
+* **One log, two views** — with a ``path`` the index persists through
+  :class:`repro.pipeline.shardlog.ShardedLog`, the same log
+  :class:`~repro.pipeline.coverage.CoverageStore` is a view of: append-only
+  ``sim-NNN.jsonl`` shards (keyed by the same ``shard_for``) plus a
+  ``SIMILARITY.json`` manifest written last, typically in the store's own
+  directory.  Crash safety (torn tails skipped on load and never extended,
+  :meth:`compact` healing them) is the log's; this module supplies only the
+  record codec.
   Merging (:meth:`merge` / :meth:`to_payload` / :meth:`merge_payload`) is
   first-wins exact set union over fingerprints — commutative, associative,
   and idempotent — so :class:`repro.parallel.ShardedCampaign` workers hand
@@ -30,35 +32,25 @@ three contracts as the structures it sits beside:
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import threading
 from heapq import nsmallest
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.engine import arrays
-from repro.pipeline.coverage import (
-    DEFAULT_SHARD_COUNT,
-    atomic_write_json,
-    atomic_write_lines,
-    shard_for,
-)
+from repro.errors import ReproError
+from repro.pipeline.shardlog import ShardedLog, shard_for
 
 try:  # pragma: no cover - exercised via both CI jobs
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
 
-_MANIFEST_NAME = "SIMILARITY.json"
-_MANIFEST_VERSION = 1
-
 #: Below this many entries the list loop beats building/consulting the
 #: dense matrix; above it the matrix path wins (and stays bit-identical).
 _DENSE_MIN_ENTRIES = 8
 
 
-class PlanIndexError(Exception):
+class PlanIndexError(ReproError):
     """Raised for unrecoverable index problems (shard/dimension mismatch)."""
 
 
@@ -89,125 +81,35 @@ def cosine_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return max(0.0, 1.0 - dot / math.sqrt(norm_a * norm_b))
 
 
-class PlanIndex:
+class PlanIndex(ShardedLog):
     """A sharded, optionally durable fingerprint → embedding index.
 
     Parameters
     ----------
     path:
         Directory to persist into — typically a :class:`CoverageStore`
-        directory, where the index's ``sim-*.jsonl`` segments ride as
-        sidecars.  ``None`` keeps the index in memory.
+        directory, where the index's ``sim-*.jsonl`` segments sit beside
+        the store's.  ``None`` keeps the index in memory.
     shard_count:
         Number of segment files; must match an existing index's manifest
         (and, when sharing a directory, conventionally the store's).
     """
 
-    def __init__(
-        self, path: Optional[str] = None, shard_count: int = DEFAULT_SHARD_COUNT
-    ) -> None:
-        if shard_count <= 0:
-            raise ValueError("shard_count must be positive")
-        self.path = path
-        self.shard_count = shard_count
+    _segment_prefix = "sim-"
+    _manifest_name = "SIMILARITY.json"
+    _noun = "similarity index"
+    _error = PlanIndexError
+
+    # -- record codec ----------------------------------------------------------
+
+    def _reset(self) -> None:
         self.dimensions: Optional[int] = None
-        self._lock = threading.RLock()
         self._shards: List[Dict[str, Tuple[float, ...]]] = [
-            dict() for _ in range(shard_count)
+            dict() for _ in range(self.shard_count)
         ]
-        self._handles: List[Optional[object]] = [None] * shard_count
-        self._dirty = False
         #: Bumped on every mutation; keys the cached dense matrix.
         self._revision = 0
         self._dense: Optional[Tuple[int, List[str], object, object]] = None
-        if path is not None:
-            self._attach(path)
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def _attach(self, path: str) -> None:
-        os.makedirs(path, exist_ok=True)
-        manifest_path = os.path.join(path, _MANIFEST_NAME)
-        if os.path.exists(manifest_path):
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            stored = int(manifest.get("shard_count", self.shard_count))
-            if stored != self.shard_count:
-                raise PlanIndexError(
-                    f"index at {path!r} has {stored} shards, "
-                    f"requested {self.shard_count}"
-                )
-        else:
-            # Crashed before the first save: segments without a manifest.
-            # Detect out-of-range segments before silently dropping them.
-            for name in os.listdir(path):
-                if not (name.startswith("sim-") and name.endswith(".jsonl")):
-                    continue
-                try:
-                    index = int(name[len("sim-"): -len(".jsonl")])
-                except ValueError:
-                    continue
-                if index >= self.shard_count:
-                    raise PlanIndexError(
-                        f"index at {path!r} has segment {name} outside the "
-                        f"requested {self.shard_count} shards"
-                    )
-            self._write_manifest(path)
-        self.path = path
-        for shard in range(self.shard_count):
-            segment = self._segment_path(shard)
-            if not os.path.exists(segment):
-                continue
-            with open(segment, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        # Torn tail from a crashed writer; everything before
-                        # it already loaded.  compact() heals the segment.
-                        continue
-                    self._apply_record(shard, record)
-
-    @classmethod
-    def open(
-        cls, path: str, shard_count: int = DEFAULT_SHARD_COUNT
-    ) -> "PlanIndex":
-        """Open (creating if absent) the index persisted at *path*."""
-        return cls(path=path, shard_count=shard_count)
-
-    def close(self) -> None:
-        """Flush and close the segment file handles."""
-        with self._lock:
-            self._close_handles()
-            self._handles = [None] * self.shard_count
-
-    def _close_handles(self) -> None:
-        for handle in getattr(self, "_handles", []):
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-
-    def __enter__(self) -> "PlanIndex":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort; close() is the real API
-        try:
-            self._close_handles()
-        except Exception:
-            pass
-
-    # -- record plumbing -------------------------------------------------------
-
-    def _segment_path(self, shard: int, root: Optional[str] = None) -> str:
-        return os.path.join(root or self.path, f"sim-{shard:03d}.jsonl")
 
     def _check_dimensions(self, vector: Tuple[float, ...]) -> None:
         if self.dimensions is None:
@@ -231,17 +133,17 @@ class PlanIndex:
         self._revision += 1
         return True
 
-    def _append(self, shard: int, fingerprint: str, vector: Tuple[float, ...]) -> None:
-        if self.path is None:
-            return
-        handle = self._handles[shard]
-        if handle is None:
-            handle = open(self._segment_path(shard), "a", encoding="utf-8")
-            self._handles[shard] = handle
-        record = {"f": fingerprint, "v": list(vector)}
-        handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        handle.write("\n")
-        self._dirty = True
+    def _shard_records(self, shard: int) -> List[Dict[str, object]]:
+        return [
+            {"f": fingerprint, "v": list(self._shards[shard][fingerprint])}
+            for fingerprint in sorted(self._shards[shard])
+        ]
+
+    def _manifest_fields(self) -> Dict[str, object]:
+        return {
+            "entries": sum(len(shard) for shard in self._shards),
+            "dimensions": self.dimensions,
+        }
 
     # -- core API --------------------------------------------------------------
 
@@ -261,7 +163,7 @@ class PlanIndex:
                 return False
             self._shards[shard][fingerprint] = values
             self._revision += 1
-            self._append(shard, fingerprint, values)
+            self._append(shard, {"f": fingerprint, "v": list(values)})
             return True
 
     def contains(self, fingerprint: str) -> bool:
@@ -457,85 +359,5 @@ class PlanIndex:
         if self.path is None or not self._dirty:
             return
         with self._lock:
-            for handle in self._handles:
-                if handle is not None:
-                    handle.flush()
+            super().flush()
             self._write_manifest(self.path)
-            self._dirty = False
-
-    def _shard_lines(self, shard: int) -> Iterable[str]:
-        for fingerprint in sorted(self._shards[shard]):
-            record = {
-                "f": fingerprint,
-                "v": list(self._shards[shard][fingerprint]),
-            }
-            yield json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-    def _write_manifest(self, root: str) -> None:
-        atomic_write_json(
-            os.path.join(root, _MANIFEST_NAME),
-            {
-                "version": _MANIFEST_VERSION,
-                "shard_count": self.shard_count,
-                "entries": sum(len(shard) for shard in self._shards),
-                "dimensions": self.dimensions,
-            },
-        )
-
-    def save(self, path: Optional[str] = None) -> str:
-        """Atomically persist the index; returns the directory written.
-
-        Mirrors :meth:`CoverageStore.save`: every segment rewrites through
-        a tmp file + ``os.replace`` and the manifest lands last, so readers
-        see the old complete state or the new one, never a torn mix.
-        Saving an in-memory index to a directory holding a *different*
-        index fails loudly instead of clobbering it.
-        """
-        with self._lock:
-            root = path or self.path
-            if root is None:
-                raise PlanIndexError("in-memory index: save() needs a path")
-            if root != self.path and os.path.exists(
-                os.path.join(root, _MANIFEST_NAME)
-            ):
-                raise PlanIndexError(
-                    f"{root!r} already holds a similarity index; open it "
-                    "and merge() instead of overwriting"
-                )
-            os.makedirs(root, exist_ok=True)
-            if root == self.path:
-                self._close_handles()
-                self._handles = [None] * self.shard_count
-            for shard in range(self.shard_count):
-                atomic_write_lines(
-                    self._segment_path(shard, root), self._shard_lines(shard)
-                )
-            self._write_manifest(root)
-            if self.path is None:
-                self.path = root
-            return root
-
-    def compact(self) -> Tuple[int, int]:
-        """Rewrite segments dropping duplicate/torn lines.
-
-        Returns ``(lines_before, lines_after)`` summed over all segments.
-        """
-        with self._lock:
-            if self.path is None:
-                total = sum(len(shard) for shard in self._shards)
-                return (total, total)
-            before = 0
-            for shard in range(self.shard_count):
-                segment = self._segment_path(shard)
-                if os.path.exists(segment):
-                    with open(segment, "r", encoding="utf-8") as handle:
-                        before += sum(1 for _ in handle)
-            self._close_handles()
-            self._handles = [None] * self.shard_count
-            after = 0
-            for shard in range(self.shard_count):
-                after += atomic_write_lines(
-                    self._segment_path(shard), self._shard_lines(shard)
-                )
-            self._write_manifest(self.path)
-            return (before, after)

@@ -20,7 +20,6 @@ _BENCHMARKS = os.path.join(
 if _BENCHMARKS not in sys.path:
     sys.path.insert(0, _BENCHMARKS)
 
-import bench_coverage  # noqa: E402
 import bench_executor  # noqa: E402
 import bench_optimizer  # noqa: E402
 import bench_parallel  # noqa: E402
@@ -242,15 +241,6 @@ def test_parallel_snapshot_gates_scaling_by_environment(monkeypatch):
     assert snapshot["invariants"]["morsel_results_identical"] is True
 
 
-def test_coverage_snapshot_reports_skipped_multicore():
-    # The explicit single-core marker downstream consumers key off.
-    snapshot = bench_coverage.collect_snapshot(quick=True)
-    assert "skipped_multicore" in snapshot
-    assert snapshot["skipped_multicore"] == (snapshot["cpus"] < 2)
-    if snapshot["skipped_multicore"]:
-        assert snapshot["invariants"]["process_pool_gated"] is True
-
-
 def test_committed_parallel_snapshot_invariants_all_hold():
     """The checked-in BENCH_parallel.json must never ship with red flags."""
     path = os.path.join(os.path.dirname(_BENCHMARKS), "BENCH_parallel.json")
@@ -259,14 +249,6 @@ def test_committed_parallel_snapshot_invariants_all_hold():
     assert snapshot["invariants"], "snapshot carries no invariants"
     assert all(snapshot["invariants"].values()), snapshot["invariants"]
     assert "skipped_multicore" in snapshot
-
-
-def test_committed_coverage_snapshot_has_multicore_flag():
-    path = os.path.join(os.path.dirname(_BENCHMARKS), "BENCH_coverage.json")
-    with open(path) as handle:
-        snapshot = json.load(handle)
-    assert "skipped_multicore" in snapshot
-    assert snapshot["skipped_multicore"] == (snapshot["cpus"] < 2)
 
 
 def _fake_optimizer_snapshot(invariants):

@@ -14,7 +14,6 @@ import pytest
 from repro.converters import ConverterHub
 from repro.pipeline import (
     CoverageStore,
-    CoverageStoreError,
     PlanIngestService,
     PlanSource,
     shard_for,
@@ -144,67 +143,8 @@ class TestMergeSemantics:
 
 
 class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        store = CoverageStore()
-        for value in range(50):
-            store.add(f"{value:04x}" + "a" * 28, {"d": "mysql"})
-        store.map_source("e" * 32, "0001" + "a" * 28)
-        store.mark("round:mysql:1")
-        store.save(str(tmp_path / "store"))
-
-        loaded = CoverageStore.open(str(tmp_path / "store"))
-        assert sorted(loaded.fingerprints()) == sorted(store.fingerprints())
-        assert loaded.lookup_source("e" * 32) == "0001" + "a" * 28
-        assert loaded.is_marked("round:mysql:1")
-        assert loaded.get("0001" + "a" * 28) == {"d": "mysql"}
-
-    def test_appends_are_durable_without_save(self, tmp_path):
-        with CoverageStore(str(tmp_path / "s")) as store:
-            store.add("aa" * 16)
-            store.flush()
-            # A second reader sees flushed appends even before save().
-            assert "aa" * 16 in CoverageStore.open(str(tmp_path / "s"))
-
-    def test_shard_count_mismatch_raises(self, tmp_path):
-        CoverageStore(str(tmp_path / "s"), shard_count=8).save()
-        with pytest.raises(CoverageStoreError):
-            CoverageStore(str(tmp_path / "s"), shard_count=16)
-
-    def test_in_memory_save_requires_path(self):
-        with pytest.raises(CoverageStoreError):
-            CoverageStore().save()
-
-    def test_save_refuses_to_clobber_a_foreign_store(self, tmp_path):
-        root = str(tmp_path / "s")
-        existing = CoverageStore(root, shard_count=64)
-        existing.add("aa" * 16)
-        existing.save()
-        other = CoverageStore()
-        other.add("bb" * 16)
-        with pytest.raises(CoverageStoreError):
-            other.save(root)  # would destroy the 64-shard store's data
-        # The victim is untouched; merge is the supported path.
-        survivor = CoverageStore.open(root, shard_count=64)
-        assert "aa" * 16 in survivor and len(survivor) == 1
-        survivor.merge(other)
-        survivor.save()
-        assert len(CoverageStore.open(root, shard_count=64)) == 2
-
-    def test_load_tolerates_torn_tail_and_compact_heals(self, tmp_path):
-        root = str(tmp_path / "s")
-        store = CoverageStore(root)
-        fingerprint = "aa" * 16
-        store.add(fingerprint)
-        store.save()
-        segment = os.path.join(root, f"shard-{shard_for(fingerprint, 16):03d}.jsonl")
-        with open(segment, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"t": "p", "f": fingerprint}) + "\n")  # dup
-            handle.write('{"t": "p", "f": "tor')  # torn tail (crash mid-write)
-        loaded = CoverageStore.open(root)
-        assert len(loaded) == 1  # dup collapsed, torn line skipped
-        before, after = loaded.compact()
-        assert before == 3 and after == 1
-        assert len(CoverageStore.open(root)) == 1
+    # The log contract (round trips, torn tails, mismatches, atomic save)
+    # is tests/test_sharded_log.py's; only what the store adds stays here.
 
     def test_metadata_enrichment_is_durable_without_save(self, tmp_path):
         # Learning metadata for an already-covered fingerprint must survive
@@ -217,28 +157,6 @@ class TestPersistence:
         loaded = CoverageStore.open(root)
         assert loaded.get("aa" * 16) == {"s": "bb" * 16}
         assert loaded.structural_fingerprints() == {"bb" * 16}
-
-    def test_unsaved_store_still_validates_shard_count(self, tmp_path):
-        # A store that crashed before its first save() must still refuse a
-        # mismatched shard_count instead of silently dropping segments.
-        root = str(tmp_path / "s")
-        with CoverageStore(root, shard_count=16) as store:
-            for value in range(64):
-                store.add(f"{value:04x}" + "c" * 28)
-            store.flush()
-        with pytest.raises(CoverageStoreError):
-            CoverageStore.open(root, shard_count=8)
-        assert len(CoverageStore.open(root, shard_count=16)) == 64
-
-    def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
-        root = str(tmp_path / "s")
-        store = CoverageStore(root)
-        store.add("aa" * 16)
-        store.save()
-        assert not [name for name in os.listdir(root) if name.endswith(".tmp")]
-        manifest = json.load(open(os.path.join(root, "MANIFEST.json")))
-        assert manifest["entries"] == 1
-        assert manifest["shard_count"] == 16
 
 
 class TestCrossProcess:

@@ -206,15 +206,6 @@ class TestConverterHub:
         plan = hub.convert("postgresql", pg_raw, "json")
         assert plan._fp_cache  # fingerprint computed at conversion time
 
-    def test_put_cached_seeds_external_conversions(self, hub, pg_raw):
-        plan = ConverterHub().convert("postgresql", pg_raw, "json")
-        key = hub.cache_key("postgresql", pg_raw, "json")
-        assert not hub.contains_key(key)
-        hub.put_cached(key, plan)
-        assert hub.contains_key(key)
-        seeded, parsed = hub.convert_traced("postgresql", pg_raw, "json")
-        assert seeded is plan and not parsed
-
     def test_shared_converter_instances(self, hub):
         assert hub.converter("postgresql") is hub.converter("postgres")
 
@@ -311,39 +302,6 @@ class TestIngestService:
         assert [e.fingerprint for e in left.entries] == [
             e.fingerprint for e in right.entries
         ]
-
-    def test_process_pool_batch_matches_sequential(self, sample_sources):
-        sources = sample_sources(64)
-        sequential = PlanIngestService(hub=ConverterHub(), max_workers=1)
-        with PlanIngestService(
-            hub=ConverterHub(),
-            executor="process",
-            max_workers=2,
-            process_threshold=2,
-        ) as pooled:
-            left = sequential.ingest_batch(sources)
-            right = pooled.ingest_batch(sources)
-            assert left.conversions == right.conversions
-            assert left.unique_fingerprints == right.unique_fingerprints
-            assert [e.fingerprint for e in left.entries] == [
-                e.fingerprint for e in right.entries
-            ]
-            # The parent hub was seeded with the pool's conversions, so a
-            # second batch is served without parsing anywhere.
-            again = pooled.ingest_batch(sources)
-            assert again.conversions == 0
-
-    def test_process_pool_captures_conversion_errors(self, sample_sources):
-        with PlanIngestService(
-            hub=ConverterHub(),
-            executor="process",
-            max_workers=2,
-            process_threshold=1,
-        ) as service:
-            bad = PlanSource("postgresql", "definitely { not json", "json")
-            report = service.ingest_batch(sample_sources(4) + [bad])
-            assert report.errors == 1
-            assert not report.entries[4].ok
 
     def test_mixed_dbms_batch(self, pg_dialect):
         pg = pg_dialect

@@ -5,14 +5,14 @@ Pins the subsystem's four contracts:
 * embeddings are deterministic, content-pure, cached like fingerprints;
 * PlanIndex queries are bit-identical with and without numpy and order
   deterministically by ``(distance, fingerprint)`` across shard layouts;
-* the sidecar persistence survives torn tails and resumes campaigns;
+* persisted indexes resume campaigns (the log's own crash-safety contract
+  is ``tests/test_sharded_log.py``);
 * the consumers — QPG ``novelty="similarity"`` and report triage — are
   deterministic, and ``novelty="exact"`` campaigns are byte-identical to
   the pre-similarity behaviour whether trigger-plan capture is on or off.
 """
 
 import json
-import os
 
 import pytest
 
@@ -232,91 +232,6 @@ class TestPlanIndex:
         arrays.set_numpy_enabled(False)
         without_numpy = [index.query(probe, k=5) for probe in probes]
         assert with_numpy == without_numpy
-
-
-# ---------------------------------------------------------------- durability
-
-
-class TestPlanIndexDurability:
-    def _populate(self, index, count=10):
-        for scans in range(1, count + 1):
-            index.add(f"fp-{scans:02d}", embed_plan(build_plan(scans=scans)))
-
-    def test_roundtrip_through_directory(self, tmp_path):
-        root = str(tmp_path / "idx")
-        index = PlanIndex(path=root)
-        self._populate(index)
-        index.close()
-        reopened = PlanIndex.open(root)
-        assert len(reopened) == 10
-        assert reopened.get("fp-03") == embed_plan(build_plan(scans=3))
-        reopened.close()
-
-    def test_load_tolerates_torn_tail_and_compact_heals(self, tmp_path):
-        root = str(tmp_path / "idx")
-        index = PlanIndex(path=root)
-        self._populate(index)
-        index.close()
-        # Simulate a crash mid-append: a torn, unparseable final line.
-        segments = [
-            name for name in os.listdir(root) if name.endswith(".jsonl")
-        ]
-        victim = os.path.join(root, sorted(segments)[0])
-        with open(victim, "a", encoding="utf-8") as handle:
-            handle.write('{"f": "torn-entry", "v": [1.0, 2.')
-        survivor = PlanIndex.open(root)
-        assert len(survivor) == 10
-        assert not survivor.contains("torn-entry")
-        before, after = survivor.compact()
-        assert before == after + 1  # the torn line is gone
-        survivor.close()
-        healed = PlanIndex.open(root)
-        assert len(healed) == 10
-        healed.close()
-
-    def test_save_refuses_to_clobber_foreign_index(self, tmp_path):
-        foreign_root = str(tmp_path / "foreign")
-        foreign = PlanIndex(path=foreign_root)
-        self._populate(foreign, count=3)
-        foreign.close()
-        other = PlanIndex()
-        other.add("fp-x", (1.0,) * 4)
-        with pytest.raises(PlanIndexError):
-            other.save(foreign_root)
-
-    def test_attach_rejects_out_of_range_stray_segment(self, tmp_path):
-        root = str(tmp_path / "stray")
-        os.makedirs(root)
-        with open(os.path.join(root, "sim-099.jsonl"), "w") as handle:
-            handle.write('{"f": "fp", "v": [1.0]}\n')
-        with pytest.raises(PlanIndexError):
-            PlanIndex(path=root, shard_count=16)
-
-    def test_shard_count_mismatch_raises(self, tmp_path):
-        root = str(tmp_path / "idx")
-        PlanIndex(path=root, shard_count=16).close()
-        with pytest.raises(PlanIndexError):
-            PlanIndex(path=root, shard_count=4)
-
-    def test_coexists_with_coverage_store_directory(self, tmp_path):
-        # The sidecar contract: same directory, disjoint file names.
-        from repro.pipeline.coverage import CoverageStore
-
-        root = str(tmp_path / "store")
-        store = CoverageStore.open(root)
-        store.add("c0ffee", {"s": "c0ffee"})
-        store.save()
-        index = PlanIndex(path=root)
-        self._populate(index, count=4)
-        index.flush()
-        index.close()
-        store.close()
-        store2 = CoverageStore.open(root)
-        assert store2.contains("c0ffee")
-        store2.close()
-        index2 = PlanIndex.open(root)
-        assert len(index2) == 4
-        index2.close()
 
 
 # ---------------------------------------------------------------- QPG mode
