@@ -561,11 +561,30 @@ def join_probe(left, right):
 # ---------------------------------------------------------------------------
 
 
+#: The position :func:`take_padded` reads as "no row here: emit NULL".
+PAD = -1
+
+
+def as_list(positions) -> List[int]:
+    """A position vector (list or ndarray) as a plain list of ints."""
+    return positions if isinstance(positions, list) else positions.tolist()
+
+
 def take_column(column, positions):
     """Gather *positions* out of a column (array take or list comprehension)."""
     if isinstance(column, ArrayColumn):
         return column.take(positions)
-    return [column[position] for position in positions]
+    return [column[position] for position in as_list(positions)]
+
+
+def take_padded(column, positions: List[int]):
+    """:func:`take_column` where a :data:`PAD` position yields NULL (the
+    outer-join pad); *column* is non-empty."""
+    if not isinstance(column, ArrayColumn):
+        return [None if position < 0 else column[position] for position in positions]
+    index = _np.asarray(positions, dtype=_np.intp)
+    taken = column.take(index)  # PAD wraps to the last row; masked below
+    return ArrayColumn(taken.values, _and_validity(taken.validity, index >= 0))
 
 
 def concat_columns(parts: Sequence[object]):
@@ -666,98 +685,97 @@ def _group_codes(key_columns: Sequence[ArrayColumn], length: int):
         ordered = values[order]
         boundary[1:] |= ordered[1:] != ordered[:-1]
     sorted_ids = _np.cumsum(boundary) - 1
-    ids = _np.empty(length, dtype=_np.int64)
-    ids[order] = sorted_ids
     count = int(sorted_ids[-1]) + 1
-    first = _np.full(count, length, dtype=_np.int64)
-    _np.minimum.at(first, ids, _np.arange(length))
+    # lexsort is stable, so a group's first sorted row is its first appearance.
+    first = order[boundary]
     appearance = _np.argsort(first, kind="stable")
     rank = _np.empty(count, dtype=_np.int64)
     rank[appearance] = _np.arange(count)
-    return rank[ids], count, first[appearance]
+    codes = _np.empty(length, dtype=_np.int64)
+    codes[order] = rank[sorted_ids]
+    return codes, count, first[appearance]
 
 
-def grouped_aggregate(
-    key_columns: Sequence[ArrayColumn],
-    specs: Sequence[Tuple[str, bool, Optional[ArrayColumn]]],
-    length: int,
-):
-    """Vectorized GROUP BY reduction, or ``None`` to fall back.
-
-    *key_columns* are NULL-free :class:`ArrayColumn` group keys (possibly
-    empty for a global aggregate over ``length > 0`` rows); *specs* holds
-    ``(name, star, argument_column)`` per aggregate, names restricted by the
-    caller to COUNT / SUM / AVG / MIN / MAX without DISTINCT, SUM/AVG to
-    int64 arguments.  Returns ``(count, first_positions, results)`` with
-    per-group Python values in first-appearance group order — exactly
-    ``fold_aggregate``'s output (Python-int SUM, exact int/int AVG).
-    """
+def group_codes(key_columns: Sequence[object], length: int):
+    """:func:`_group_codes` behind its eligibility rule, or ``None``: every
+    key must be a NULL-free typed array (a global aggregate has no keys and
+    one group)."""
     if not _enabled:
         return None
-    for name, star, column in specs:
-        if star:
-            continue
-        if column.kind == "f" and _np.isnan(column.values).any():
-            return None  # Python min/max over NaN is order-dependent
-        if name in ("SUM", "AVG") and len(column):
-            peak = int(_np.abs(column.values).max())
-            if peak * length > _SAFE_INT_BOUND:
-                return None  # Python big-int sums stay exact
-    if key_columns:
-        grouped = _group_codes(key_columns, length)
-        if grouped is None:
+    if not key_columns:
+        return _np.zeros(length, dtype=_np.int64), 1, _np.zeros(1, dtype=_np.int64)
+    for column in key_columns:
+        if not isinstance(column, ArrayColumn) or column.has_nulls():
             return None
-        codes, count, first_positions = grouped
-    else:
-        codes = _np.zeros(length, dtype=_np.int64)
-        count = 1
-        first_positions = _np.zeros(1, dtype=_np.int64)
-    order = _np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    starts = _np.flatnonzero(
-        _np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
+    return _group_codes(key_columns, length)
+
+
+def group_order(codes, count: int):
+    """The stable group order of first-appearance *codes*: ``(order,
+    bounds)`` where group *g*'s rows are ``order[bounds[g]:bounds[g + 1]]``
+    in input order — which is why a fold over a group's slice sees its
+    values in exactly the order the row executor collected them."""
+    if _enabled:
+        codes = _np.asarray(codes, dtype=_np.int64)
+        bounds = _np.zeros(count + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(codes, minlength=count), out=bounds[1:])
+        return _np.argsort(codes, kind="stable"), bounds.tolist()
+    members: List[List[int]] = [[] for _ in range(count)]
+    for position, code in enumerate(codes):
+        members[code].append(position)
+    bounds = [0]
+    for positions in members:
+        bounds.append(bounds[-1] + len(positions))
+    return [position for positions in members for position in positions], bounds
+
+
+def reduce_groups(name: str, column, order, bounds: List[int]):
+    """One non-DISTINCT aggregate over grouped rows via ``ufunc.reduceat``:
+    per-group Python values equal to ``fold_aggregate``'s, or ``None`` where
+    the kernel is not exact and the caller folds each group's slice instead.
+
+    *column* is the argument column, ``None`` for ``COUNT(*)``.  Exact means:
+    COUNT; SUM/AVG over int64 whose total cannot wrap (float addition is
+    order-dependent, Python big-int sums are exact); MIN/MAX over int64 or
+    NaN-free float64 (Python min/max over NaN is order-dependent).
+    """
+    if not _enabled or name not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
+        return None
+    sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
+    if column is None:  # COUNT(*): every member row counts, NULLs included
+        return sizes if name == "COUNT" else None
+    if not isinstance(column, ArrayColumn):
+        return None
+    starts = _np.asarray(bounds[:-1], dtype=_np.intp)
+    validity = column.validity
+    counts = (
+        sizes
+        if validity is None
+        else _np.add.reduceat(validity[order].astype(_np.int64), starts).tolist()
     )
-    results: List[List[object]] = []
-    for name, star, column in specs:
-        if star:  # COUNT(*): every member row counts, NULLs included
-            results.append(_np.bincount(codes, minlength=count).tolist())
-            continue
-        validity = column.validity
-        if validity is None:
-            member_counts = _np.bincount(codes, minlength=count)
-        else:
-            member_counts = _np.bincount(codes[validity], minlength=count)
-        counts = member_counts.tolist()
-        if name == "COUNT":
-            results.append(counts)
-            continue
-        values = column.values
-        if name in ("SUM", "AVG"):
-            if validity is not None:
-                values = _np.where(validity, values, 0)
-            sums = _np.add.reduceat(values[order], starts).tolist()
-            if name == "SUM":
-                results.append(
-                    [total if count_ else None for total, count_ in zip(sums, counts)]
-                )
-            else:
-                results.append(
-                    [
-                        total / count_ if count_ else None
-                        for total, count_ in zip(sums, counts)
-                    ]
-                )
-            continue
-        if name == "MIN":
-            fill = _np.inf if column.kind == "f" else _np.iinfo(_np.int64).max
-            ufunc = _np.minimum
-        else:
-            fill = -_np.inf if column.kind == "f" else _np.iinfo(_np.int64).min
-            ufunc = _np.maximum
+    if name == "COUNT":
+        return counts
+    values = column.values
+    if name in ("SUM", "AVG"):
+        if column.kind != "i":
+            return None
+        if int(_np.abs(values).max()) * len(values) > _SAFE_INT_BOUND:
+            return None
         if validity is not None:
-            values = _np.where(validity, values, fill)
-        reduced = ufunc.reduceat(values[order], starts).tolist()
-        results.append(
-            [value if count_ else None for value, count_ in zip(reduced, counts)]
-        )
-    return count, first_positions.tolist(), results
+            values = _np.where(validity, values, 0)
+        sums = _np.add.reduceat(values[order], starts).tolist()
+        if name == "SUM":
+            return [total if n else None for total, n in zip(sums, counts)]
+        return [total / n if n else None for total, n in zip(sums, counts)]
+    if column.kind == "b" or (column.kind == "f" and _np.isnan(values).any()):
+        return None
+    if name == "MIN":
+        fill = _np.inf if column.kind == "f" else _np.iinfo(_np.int64).max
+        ufunc = _np.minimum
+    else:
+        fill = -_np.inf if column.kind == "f" else _np.iinfo(_np.int64).min
+        ufunc = _np.maximum
+    if validity is not None:
+        values = _np.where(validity, values, fill)
+    reduced = ufunc.reduceat(values[order], starts).tolist()
+    return [value if n else None for value, n in zip(reduced, counts)]

@@ -598,8 +598,8 @@ def compile_predicate(
 # three-valued logic, the same NULL propagation, the same error behaviour
 # (an error raised for element *i* is the error ``evaluate`` would raise for
 # row *i*).  Expression kinds outside the vectorized set — subqueries, CASE,
-# CAST, aggregates — fall back to per-row ``evaluate`` over materialized row
-# dictionaries, so batch compilation is total.
+# CAST — fall back to per-row ``evaluate`` over materialized row dictionaries,
+# so batch compilation is total.
 
 
 class BatchContext:
@@ -690,6 +690,20 @@ def _batch_constant(expression: ast.Expression):
         value = expression.operand.value
         return True, (-value if expression.operator == "-" else +value)
     return False, None
+
+
+def _in_list_kernel(values, literals: List[object], negated: bool):
+    """``values [NOT] IN (literals)`` as ``=`` kernels folded with Kleene OR
+    (a NULL literal compares all-NULL), or ``None`` when any kernel bails."""
+    result = None
+    for literal in literals:
+        matched = arrays.compare("=", values, literal)
+        if matched is not None and result is not None:
+            matched = arrays.kleene_or(result, matched)
+        if matched is None:
+            return None
+        result = matched
+    return arrays.kleene_not(result) if negated else result
 
 
 def compile_expression_batch(expression: ast.Expression) -> CompiledBatchExpression:
@@ -916,9 +930,21 @@ def compile_expression_batch(expression: ast.Expression) -> CompiledBatchExpress
         value_fn = compile_expression_batch(expression.expression)
         item_fns = [compile_expression_batch(item) for item in expression.items]
         negated = expression.negated
+        # Numeric (or NULL) literal items lower to ``=`` kernels folded with
+        # Kleene OR, so an enclosing AND stays on the array path.
+        constants = [_batch_constant(item) for item in expression.items]
+        lowerable = all(
+            known and (value is None or type(value) in (int, float))
+            for known, value in constants
+        )
+        literals = [value for _, value in constants] if lowerable else []
 
         def in_list(context):
             values = value_fn(context)
+            if literals and isinstance(values, arrays.ArrayColumn):
+                result = _in_list_kernel(values, literals, negated)
+                if result is not None:
+                    return result
             item_columns = [item_fn(context) for item_fn in item_fns]
             output = []
             append = output.append
@@ -968,9 +994,21 @@ def compile_expression_batch(expression: ast.Expression) -> CompiledBatchExpress
                 implementation(*values)
                 for values in zip(*[fn(context) for fn in argument_fns])
             ]
-        # Aggregates read pre-computed values out of the rows; fall through.
-    # Everything else — subqueries, CASE, CAST, aggregates, parameters —
-    # evaluates per row over materialized dictionaries.
+        # An aggregate reference reads the column the aggregation below
+        # stored under its printed text.
+        from repro.sqlparser.printer import print_expression
+
+        key = print_expression(expression)
+
+        def aggregate_reference(context):
+            values = context.columns.get(key)
+            if values is None and context.length:
+                raise ExecutionError(f"aggregate {key!r} used outside an aggregation")
+            return [] if values is None else values
+
+        return aggregate_reference
+    # Everything else — subqueries, CASE, CAST, parameters — evaluates per
+    # row over materialized dictionaries.
     def fallback(context):
         hook = context.subquery_executor
         return [

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.engine.vectorized import (
     RowBatch,
     VectorizedExecutor,
-    _key_at,
+    _hash_buckets,
 )
 from repro.optimizer.physical import PhysicalNode
 from repro.sqlparser import ast_nodes as ast
@@ -230,13 +230,7 @@ class ParallelExecutor(VectorizedExecutor):
             return super()._hash_build(right, right_keys)
 
         def stage(bounds: Tuple[int, int]) -> Dict[Tuple, List[int]]:
-            start, stop = bounds
-            partial: Dict[Tuple, List[int]] = {}
-            for position in range(start, stop):
-                key = _key_at(right_keys, position)
-                if key is not None:
-                    partial.setdefault(key, []).append(position)
-            return partial
+            return _hash_buckets(right_keys, *bounds)
 
         build: Dict[Tuple, List[int]] = {}
         # Merge the partial tables in morsel order: morsels are contiguous

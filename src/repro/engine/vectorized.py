@@ -23,6 +23,10 @@ Design rules:
   convert at the boundary (:func:`batches_from_rows` groups consecutive
   rows with identical key sets, so every batch is *uniform* and per-batch
   column resolution is exactly per-row resolution).
+* **Column at a time** — no operator indexes ``column[position]`` inside a
+  per-row loop: keys and arguments are evaluated once per operator and
+  factorised, probed, gathered or folded as whole columns (typed arrays
+  through :mod:`repro.engine.arrays`, plain lists through ``zip``).
 * **Oracle equivalence** — results, row order, and ``EXPLAIN ANALYZE``
   runtime row counts are identical to the row executor's
   (tests/test_vectorized_equivalence.py fuzzes this over the generator
@@ -31,6 +35,7 @@ Design rules:
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -54,7 +59,7 @@ from repro.engine.expressions import (
     evaluate,
     resolve_batch_column,
 )
-from repro.errors import ExecutionError, StorageError
+from repro.errors import CatalogError, ExecutionError, StorageError
 from repro.optimizer.physical import INIT_PLANS, OpKind, PhysicalNode
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.printer import print_expression
@@ -271,7 +276,7 @@ class VectorizedExecutor(Executor):
                     return False
                 try:
                     total += self.database.table(table_name).row_count
-                except Exception:
+                except CatalogError:
                     return False
                 if total >= threshold:
                     return False
@@ -539,29 +544,23 @@ class VectorizedExecutor(Executor):
             else None
         )
         if probed is not None:
-            candidate_left, candidate_right, candidate_starts = probed
+            candidate_left, candidate_right, _ = probed
         else:
             # Build on the right side: normalised key tuple -> right positions
-            # (in right order, matching the row executor's bucket lists).
+            # (in right order, matching the row executor's bucket lists), then
+            # probe every left key in one pass; candidate pairs come out
+            # left-major.  A NULL key is never a build key, so it finds nothing.
             build = self._hash_build(right, right_keys)
-
-            # Probe: collect candidate (left, right) pairs left-major.
             candidate_left: List[int] = []
             candidate_right: List[int] = []
-            candidate_starts: List[int] = []  # per left row, start offset
-            for position in range(left.length):
-                candidate_starts.append(len(candidate_left))
-                if left_keys is None:
-                    continue
-                key = _key_at(left_keys, position)
-                if key is None:
-                    continue
-                for right_position in build.get(key, ()):
-                    candidate_left.append(position)
-                    candidate_right.append(right_position)
-            candidate_starts.append(len(candidate_left))
+            if build and left_keys is not None:
+                for position, key in enumerate(_join_keys(left_keys)):
+                    bucket = build.get(key)
+                    if bucket:
+                        candidate_left.extend([position] * len(bucket))
+                        candidate_right.extend(bucket)
 
-        combined_keys, sides = _combined_schema(left, right)
+        _, sides = _combined_schema(left, right)
         candidates = RowBatch(
             {
                 key: arrays.take_column(
@@ -571,37 +570,47 @@ class VectorizedExecutor(Executor):
             },
             len(candidate_left),
         )
-        check = self._node_batch_predicate(node, "condition")
         # An empty candidate chunk is never evaluated: the row executor
         # evaluates the condition per probed pair, so zero pairs mean zero
         # evaluations (and no resolution errors from an absent schema).
         survivors = (
-            set(check(self._batch_context(candidates))) if candidates.length else set()
+            self._node_batch_predicate(node, "condition")(
+                self._batch_context(candidates)
+            )
+            if candidates.length
+            else []
         )
-
         if join_type != "LEFT":
-            order = sorted(survivors)
-            return _split(_gather(candidates, order), self.batch_size)
+            if len(survivors) != candidates.length:
+                candidates = _gather(candidates, survivors)
+            return _split(candidates, self.batch_size)
 
-        columns: Dict[str, List[object]] = {key: [] for key in combined_keys}
-        length = 0
-        for position in range(left.length):
-            matched = False
-            for candidate in range(candidate_starts[position], candidate_starts[position + 1]):
-                if candidate in survivors:
-                    matched = True
-                    for key, side, source in sides:
-                        columns[key].append(
-                            source[candidate_right[candidate]]
-                            if side == "r"
-                            else source[candidate_left[candidate]]
-                        )
-                    length += 1
-            if not matched:
-                for key, side, source in sides:
-                    columns[key].append(source[position] if side == "l" else None)
-                length += 1
-        return _split(RowBatch(columns, length), self.batch_size)
+        # LEFT: two index vectors describe the output — the surviving pairs
+        # (already left-major) plus one (left, pad) entry per unmatched left
+        # row, merged by a stable sort on left position — and every column
+        # is gathered once.
+        survivors = arrays.as_list(survivors)
+        left_index = arrays.take_column(arrays.as_list(candidate_left), survivors)
+        right_index = arrays.take_column(arrays.as_list(candidate_right), survivors)
+        matched = set(left_index)
+        unmatched = [p for p in range(left.length) if p not in matched]
+        left_index += unmatched
+        right_index += [arrays.PAD] * len(unmatched)
+        order = sorted(range(len(left_index)), key=left_index.__getitem__)
+        left_index = [left_index[i] for i in order]
+        right_index = [right_index[i] for i in order]
+        return _split(
+            RowBatch(
+                {
+                    key: arrays.take_padded(source, right_index)
+                    if side == "r"
+                    else arrays.take_column(source, left_index)
+                    for key, side, source in sides
+                },
+                len(order),
+            ),
+            self.batch_size,
+        )
 
     def _hash_build(
         self, right: RowBatch, right_keys: Optional[List[List[object]]]
@@ -611,13 +620,9 @@ class VectorizedExecutor(Executor):
         executor's bucket order).  A seam for the parallel executor, which
         builds per-morsel partial tables and merges them in morsel order —
         producing this exact mapping."""
-        build: Dict[Tuple, List[int]] = {}
-        if right_keys is not None:
-            for position in range(right.length):
-                key = _key_at(right_keys, position)
-                if key is not None:
-                    build.setdefault(key, []).append(position)
-        return build
+        if right_keys is None:
+            return {}
+        return _hash_buckets(right_keys, 0, right.length)
 
     def _batch_merge_join(self, node: PhysicalNode, analyze: bool) -> List[RowBatch]:
         # Correctness first, exactly as the row executor: a merge join
@@ -758,159 +763,111 @@ class VectorizedExecutor(Executor):
         if not group_keys and not aggregates:
             return input_batches
 
-        compiled = self._node_batch_compiled(
-            node,
-            "aggregate",
-            lambda: (
+        def compile_aggregate():
+            # Output names are part of the compiled artifact: a grouped
+            # ColumnRef is readable by printed text, qualified and bare name.
+            key_names = []
+            for expression in group_keys:
+                names = [print_expression(expression)]
+                if isinstance(expression, ast.ColumnRef):
+                    if expression.table:
+                        names.append(f"{expression.table}.{expression.column}")
+                    names.append(expression.column)
+                key_names.append(names)
+            return (
                 [compile_expression_batch(e) for e in group_keys],
+                key_names,
                 [
                     compile_expression_batch(a.arguments[0])
                     if (not a.star and a.arguments)
                     else None
                     for a in aggregates
                 ],
-            ),
+                [print_expression(a) for a in aggregates],
+            )
+
+        key_fns, key_names, argument_fns, aggregate_names = self._node_batch_compiled(
+            node, "aggregate", compile_aggregate
         )
-        key_fns, argument_fns = compiled
+        length = sum(batch.length for batch in input_batches)
+        if not length:
+            # No groups — or, without GROUP BY, one row of "empty" values.
+            if group_keys:
+                return []
+            empty = {
+                name: [fold_aggregate(aggregate, [])]
+                for name, aggregate in zip(aggregate_names, aggregates)
+            }
+            return [RowBatch(empty, 1)]
 
-        fast = self._numpy_aggregate(
-            input_batches, group_keys, aggregates, key_fns, argument_fns
+        # Every key and argument column is evaluated once over the whole
+        # input, the keys factorised once into first-appearance group codes
+        # (the row executor's insertion-ordered group dict), and each
+        # aggregate then picks its own reduction.
+        evaluated = iter(
+            self._evaluate_columns(
+                input_batches, key_fns + [fn for fn in argument_fns if fn is not None]
+            )
         )
-        if fast is not None:
-            return fast
+        key_columns = [next(evaluated) for _ in key_fns]
+        argument_columns = [
+            None if fn is None else next(evaluated) for fn in argument_fns
+        ]
+        grouped = arrays.group_codes(key_columns, length)
+        if grouped is None:
+            index: Dict[Tuple, int] = {}
+            codes: List[int] = []
+            first_positions: List[int] = []
+            for position, key in enumerate(_row_keys(key_columns, length, _own_classes)):
+                code = index.get(key)
+                if code is None:
+                    code = index[key] = len(first_positions)
+                    first_positions.append(position)
+                codes.append(code)
+            count = len(first_positions)
+        else:
+            codes, count, first_positions = grouped
+        order, bounds = arrays.group_order(codes, count)
 
-        groups: Dict[Tuple, List[List[object]]] = {}  # key -> per-agg value lists
-        group_order: List[Tuple] = []
-        group_raw: Dict[Tuple, List[object]] = {}  # key -> raw group-key values
-        group_sizes: Dict[Tuple, int] = {}
-        for batch in input_batches:
-            context = self._batch_context(batch)
-            key_columns = [fn(context) for fn in key_fns]
-            argument_columns = [
-                fn(context) if fn is not None else None for fn in argument_fns
-            ]
-            for position in range(batch.length):
-                raw = [column[position] for column in key_columns]
-                key = tuple(_normalise_value(value) for value in raw)
-                record = groups.get(key)
-                if record is None:
-                    record = [[] for _ in aggregates]
-                    groups[key] = record
-                    group_order.append(key)
-                    group_raw[key] = raw
-                    group_sizes[key] = 0
-                group_sizes[key] += 1
-                for slot, column in enumerate(argument_columns):
-                    record[slot].append(1 if column is None else column[position])
+        columns: Dict[str, List[object]] = {}
+        for names, column in zip(key_names, key_columns):
+            values = arrays.take_column(column, first_positions)
+            for name in names:
+                columns[name] = values
+        for aggregate, name, column in zip(aggregates, aggregate_names, argument_columns):
+            values = (
+                None
+                if aggregate.distinct
+                else arrays.reduce_groups(aggregate.name.upper(), column, order, bounds)
+            )
+            if values is None:
+                # Fold each group's slice, gathered once in stable group
+                # order: float SUM/AVG, DISTINCT and big-int sums see their
+                # values in input order, as the row executor does.
+                ordered = (
+                    [1] * length
+                    if column is None
+                    else arrays.as_list(arrays.take_column(column, order))
+                )
+                values = [
+                    fold_aggregate(aggregate, ordered[start:stop])
+                    for start, stop in zip(bounds, bounds[1:])
+                ]
+            columns[name] = arrays.make_column(values)
+        return _split(RowBatch(columns, count), self.batch_size)
 
-        total_rows = sum(batch.length for batch in input_batches)
-        if not group_keys and not total_rows:
-            # Aggregates over an empty input produce one row of "empty" values.
-            key = ()
-            groups[key] = [[] for _ in aggregates]
-            group_order.append(key)
-            group_raw[key] = []
-            group_sizes[key] = 0
-
-        output_rows: List[Row] = []
-        for key in group_order:
-            raw = group_raw[key]
-            size = group_sizes[key]
-            result: Row = {}
-            for expression, value in zip(group_keys, raw):
-                name = print_expression(expression)
-                if not size:
-                    value = None
-                result[name] = value
-                if isinstance(expression, ast.ColumnRef):
-                    qualified = (
-                        f"{expression.table}.{expression.column}"
-                        if expression.table
-                        else expression.column
-                    )
-                    result[qualified] = value
-                    result[expression.column] = value
-            for aggregate, values in zip(aggregates, groups[key]):
-                result[print_expression(aggregate)] = fold_aggregate(aggregate, values)
-            output_rows.append(result)
-        return batches_from_rows(output_rows, self.batch_size)
-
-    def _numpy_aggregate(
-        self,
-        input_batches: List[RowBatch],
-        group_keys: List[ast.Expression],
-        aggregates: List[ast.FunctionCall],
-        key_fns,
-        argument_fns,
-    ) -> Optional[List[RowBatch]]:
-        """Grouped reductions over typed arrays; ``None`` = generic path.
-
-        Eligibility is strict so semantics never change: every group-key and
-        argument column must be a NULL-free (keys) typed array, aggregates
-        limited to non-DISTINCT COUNT/SUM/AVG/MIN/MAX, SUM/AVG to int64
-        arguments (float sums are order-dependent, Python big-int sums are
-        exact), MIN/MAX to int64 / NaN-free float64.  The reduction itself
-        (np.add/minimum/maximum.reduceat over first-appearance group codes)
-        and the output rows reproduce ``fold_aggregate`` exactly.
-        """
-        if not arrays.numpy_enabled() or not input_batches:
-            return None
-        if not _uniform_schema(input_batches):
-            return None
-        for aggregate in aggregates:
-            name = aggregate.name.upper()
-            if aggregate.distinct or name not in _FAST_AGGREGATES:
-                return None
-            if aggregate.star:
-                if name != "COUNT":
-                    return None
-            elif not aggregate.arguments:
-                return None
-        combined = _concat(input_batches)
-        if not combined.length:
-            return None
-        context = self._batch_context(combined)
-        key_columns = [fn(context) for fn in key_fns]
-        for column in key_columns:
-            if not isinstance(column, arrays.ArrayColumn) or column.has_nulls():
-                return None
-        specs = []
-        for aggregate, fn in zip(aggregates, argument_fns):
-            name = aggregate.name.upper()
-            if fn is None:
-                specs.append((name, True, None))
-                continue
-            column = fn(context)
-            if not isinstance(column, arrays.ArrayColumn):
-                return None
-            if name in ("SUM", "AVG") and column.kind != "i":
-                return None
-            if name in ("MIN", "MAX") and column.kind == "b":
-                return None
-            specs.append((name, False, column))
-        reduced = arrays.grouped_aggregate(key_columns, specs, combined.length)
-        if reduced is None:
-            return None
-        group_count, first_positions, per_aggregate = reduced
-        output_rows: List[Row] = []
-        for group in range(group_count):
-            position = first_positions[group]
-            result: Row = {}
-            for expression, column in zip(group_keys, key_columns):
-                value = column[position]
-                result[print_expression(expression)] = value
-                if isinstance(expression, ast.ColumnRef):
-                    qualified = (
-                        f"{expression.table}.{expression.column}"
-                        if expression.table
-                        else expression.column
-                    )
-                    result[qualified] = value
-                    result[expression.column] = value
-            for aggregate, values in zip(aggregates, per_aggregate):
-                result[print_expression(aggregate)] = values[group]
-            output_rows.append(result)
-        return batches_from_rows(output_rows, self.batch_size)
+    def _evaluate_columns(
+        self, batches: List[RowBatch], fns: List[Callable]
+    ) -> List[List[object]]:
+        """Each of *fns* over all rows of the non-empty *batches*: one
+        column per fn (one evaluation when the schema is uniform)."""
+        if _uniform_schema(batches):
+            context = self._batch_context(_concat(batches))
+            return [fn(context) for fn in fns]
+        per_batch = [
+            [fn(context) for fn in fns] for context in map(self._batch_context, batches)
+        ]
+        return [arrays.concat_columns(parts) for parts in zip(*per_batch)]
 
     # ------------------------------------------------------------------ combinators
 
@@ -926,58 +883,36 @@ class VectorizedExecutor(Executor):
                 node,
                 "sort",
                 lambda: [
-                    (compile_expression_batch(expression), expression, descending)
-                    for expression, descending in keys
+                    functools.partial(
+                        _safe_batch_values, compile_expression_batch(expression), expression
+                    )
+                    for expression, _ in keys
                 ],
             )
+            # Evaluate the sort keys once over the whole input; typed key
+            # columns order via np.lexsort (NULLS FIRST rank encoding,
+            # per-key DESC negation, stable position tiebreak — exactly
+            # _SortKey/_ComparableKey), anything else via the decorated
+            # Python sort over the same value columns.
             if _uniform_schema(batches):
-                # Evaluate the sort keys over one combined chunk; typed key
-                # columns order via np.lexsort (NULLS FIRST rank encoding,
-                # per-key DESC negation, stable position tiebreak — exactly
-                # _SortKey/_ComparableKey), anything else via the decorated
-                # Python sort over the same value columns.
-                combined = _concat(batches)
-                context = self._batch_context(combined)
-                value_columns = [
-                    (self._safe_batch_values(fn, expression, context), descending)
-                    for fn, expression, descending in compiled
+                batches = [_concat(batches)]
+            value_columns = self._evaluate_columns(batches, compiled)
+            directions = [descending for _, descending in keys]
+            order = arrays.sort_order(list(zip(value_columns, directions)))
+            if order is None:
+                decorated = [
+                    _ComparableKey(
+                        [
+                            (sortable((value,))[0], descending)
+                            for value, descending in zip(values, directions)
+                        ],
+                        position,
+                    )
+                    for position, values in enumerate(zip(*value_columns))
                 ]
-                order = arrays.sort_order(value_columns)
-                if order is None:
-                    decorated = []
-                    for position in range(combined.length):
-                        components = [
-                            (sortable((column[position],))[0], descending)
-                            for column, descending in value_columns
-                        ]
-                        decorated.append(
-                            (_ComparableKey(components, position), position)
-                        )
-                    decorated.sort(key=lambda item: item[0])
-                    order = [position for _, position in decorated]
-                sorted_batches = _split(_gather(combined, order), self.batch_size)
-            else:
-                decorated = []
-                offset = 0
-                for batch in batches:
-                    context = self._batch_context(batch)
-                    value_columns = [
-                        (self._safe_batch_values(fn, expression, context), descending)
-                        for fn, expression, descending in compiled
-                    ]
-                    for position in range(batch.length):
-                        components = [
-                            (sortable((column[position],))[0], descending)
-                            for column, descending in value_columns
-                        ]
-                        global_position = offset + position
-                        decorated.append(
-                            (_ComparableKey(components, global_position), global_position)
-                        )
-                    offset += batch.length
-                decorated.sort(key=lambda item: item[0])
-                order = [global_position for _, global_position in decorated]
-                sorted_batches = _gather_global(batches, order, self.batch_size)
+                decorated.sort()
+                order = [key.position for key in decorated]
+            sorted_batches = _gather_global(batches, order, self.batch_size)
         if node.kind is OpKind.TOP_N:
             limit_expression = node.info.get("limit")
             limit_value = (
@@ -993,26 +928,6 @@ class VectorizedExecutor(Executor):
                     return sorted_batches
                 return _slice_batches(sorted_batches, 0, end)
         return sorted_batches
-
-    def _safe_batch_values(self, fn, expression, context: BatchContext) -> List[object]:
-        """Sort-key values with the row executor's per-row error absorption.
-
-        The row path evaluates each sort key under ``try/except
-        ExecutionError -> None``; a whole-chunk evaluation that raises is
-        therefore redone row by row so only the failing rows become NULL.
-        """
-        try:
-            return fn(context)
-        except ExecutionError:
-            values = []
-            for row in context.rows():
-                try:
-                    values.append(
-                        evaluate(expression, EvaluationContext(row, context.subquery_executor))
-                    )
-                except ExecutionError:
-                    values.append(None)
-            return values
 
     def _batch_limit(self, node: PhysicalNode, analyze: bool) -> List[RowBatch]:
         batches = self._execute_batches(node.children[0], analyze, _EMPTY_ROW)
@@ -1043,14 +958,11 @@ class VectorizedExecutor(Executor):
         order: List[int] = []
         offset = 0
         for batch in batches:
-            value_lists = list(batch.columns.values())
-            for position in range(batch.length):
-                key = tuple(
-                    _normalise_value(values[position]) for values in value_lists
-                )
+            keys = _row_keys(list(batch.columns.values()), batch.length)
+            for position, key in enumerate(keys, offset):
                 if key not in seen:
                     seen.add(key)
-                    order.append(offset + position)
+                    order.append(position)
             offset += batch.length
         if offset and len(order) == offset:
             return batches
@@ -1100,22 +1012,14 @@ class VectorizedExecutor(Executor):
         right = self._execute_batches(node.children[1], analyze, _EMPTY_ROW)
         right_keys = set()
         for batch in right:
-            value_lists = list(batch.columns.values())
-            for position in range(batch.length):
-                right_keys.add(
-                    tuple(_normalise_value(values[position]) for values in value_lists)
-                )
+            right_keys.update(_row_keys(list(batch.columns.values()), batch.length))
         filtered: List[RowBatch] = []
         for batch in left:
-            value_lists = list(batch.columns.values())
+            keys = _row_keys(list(batch.columns.values()), batch.length)
             selection = [
                 position
-                for position in range(batch.length)
-                if (
-                    tuple(_normalise_value(values[position]) for values in value_lists)
-                    in right_keys
-                )
-                == keep_members
+                for position, key in enumerate(keys)
+                if (key in right_keys) == keep_members
             ]
             if len(selection) == batch.length:
                 filtered.append(batch)
@@ -1129,15 +1033,76 @@ class VectorizedExecutor(Executor):
 # ---------------------------------------------------------------------------
 
 
-def _key_at(key_columns: List[List[object]], position: int) -> Optional[Tuple]:
-    """The normalised join key at *position*; ``None`` when any part is NULL."""
-    values = []
-    for column in key_columns:
-        value = column[position]
-        if value is None:
-            return None
-        values.append(_normalise_value(value))
-    return tuple(values)
+def _safe_batch_values(fn, expression, context: BatchContext) -> List[object]:
+    """Sort-key values with the row executor's per-row error absorption.
+
+    The row path evaluates each sort key under ``try/except
+    ExecutionError -> None``; a whole-chunk evaluation that raises is
+    therefore redone row by row so only the failing rows become NULL.
+    """
+    try:
+        return fn(context)
+    except ExecutionError:
+        values = []
+        for row in context.rows():
+            try:
+                values.append(
+                    evaluate(expression, EvaluationContext(row, context.subquery_executor))
+                )
+            except ExecutionError:
+                values.append(None)
+        return values
+
+
+def _normalised(column: List[object]):
+    return map(_normalise_value, column)
+
+
+_OWN_CLASS_TYPES = {str, type(None)}
+
+
+def _own_classes(column: List[object]):
+    """:func:`_normalised`, except that a column whose values already *are*
+    their ``_normalise_value`` equality classes — one array dtype, or only
+    strings, NULLs allowed in both — passes through as is.  Only for keys
+    compared within this one column (group keys, not join or set keys)."""
+    if isinstance(column, arrays.ArrayColumn):
+        return column.tolist()
+    if set(map(type, column)) <= _OWN_CLASS_TYPES:
+        return column
+    return _normalised(column)
+
+
+def _row_keys(columns: List[List[object]], length: int, parts=_normalised):
+    """One hashable key tuple per row of the parallel value *columns*, with
+    ``_normalise_value``'s equality classes, computed a column at a time."""
+    if not columns:
+        return [()] * length
+    return zip(*map(parts, columns))
+
+
+_NULL_KEY = _normalise_value(None)
+
+
+def _join_keys(key_columns: List[List[object]]) -> List[Optional[Tuple]]:
+    """The normalised join key of every row; ``None`` where any part is NULL."""
+    return [
+        None if _NULL_KEY in key else key
+        for key in _row_keys(key_columns, len(key_columns[0]))
+    ]
+
+
+def _hash_buckets(
+    key_columns: List[List[object]], start: int, stop: int
+) -> Dict[Tuple, List[int]]:
+    """Join key -> ascending positions for rows ``[start, stop)``; NULL keys
+    are left out."""
+    buckets: Dict[Tuple, List[int]] = {}
+    keys = _join_keys([column[start:stop] for column in key_columns])
+    for position, key in enumerate(keys, start):
+        if key is not None:
+            buckets.setdefault(key, []).append(position)
+    return buckets
 
 
 def _combined_schema(left: RowBatch, right: RowBatch):
@@ -1192,8 +1157,6 @@ def _slice_batches(
         offset += batch.length
     return output
 
-
-_FAST_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 _BATCH_HANDLERS: Dict[OpKind, Callable] = {
     OpKind.SEQ_SCAN: VectorizedExecutor._batch_seq_scan,

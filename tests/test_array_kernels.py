@@ -361,52 +361,84 @@ class TestGroupedAggregate:
                 output.append(max(valid))
         return output
 
+    @staticmethod
+    def _reduce(name, keys, column):
+        """Factorise *keys*, lay the groups out, reduce one aggregate."""
+        codes, count, firsts = arrays.group_codes(keys, len(keys[0]))
+        order, bounds = arrays.group_order(codes, count)
+        return count, firsts.tolist(), arrays.reduce_groups(name, column, order, bounds)
+
     @pytest.mark.parametrize("name", ["COUNT*", "COUNT", "SUM", "AVG", "MIN", "MAX"])
     def test_matches_insertion_ordered_oracle(self, name):
         rng = random.Random(7)
         keys = [rng.randrange(5) for _ in range(200)]
         values = [rng.randrange(-50, 50) if rng.random() > 0.2 else None for _ in keys]
-        spec_name = "COUNT" if name == "COUNT*" else name
-        star = name == "COUNT*"
-        count, firsts, results = arrays.grouped_aggregate(
+        count, firsts, results = self._reduce(
+            "COUNT" if name == "COUNT*" else name,
             [_column(keys)],
-            [(spec_name, star, None if star else _column(values))],
-            len(keys),
+            None if name == "COUNT*" else _column(values),
         )
         assert count == len(set(keys))
         assert firsts == sorted(firsts)  # first-appearance order
-        assert results[0] == self._oracle(keys, values, name)
+        assert [keys[first] for first in firsts] == list(dict.fromkeys(keys))
+        assert results == self._oracle(keys, values, name)
 
     def test_global_aggregate_without_keys(self):
         column = _column([5, None, 1])
-        count, firsts, results = arrays.grouped_aggregate(
-            [], [("SUM", False, column), ("COUNT", True, None)], 3
-        )
-        assert (count, firsts) == (1, [0])
-        assert results == [[6], [3]]
+        codes, count, firsts = arrays.group_codes([], 3)
+        assert (codes.tolist(), count, firsts.tolist()) == ([0, 0, 0], 1, [0])
+        order, bounds = arrays.group_order(codes, count)
+        assert arrays.reduce_groups("SUM", column, order, bounds) == [6]
+        assert arrays.reduce_groups("COUNT", None, order, bounds) == [3]
 
     def test_avg_is_exact_python_division(self):
-        column = _column([1, 2])
-        _, _, results = arrays.grouped_aggregate(
-            [_column([0, 0])], [("AVG", False, column)], 2
-        )
-        assert results[0] == [1.5]
+        _, _, results = self._reduce("AVG", [_column([0, 0])], _column([1, 2]))
+        assert results == [1.5]
 
     def test_nan_argument_bails(self):
-        keys = _column([0, 1])
-        assert (
-            arrays.grouped_aggregate(
-                [keys], [("MIN", False, _column([1.0, float("nan")]))], 2
-            )
-            is None
-        )
+        keys = [_column([0, 1])]
+        assert self._reduce("MIN", keys, _column([1.0, float("nan")]))[2] is None
 
     def test_sum_overflow_bails(self):
-        keys = _column([0] * 600)
-        column = _column([2 ** 53] * 600)
-        assert (
-            arrays.grouped_aggregate([keys], [("SUM", False, column)], 600) is None
-        )
+        keys = [_column([0] * 600)]
+        assert self._reduce("SUM", keys, _column([2 ** 53] * 600))[2] is None
+
+    def test_inexact_reductions_bail_per_aggregate(self):
+        # The choice is per aggregate: a float SUM (order-dependent) and a
+        # list argument bail, while COUNT over the same groups stays exact.
+        keys = [_column([0, 1, 0])]
+        floats = _column([0.1, 0.2, 0.3])
+        assert self._reduce("SUM", keys, floats)[2] is None
+        assert self._reduce("AVG", keys, floats)[2] is None
+        assert self._reduce("MIN", keys, floats)[2] == [0.1, 0.2]
+        assert self._reduce("COUNT", keys, floats)[2] == [2, 1]
+        codes, count, _ = arrays.group_codes(keys, 3)
+        order, bounds = arrays.group_order(codes, count)
+        assert arrays.reduce_groups("MAX", ["a", "b", "c"], order, bounds) is None
+        assert arrays.reduce_groups("GROUP_CONCAT", floats, order, bounds) is None
+
+    def test_ineligible_keys_leave_factorisation_to_the_caller(self):
+        assert arrays.group_codes([["a", "b"]], 2) is None  # not a typed array
+        assert arrays.group_codes([_column([1, None])], 2) is None  # NULL key
+        assert arrays.group_codes([_column([1.0, float("nan")])], 2) is None
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["numpy", "list"])
+    def test_group_order_is_stable_in_both_representations(self, enabled):
+        arrays.set_numpy_enabled(enabled)
+        order, bounds = arrays.group_order([0, 1, 0, 2, 1, 0], 3)
+        assert arrays.as_list(order) == [0, 2, 5, 1, 4, 3]
+        assert bounds == [0, 3, 5, 6]
+
+
+class TestTakePadded:
+    def test_pad_positions_read_null(self):
+        assert arrays.take_padded(["a", "b"], [1, arrays.PAD, 0]) == ["b", None, "a"]
+        taken = arrays.take_padded(_column([5, None, 7]), [2, arrays.PAD, 1, 0])
+        assert isinstance(taken, arrays.ArrayColumn)
+        assert taken.tolist() == [7, None, None, 5]
+
+    def test_take_column_accepts_array_positions_over_lists(self):
+        assert arrays.take_column(["a", "b", "c"], np.array([2, 0])) == ["c", "a"]
 
 
 class TestConcatColumns:
@@ -472,9 +504,9 @@ class TestRandomizedOracleParity:
 class TestHashJoinProbeParity:
     """The hash-join probe over array columns vs the row oracle.
 
-    ROADMAP notes the probe is still hash-per-row (``_key_at`` walks
-    positions); these tests pin its semantics on typed columns before any
-    kernelization: NULL keys never match (and LEFT-pad exactly once),
+    These tests pin the probe's semantics on typed columns, whichever way
+    the keys are computed (``arrays.join_probe`` or the column-at-a-time
+    ``_join_keys`` pass): NULL keys never match (and LEFT-pad exactly once),
     normalised keys collide across int/float representations but the exact
     join condition re-check decides, and the 2**53 exactness boundary —
     where one side is a typed int64 array and the other bailed to a plain
