@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import platform
 import sys
 import threading
 import time
@@ -79,7 +80,6 @@ def measure_read_throughput(quick: bool = False) -> dict:
     per_client = total_ops // CONCURRENT_CLIENTS
     cpus = os.cpu_count() or 1
     with QueryService(
-        max_workers=CONCURRENT_CLIENTS,
         read_dispatch="process",
         process_workers=min(CONCURRENT_CLIENTS, max(cpus, 2)),
     ) as service:
@@ -166,7 +166,7 @@ def measure_isolation(quick: bool = False) -> dict:
     reads = 40 if quick else 160
     inconsistent = 0
     errors = []
-    with QueryService(max_workers=6) as service:
+    with QueryService() as service:
         with ServiceClient(service.address) as writer_client:
             writer = writer_client.open_session("postgresql", tenant="iso")
             writer.execute("CREATE TABLE iso (id INT PRIMARY KEY, val INT)")
@@ -226,7 +226,7 @@ def measure_ddl_and_leakage(quick: bool = False) -> dict:
     cycles = 6 if quick else 20
     errors = []
     leaks = 0
-    with QueryService(max_workers=8) as service:
+    with QueryService() as service:
 
         def churn_main(position: int) -> None:
             try:
@@ -294,7 +294,7 @@ def measure_campaign_equivalence(quick: bool = False) -> dict:
         bound_checks_per_dbms=2 if quick else 6,
     )
     direct = TestingCampaign(**settings).run()
-    with QueryService(max_workers=4) as service:
+    with QueryService() as service:
         clients = []
         counter = itertools.count()
 
@@ -350,6 +350,11 @@ def collect_snapshot(quick: bool = False) -> dict:
         "benchmark": "service",
         "quick": quick,
         "cpus": cpus,
+        "host": {
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "python": platform.python_version(),
+        },
         "concurrent_clients": throughput["clients"],
         "read_throughput": throughput,
         "isolation": isolation,
@@ -373,7 +378,7 @@ def collect_snapshot(quick: bool = False) -> dict:
 
 
 def test_service_read_roundtrip(benchmark):
-    with QueryService(max_workers=4) as service:
+    with QueryService() as service:
         with ServiceClient(service.address) as client:
             session = client.open_session("postgresql", tenant="suite")
             _seed_tables(session, 200)

@@ -1,10 +1,10 @@
-"""The multi-tenant asyncio query service (PR 9).
+"""The multi-tenant query service (PR 9; thread-per-connection since PR 23).
 
-An :mod:`asyncio` front end over the thread-safe dialect core: sessions,
+A blocking-socket front end over the thread-safe dialect core: sessions,
 per-tenant catalogs, prepared statements, cancellation, and EXPLAIN
-passthrough, over a length-prefixed JSON wire protocol.  Read-only
-statements run concurrently with snapshot isolation; DDL/DML is
-linearizable.  See ``README.md`` ("Serving") and the "Service layer"
+passthrough, over a length-prefixed JSON wire protocol.  Each connection is
+served on its own thread, start to finish.  Read-only statements run
+concurrently with snapshot isolation; DDL/DML is linearizable.  See ``README.md`` ("Serving") and the "Service layer"
 invariants block in ``ROADMAP.md``.
 """
 

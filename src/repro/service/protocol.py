@@ -65,9 +65,10 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
 class FrameDecoder:
     """Incremental decoder: feed raw bytes, get complete messages out.
 
-    The asyncio server and the blocking client both read from a stream that
-    may deliver partial frames; the decoder buffers across ``feed`` calls
-    and yields each message exactly once, in order.
+    For readers that take whatever bytes a stream delivers (partial frames
+    included) instead of blocking for an exact count as :func:`recv_message`
+    does; the decoder buffers across ``feed`` calls and yields each message
+    exactly once, in order.
     """
 
     def __init__(self) -> None:
@@ -91,7 +92,7 @@ class FrameDecoder:
             messages.append(decode_payload(payload))
 
 
-# -- blocking socket helpers (client side) --------------------------------------------
+# -- blocking socket helpers (client and server) --------------------------------------------
 
 
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:

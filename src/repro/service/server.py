@@ -1,10 +1,12 @@
-"""The asyncio query service.
+"""The query service: one blocking thread per connection.
 
-One :class:`QueryService` owns a TCP endpoint, a tenant registry, and a
-worker-thread pool.  The asyncio loop (running on a dedicated background
-thread, so the service embeds in synchronous programs and tests) only does
-I/O and coordination; every statement executes on a worker thread running
-the ordinary dialect stack.
+One :class:`QueryService` owns a TCP endpoint and a tenant registry.  An
+accept thread hands each connection to its own thread, which reads a frame,
+classifies the statement, takes the session lock and the database gate,
+runs the statement on the ordinary dialect stack and writes the answer — a
+request never leaves the thread that read it.  Python threads interleave
+rather than overlap on CPU-bound work; ``read_dispatch="process"`` ships
+read-only statements to worker processes for genuine multi-core scaling.
 
 Concurrency contract (the "Service layer" invariants in ROADMAP.md):
 
@@ -23,23 +25,26 @@ Concurrency contract (the "Service layer" invariants in ROADMAP.md):
   torn state.  (The planner's lazy auto-analyze may bump the version during
   a read — it recomputes statistics from the same rows and is the one
   benign write allowed under the shared gate.)
-* **Sessions** — statements of one session execute in submission order (a
-  per-session lock), matching single-connection semantics even when the
-  session is addressed from several connections.  Sessions of one tenant
-  share that tenant's dialects (and databases); sessions of different
-  tenants share nothing.
-* **Cancellation** — ``cancel`` (typically sent on a second connection) is
-  cooperative: it flags the session's in-flight statement, which aborts at
-  its next check; a statement past its last check completes but its result
-  is discarded and the client still sees ``StatementCancelled``.
+* **Sessions** — statements of one session execute one at a time, in the
+  order their connection threads acquire the per-session lock, matching
+  single-connection semantics even when the session is addressed from
+  several connections.  The lock is held until the statement has really
+  returned, so a cancelled statement never overlaps the session's next one.
+  Sessions of one tenant share that tenant's dialects (and databases);
+  sessions of different tenants share nothing.
+* **Cancellation** — ``cancel`` arrives on a second connection, hence on
+  another thread, and never takes the session lock.  It is cooperative: it
+  flags the session's in-flight statement, which aborts at its next check
+  (in each ``delay_ms`` slice, and after acquiring either side of the gate);
+  a statement past its last check completes, its result is discarded, and
+  the client sees ``StatementCancelled`` then rather than at once.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.concurrency import AtomicCounter
@@ -60,8 +65,8 @@ class _Session:
         self.id = session_id
         self.catalog = catalog
         self.dialect = dialect
-        #: Serializes the session's statements (submission order).
-        self.lock = asyncio.Lock()
+        #: Serializes the session's statements across connection threads.
+        self.lock = threading.Lock()
         #: Set by ``cancel``; checked by the in-flight statement.
         self.cancel_event = threading.Event()
         #: Whether a statement is currently executing (targets for cancel).
@@ -69,11 +74,11 @@ class _Session:
         #: Prepared statements: handle -> SQL text.  Plans are cached by the
         #: dialect's prepared-query cache; the handle just pins the text.
         self.prepared: Dict[str, str] = {}
-        self._prepared_counter = 0
+        #: Atomic: two connections may prepare on one session at once.
+        self._prepared_counter = AtomicCounter()
 
     def next_prepared_handle(self) -> str:
-        self._prepared_counter += 1
-        return f"{self.id}/p{self._prepared_counter}"
+        return f"{self.id}/p{self._prepared_counter.increment()}"
 
 
 def _is_read_only(statements) -> bool:
@@ -96,7 +101,6 @@ class QueryService:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_workers: int = 8,
         read_dispatch: str = "thread",
         process_workers: int = 2,
         registry: Optional[TenantRegistry] = None,
@@ -106,9 +110,6 @@ class QueryService:
         self._host = host
         self._port = port
         self._registry = registry if registry is not None else TenantRegistry()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-service"
-        )
         self._read_dispatch = read_dispatch
         self._process_pool: Optional[ProcessReadPool] = None
         if read_dispatch == "process":
@@ -116,39 +117,47 @@ class QueryService:
         self._sessions: Dict[str, _Session] = {}
         self._sessions_lock = threading.Lock()
         self._session_counter = AtomicCounter()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._shutdown: Optional[asyncio.Event] = None
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        #: Live connections and the threads serving them.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
         #: ``(host, port)`` once the listener is bound.
         self.address: Optional[Tuple[str, int]] = None
 
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> "QueryService":
-        """Bind the listener and serve on a background thread."""
-        if self._thread is not None:
+        """Bind the listener (raising if that fails) and serve in the background."""
+        if self._accept_thread is not None:
             raise RuntimeError("service already started")
-        self._thread = threading.Thread(
-            target=self._thread_main, name="repro-service-loop", daemon=True
+        listener = socket.create_server((self._host, self._port))
+        self._listener = listener
+        self.address = listener.getsockname()[:2]
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, args=(listener,), name="repro-service-accept", daemon=True
         )
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
+        self._accept_thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop serving and release the pools (idempotent)."""
-        loop = self._loop
-        if loop is not None and self._shutdown is not None and loop.is_running():
-            loop.call_soon_threadsafe(self._shutdown.set)
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self._pool.shutdown(wait=True)
+        """Stop serving, join every thread and release the pool (idempotent)."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            # close() alone leaves accept() blocked on Linux, and a blocked
+            # accept thread keeps the service and its tenants alive.
+            _shutdown(listener)
+            listener.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join()
+            self._accept_thread = None
+        # No connection is added once the accept thread is gone.
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for sock, _ in connections:
+            _shutdown(sock)
+        for _, thread in connections:
+            thread.join()
         if self._process_pool is not None:
             self._process_pool.close()
 
@@ -158,66 +167,49 @@ class QueryService:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _thread_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._serve())
-        finally:
-            loop.close()
-
-    async def _serve(self) -> None:
-        self._shutdown = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection, self._host, self._port
-            )
-        except BaseException as exc:  # noqa: BLE001 - reported to start()
-            self._startup_error = exc
-            self._started.set()
-            return
-        self.address = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        try:
-            await self._shutdown.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-
     # -- connection handling ------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except ConnectionAbortedError:
+                continue
+            except OSError:
+                return  # stop() shut the listener down
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve_connection, args=(sock,), name="repro-service-conn", daemon=True
+            )
+            with self._connections_lock:
+                self._connections[sock] = thread
+            thread.start()
+
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Answer one connection's requests, in order, until it closes.
+
+        A malformed frame (oversized, truncated, undecodable, not an object)
+        closes this connection only.
+        """
         try:
             while True:
                 try:
-                    header = await reader.readexactly(4)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                length = int.from_bytes(header, "big")
-                if length > protocol.MAX_MESSAGE_BYTES:
-                    break
-                try:
-                    payload = await reader.readexactly(length)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                try:
-                    request = protocol.decode_payload(payload)
-                except protocol.ProtocolError:
-                    break
-                response = await self._handle_request(request)
-                writer.write(protocol.encode_message(response))
-                try:
-                    await writer.drain()
-                except ConnectionError:
+                    request = protocol.recv_message(sock)
+                    if request is None:
+                        break
+                    response = self._handle_request(request)
+                    sock.sendall(protocol.encode_message(response))
+                except (protocol.ProtocolError, OSError):
                     break
         finally:
-            writer.close()
+            sock.close()
+            with self._connections_lock:
+                self._connections.pop(sock, None)
 
-    async def _handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         request_id = request.get("id")
         try:
-            payload = await self._dispatch(request)
+            payload = self._dispatch(request)
             response = {"ok": True}
             response.update(payload)
         except StatementCancelled as exc:
@@ -236,7 +228,7 @@ class QueryService:
             response["id"] = request_id
         return response
 
-    async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request.get("op")
         if op == "ping":
             return {"pong": True}
@@ -250,14 +242,14 @@ class QueryService:
                 self._sessions.pop(session.id, None)
             return {"closed": True}
         if op == "execute":
-            return await self._op_execute(session, request)
+            return self._op_execute(session, request)
         if op == "execute_prepared":
             handle = request["statement"]
             try:
                 sql = session.prepared[handle]
             except KeyError:
                 raise KeyError(f"unknown prepared statement {handle!r}")
-            return await self._op_execute(session, dict(request, sql=sql))
+            return self._op_execute(session, dict(request, sql=sql))
         if op == "prepare":
             # Parse eagerly so a bad statement fails at prepare time, and so
             # the AST is already cached when the statement first executes.
@@ -266,21 +258,21 @@ class QueryService:
             session.prepared[handle] = request["sql"]
             return {"statement": handle}
         if op == "explain":
-            return await self._op_explain(session, request)
+            return self._op_explain(session, request)
         if op == "estimate":
-            return await self._op_estimate(session, request)
+            return self._op_estimate(session, request)
         if op == "analyze":
-            await self._run_statement(
+            self._run_statement(
                 session, lambda: session.dialect.analyze_tables(), read_only=False
             )
             return {"analyzed": True}
         if op == "reset":
-            await self._run_statement(
+            self._run_statement(
                 session, lambda: session.dialect.reset(), read_only=False
             )
             return {"reset": True}
         if op == "catalog":
-            return await self._op_catalog(session)
+            return self._op_catalog(session)
         raise ValueError(f"unknown op {op!r}")
 
     # -- session management -------------------------------------------------------
@@ -315,7 +307,7 @@ class QueryService:
 
     # -- statement execution ------------------------------------------------------
 
-    async def _op_execute(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_execute(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
         sql = request["sql"]
         delay_ms = int(request.get("delay_ms", 0))
         _, statements = session.dialect.prepared.parse(sql)
@@ -325,7 +317,7 @@ class QueryService:
             and self._process_pool is not None
             and not any(isinstance(parsed, ast.Explain) for parsed in statements)
         ):
-            rows = await self._run_statement(
+            rows = self._run_statement(
                 session,
                 lambda: self._execute_on_replica(session, sql),
                 read_only=True,
@@ -333,7 +325,7 @@ class QueryService:
                 pin_view=False,
             )
         else:
-            rows = await self._run_statement(
+            rows = self._run_statement(
                 session,
                 lambda: session.dialect.execute(sql),
                 read_only=read_only,
@@ -341,7 +333,7 @@ class QueryService:
             )
         return {"rows": rows, "read_only": read_only}
 
-    async def _op_explain(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_explain(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
         sql = request["sql"]
         format_name = request.get("format")
         analyze = bool(request.get("analyze", False))
@@ -358,9 +350,9 @@ class QueryService:
                 "bound_violations": [dict(item) for item in output.bound_violations],
             }
 
-        return await self._run_statement(session, work, read_only=read_only)
+        return self._run_statement(session, work, read_only=read_only)
 
-    async def _op_estimate(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_estimate(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
         sql = request["sql"]
 
         def work():
@@ -369,9 +361,9 @@ class QueryService:
             physical = session.dialect.planner.plan_statement(parse_one(sql))
             return {"rows": max(physical.estimated_rows, 1.0)}
 
-        return await self._run_statement(session, work, read_only=True, pin_view=False)
+        return self._run_statement(session, work, read_only=True, pin_view=False)
 
-    async def _op_catalog(self, session: _Session) -> Dict[str, Any]:
+    def _op_catalog(self, session: _Session) -> Dict[str, Any]:
         def work():
             database = session.dialect.database
             return {
@@ -380,9 +372,9 @@ class QueryService:
                 "version": database.version,
             }
 
-        return await self._run_statement(session, work, read_only=True, pin_view=False)
+        return self._run_statement(session, work, read_only=True, pin_view=False)
 
-    async def _run_statement(
+    def _run_statement(
         self,
         session: _Session,
         work,
@@ -390,42 +382,22 @@ class QueryService:
         delay_ms: int = 0,
         pin_view: bool = True,
     ):
-        """Run *work* on the thread pool under the session and gate contracts."""
-        async with session.lock:
+        """Run *work* on this thread under the session and gate contracts."""
+        with session.lock:
             if session.cancel_event.is_set():
                 session.cancel_event.clear()
                 raise StatementCancelled("cancelled before execution")
             session.inflight = True
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(
-                self._pool,
-                self._call_blocking,
-                session,
-                work,
-                read_only,
-                delay_ms,
-                pin_view,
-            )
-            cancel_task = loop.create_task(self._wait_for_cancel(session))
             try:
-                done, _ = await asyncio.wait(
-                    {future, cancel_task}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if future in done:
-                    return future.result()
-                # The worker keeps running (threads cannot be killed) but
-                # its result is discarded; the session stays ordered because
-                # the lock is held until this point either way.
-                _swallow(future)
-                raise StatementCancelled("cancelled mid-statement")
+                result = self._call_blocking(session, work, read_only, delay_ms, pin_view)
+                if session.cancel_event.is_set():
+                    # Past its last check: the work is done (and the lock
+                    # was held throughout) but its result is discarded.
+                    raise StatementCancelled("cancelled mid-statement")
+                return result
             finally:
-                cancel_task.cancel()
                 session.inflight = False
                 session.cancel_event.clear()
-
-    async def _wait_for_cancel(self, session: _Session) -> None:
-        while not session.cancel_event.is_set():
-            await asyncio.sleep(0.002)
 
     def _call_blocking(self, session: _Session, work, read_only: bool, delay_ms: int, pin_view: bool):
         if delay_ms:
@@ -455,6 +427,8 @@ class QueryService:
                     # version snapshot — the same data.
                     executor.snapshot_view = None
         with database.gate.write_locked():
+            if session.cancel_event.is_set():
+                raise StatementCancelled("cancelled during execution")
             return work()
 
     def _execute_on_replica(self, session: _Session, sql: str):
@@ -480,11 +454,9 @@ class QueryService:
         raise error
 
 
-def _swallow(future) -> None:
-    """Consume *future*'s eventual result/exception without raising."""
-
-    def _done(completed) -> None:
-        if not completed.cancelled():
-            completed.exception()
-
-    future.add_done_callback(_done)
+def _shutdown(sock: socket.socket) -> None:
+    """Wake whichever thread is blocked in ``accept``/``recv`` on *sock*."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed, or the peer went first

@@ -850,7 +850,7 @@ class TestInitPlanCounts:
         assert all(expected.values())
         answers = {11: [], 22: []}
         failures = []
-        with QueryService(max_workers=4, read_dispatch="thread") as service:
+        with QueryService(read_dispatch="thread") as service:
             with ServiceClient(service.address) as loader:
                 session = loader.open_session("postgresql", tenant="tpch")
                 tpch.load_into(ServiceDialect(session), scale=1.0)

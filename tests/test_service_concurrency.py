@@ -4,6 +4,7 @@ The light grids run in tier-1; the heavy grids (more sessions, more
 iterations) sit behind the ``slow`` marker (``--runslow``).
 """
 
+import sys
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.service import (
     QueryService,
     ServiceClient,
     StatementCancelled,
+    TenantRegistry,
 )
 
 
@@ -270,7 +272,7 @@ class TestReadWriteGate:
 
 @pytest.fixture(scope="module")
 def service():
-    with QueryService(max_workers=8) as running:
+    with QueryService() as running:
         yield running
 
 
@@ -416,6 +418,85 @@ class TestServiceConcurrency:
             session = client.open_session("mysql", tenant="cancel-idle")
             assert session.cancel_from_new_connection() is False
             session.close()
+
+    def test_cancelled_write_queued_behind_the_gate_does_not_run(self):
+        registry = TenantRegistry()
+        with QueryService(registry=registry) as running:
+            address = running.address
+            with ServiceClient(address) as client_a, ServiceClient(address) as client_b, \
+                    ServiceClient(address) as client_c:
+                session = client_a.open_session("postgresql", tenant="gate-cancel")
+                session.execute("CREATE TABLE g (a INT)")
+                session.execute("INSERT INTO g VALUES (1)")
+                gate = registry.catalog("gate-cancel").dialect("postgresql").database.gate
+                outcome = {}
+
+                def insert():
+                    try:
+                        session.execute("INSERT INTO g VALUES (2)")
+                        outcome["insert"] = "completed"
+                    except StatementCancelled:
+                        outcome["insert"] = "cancelled"
+
+                def update():
+                    outcome["update"] = client_c.request(
+                        "execute", session=session.id, sql="UPDATE g SET a = a + 10"
+                    )["rows"]
+
+                gate.acquire_write()
+                try:
+                    inserter = threading.Thread(target=insert)
+                    inserter.start()
+                    # The insert holds the session lock and queues on the gate.
+                    deadline = time.monotonic() + 4
+                    while not client_b.cancel(session.id) and time.monotonic() < deadline:
+                        time.sleep(0.005)
+                    updater = threading.Thread(target=update)
+                    updater.start()
+                    time.sleep(0.05)
+                    assert "update" not in outcome
+                finally:
+                    gate.release_write()
+                inserter.join(timeout=4)
+                updater.join(timeout=4)
+                assert not inserter.is_alive() and not updater.is_alive()
+                assert outcome["insert"] == "cancelled"
+                # The cancelled insert never ran, and the update — queued on
+                # the session lock, not racing for the gate — saw one row.
+                assert session.execute("SELECT a FROM g ORDER BY a") == [{"a": 11}]
+
+    def test_two_connections_preparing_on_one_session_get_distinct_handles(self, service):
+        with ServiceClient(service.address) as first, ServiceClient(service.address) as second:
+            session = first.open_session("postgresql", tenant="prepare-race")
+            session.execute("CREATE TABLE pr (a INT)")
+            session.execute("INSERT INTO pr VALUES (7)")
+            handles = {first: [], second: []}
+            barrier = threading.Barrier(2)
+
+            def prepare_many(client):
+                def run():
+                    barrier.wait()
+                    for _ in range(50):
+                        response = client.request(
+                            "prepare", session=session.id, sql="SELECT a FROM pr"
+                        )
+                        handles[client].append(response["statement"])
+                return run
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                _run_threads([prepare_many(first), prepare_many(second)])
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(set(handles[first]) | set(handles[second])) == 100
+            # Each handle executes from either connection.
+            for client, other in ((first, second), (second, first)):
+                for handle in handles[other]:
+                    rows = client.request(
+                        "execute_prepared", session=session.id, statement=handle
+                    )["rows"]
+                    assert rows == [{"a": 7}]
 
     @pytest.mark.slow
     def test_ddl_churn_with_concurrent_readers_heavy(self, service):

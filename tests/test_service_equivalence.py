@@ -126,16 +126,14 @@ class TestProcessDispatch:
         ]
         query = "SELECT b, COUNT(*) AS n FROM pd GROUP BY b ORDER BY b"
 
-        with QueryService(max_workers=4) as threaded:
+        with QueryService() as threaded:
             with ServiceClient(threaded.address) as client:
                 session = client.open_session("postgresql", tenant="pd")
                 for statement in statements:
                     session.execute(statement)
                 via_threads = session.execute(query)
 
-        with QueryService(
-            max_workers=4, read_dispatch="process", process_workers=2
-        ) as forked:
+        with QueryService(read_dispatch="process", process_workers=2) as forked:
             with ServiceClient(forked.address) as client:
                 session = client.open_session("postgresql", tenant="pd")
                 for statement in statements:
@@ -158,7 +156,7 @@ class TestCampaignThroughService:
     def test_loopback_campaign_is_byte_identical(self, settings):
         direct = TestingCampaign(**settings).run()
 
-        with QueryService(max_workers=4) as service:
+        with QueryService() as service:
             clients = []
             counter = itertools.count()
 
@@ -194,7 +192,7 @@ class TestCampaignThroughService:
             bound_checks_per_dbms=6,
         )
         direct = TestingCampaign(**settings).run()
-        with QueryService(max_workers=4) as service:
+        with QueryService() as service:
             clients = []
             counter = itertools.count()
 

@@ -1,6 +1,10 @@
-"""Wire-protocol and basic service-surface tests."""
+"""Wire-protocol, service-surface, lifecycle and hostile-frame tests."""
 
+import gc
+import socket
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -13,12 +17,12 @@ from repro.service import (
     ServiceError,
     TenantRegistry,
 )
-from repro.service.protocol import decode_payload, encode_message
+from repro.service.protocol import decode_payload, encode_message, recv_message
 
 
 @pytest.fixture(scope="module")
 def service():
-    with QueryService(max_workers=4) as running:
+    with QueryService() as running:
         yield running
 
 
@@ -183,6 +187,130 @@ class TestServiceSurface:
         session.analyze_tables()
         assert session.estimate(query) == local
         session.close()
+
+
+def _threads_since(before, settle=0.0):
+    """Threads alive now that were not in *before* (a ``threading.enumerate()``
+    snapshot), polling up to *settle* seconds for them to finish.
+
+    A set difference rather than ``active_count()`` arithmetic: connection
+    threads of the module-scoped service left by earlier tests may still be
+    winding down, and must not count either way.
+    """
+    deadline = time.monotonic() + settle
+    while True:
+        extra = set(threading.enumerate()) - before
+        if not extra or time.monotonic() >= deadline:
+            return extra
+        time.sleep(0.005)
+
+
+class TestServiceLifecycle:
+    def test_stop_with_idle_client_releases_threads_port_and_tenants(self):
+        before = set(threading.enumerate())
+        registry = TenantRegistry()
+        service = QueryService(registry=registry).start()
+        address = service.address
+        idle = ServiceClient(address)
+        session = idle.open_session("postgresql", tenant="lifecycle")
+        session.execute("CREATE TABLE life (a INT)")
+        database = weakref.ref(registry.catalog("lifecycle").dialect("postgresql").database)
+        assert len(_threads_since(before)) == 2  # accept + one connection
+
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 1.0
+        # stop() joined every thread it started: no polling needed.
+        assert not _threads_since(before)
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=1.0)
+        with pytest.raises((ServiceError, OSError)):
+            idle.ping()
+        idle.close()
+
+        service.stop()  # a second stop is a no-op
+
+        assert database() is not None
+        del service, registry, session, idle
+        gc.collect()
+        assert database() is None
+
+    def test_bind_failure_raises_from_start_and_leaves_no_thread(self):
+        before = set(threading.enumerate())
+        with socket.create_server(("127.0.0.1", 0)) as occupied:
+            port = occupied.getsockname()[1]
+            service = QueryService(port=port)
+            with pytest.raises(OSError):
+                service.start()
+        assert service.address is None
+        assert not _threads_since(before)
+        service.stop()  # never started: still a no-op
+
+    def test_stop_waits_for_an_inflight_statement(self):
+        with QueryService() as service:
+            client = ServiceClient(service.address)
+            session = client.open_session("postgresql", tenant="lifecycle-busy")
+            session.execute("CREATE TABLE busy (a INT)")
+            outcome = {}
+
+            def run():
+                try:
+                    outcome["rows"] = session.execute("SELECT a FROM busy", delay_ms=150)
+                except (ServiceError, OSError) as exc:
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=run)
+            thread.start()
+            time.sleep(0.05)
+        # The context manager's stop() joined the connection thread, which
+        # first let the statement return; the client gets its answer or a
+        # closed connection, never a hang.
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert outcome
+        client.close()
+
+
+class TestHostileFrames:
+    """Malformed input closes the offending connection and nothing else."""
+
+    _PING = encode_message({"op": "ping", "id": 1})
+    HOSTILE = {
+        "oversized-length-prefix": (MAX_MESSAGE_BYTES + 1).to_bytes(4, "big") + b"x",
+        "not-utf8": (2).to_bytes(4, "big") + b"\xff\xfe",
+        "not-json": (5).to_bytes(4, "big") + b"{nope",
+        "json-array": (9).to_bytes(4, "big") + b"[1, 2, 3]",
+        "cut-off-mid-payload": _PING[:-3],
+    }
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_malformed_frame_closes_that_connection_only(self, service, name):
+        with ServiceClient(service.address) as bystander:  # connected before the attack
+            session = bystander.open_session("postgresql", tenant="hostile")
+            session.execute("CREATE TABLE IF NOT EXISTS h (a INT)")
+            before = set(threading.enumerate())
+
+            raw = socket.create_connection(service.address, timeout=2.0)
+            raw.sendall(self.HOSTILE[name])
+            if name != "cut-off-mid-payload":
+                # The server closes its end: EOF (or a reset), never a frame.
+                # The truncated frame skips this and closes abruptly instead.
+                try:
+                    assert raw.recv(1) == b""
+                except ConnectionError:
+                    pass
+            raw.close()
+
+            assert bystander.ping()
+            assert session.execute("SELECT COUNT(*) AS n FROM h") == [{"n": 0}]
+            # No connection thread outlives its socket.
+            assert not _threads_since(before, settle=2.0)
+
+    def test_well_formed_frame_after_connect_still_answers(self, service):
+        # The control for the cases above: the same raw-socket path, valid bytes.
+        with socket.create_connection(service.address) as raw:
+            raw.sendall(encode_message({"op": "ping", "id": 9}))
+            assert recv_message(raw) == {"ok": True, "pong": True, "id": 9}
 
 
 class TestTenantRegistry:

@@ -486,7 +486,7 @@ class TestCachedUncachedLockstep:
 class TestServicePinnedReader:
     def test_pinned_reader_keeps_old_rows_and_shares_untouched_snapshots(self):
         registry = TenantRegistry()
-        with QueryService(max_workers=2, registry=registry) as service:
+        with QueryService(registry=registry) as service:
             with ServiceClient(service.address) as client:
                 session = client.open_session("postgresql", tenant="pins")
                 session.execute("CREATE TABLE a (k INT, v INT)")
