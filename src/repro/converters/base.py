@@ -24,13 +24,27 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, NamedTuple, Optional, Tuple, Type
 
 from repro.core.caching import CacheStats, LRUCache
 from repro.core.categories import OperationCategory, PropertyCategory
 from repro.core.model import Operation, PlanNode, Property, UnifiedPlan
 from repro.core.naming import NameRegistry, default_registry
 from repro.errors import ConversionError
+
+
+#: Native names one converter memoises, per kind; once full, unseen names
+#: resolve afresh on every call (the ``IdentifierPool`` rule).
+_NAME_MEMO_LIMIT = 4096
+
+class _NameMemo(NamedTuple):
+    """What one converter has resolved under one registry generation."""
+
+    generation: int
+    #: Native name -> the shared frozen Operation.
+    operations: Dict[str, Operation]
+    #: Native name -> the validated, interned pair of its Property.
+    properties: Dict[str, Tuple[PropertyCategory, str]]
 
 
 class PlanConverter:
@@ -45,6 +59,7 @@ class PlanConverter:
 
     def __init__(self, registry: Optional[NameRegistry] = None) -> None:
         self.registry = registry or default_registry()
+        self._memo = _NameMemo(self.registry.generation, {}, {})
 
     # -- API -----------------------------------------------------------------------
 
@@ -62,21 +77,53 @@ class PlanConverter:
     def _parse(self, serialized: str, format: str) -> UnifiedPlan:
         raise NotImplementedError
 
+    def cache_key(self, serialized: str, format: Optional[str] = None) -> Tuple[str, str, str]:
+        """``(dbms, resolved format, source hash)`` — a hub's cache key."""
+        chosen = (format or self.formats[0]).lower()
+        return (self.dbms, chosen, source_hash(serialized))
+
     # -- helpers --------------------------------------------------------------------
 
+    def _names(self) -> _NameMemo:
+        """The current registry generation's name memo.
+
+        Swapped whole when a registration has moved the generation on, so a
+        thread still filling the old dicts cannot leak a resolution made
+        under the old mappings into the new ones.
+        """
+        memo = self._memo
+        if memo.generation != self.registry.generation:
+            memo = self._memo = _NameMemo(self.registry.generation, {}, {})
+        return memo
+
     def operation(self, native_name: str) -> Operation:
-        """Map a native operation name to a unified operation."""
-        category, unified = self.registry.resolve_operation(self.dbms, native_name)
-        return Operation(category, unified)
+        """Map a native operation name to a unified operation (one shared
+        frozen instance per name: resolved, validated and interned once)."""
+        memo = self._names().operations
+        operation = memo.get(native_name)
+        if operation is None:
+            category, unified = self.registry.resolve_operation(self.dbms, native_name)
+            operation = Operation(category, unified)
+            if len(memo) < _NAME_MEMO_LIMIT:
+                memo[native_name] = operation
+        return operation
 
     def make_node(self, native_name: str) -> PlanNode:
         """Create a plan node for a native operation name."""
         return PlanNode(self.operation(native_name))
 
     def property(self, native_name: str, value: object) -> Property:
-        """Map a native property name/value to a unified property."""
+        """Map a native property name/value to a unified property (the first
+        of a name is built normally; its validated pair serves the rest)."""
+        memo = self._names().properties
+        resolved = memo.get(native_name)
+        if resolved is not None:
+            return Property.trusted(resolved[0], resolved[1], _coerce_value(value))
         category, unified = self.registry.resolve_property(self.dbms, native_name)
-        return Property(category, unified, _coerce_value(value))
+        prop = Property(category, unified, _coerce_value(value))
+        if len(memo) < _NAME_MEMO_LIMIT:
+            memo[native_name] = (prop.category, prop.identifier)
+        return prop
 
 
 def _coerce_value(value: object) -> object:
@@ -84,8 +131,9 @@ def _coerce_value(value: object) -> object:
     if value is None or isinstance(value, (bool, int, float)):
         return value
     text = str(value)
+    stripped = text.strip()
     try:
-        if text.strip() and text.strip().lstrip("-").replace(".", "", 1).isdigit():
+        if stripped and stripped.lstrip("-").replace(".", "", 1).isdigit():
             return float(text) if "." in text else int(text)
     except ValueError:
         pass
@@ -171,12 +219,15 @@ class ConverterHub:
     def converter(self, dbms: str) -> PlanConverter:
         """Return the hub's (shared) converter instance for *dbms*."""
         name = self.resolve_name(dbms)
-        with self._lock:
-            instance = self._instances.get(name)
-            if instance is None:
-                instance = self._classes[name](self._registry)
-                self._instances[name] = instance
-            return instance
+        # Lock-free on a hit; the lock only makes instantiation happen once.
+        instance = self._instances.get(name)
+        if instance is None:
+            with self._lock:
+                instance = self._instances.get(name)
+                if instance is None:
+                    instance = self._classes[name](self._registry)
+                    self._instances[name] = instance
+        return instance
 
     def convert(
         self,
@@ -214,13 +265,12 @@ class ConverterHub:
         source text.
         """
         converter = self.converter(dbms)
-        chosen = (format or converter.formats[0]).lower()
         if key is None:
-            key = (converter.dbms, chosen, source_hash(serialized))
+            key = converter.cache_key(serialized, format)
         plan = self._cache.get(key)
         if plan is not None:
             return (plan.copy() if self.copy_on_hit else plan), False
-        plan = converter.convert(serialized, chosen)
+        plan = converter.convert(serialized, key[1])  # the resolved format
         # Pre-compute the fingerprint while we hold the only reference, so
         # every consumer of the shared cached plan gets O(1) identity.
         plan.fingerprint()
@@ -231,9 +281,7 @@ class ConverterHub:
         self, dbms: str, serialized: str, format: Optional[str] = None
     ) -> Tuple[str, str, str]:
         """The conversion-cache key the hub would use for this source."""
-        converter = self.converter(dbms)
-        chosen = (format or converter.formats[0]).lower()
-        return (converter.dbms, chosen, source_hash(serialized))
+        return self.converter(dbms).cache_key(serialized, format)
 
     def is_cached(
         self, dbms: str, serialized: str, format: Optional[str] = None

@@ -67,47 +67,33 @@ _FP_STRUCTURAL = "structural"
 _FP_STRUCTURAL_CONFIG = "structural+config"
 
 
-def _structural_node_fingerprint(node: PlanNode, include_configuration: bool) -> str:
-    """Merkle digest of a subtree's stable structure, memoised on the node.
+def _structural_bytes(node: PlanNode) -> bytes:
+    operation = node.operation
+    name = strip_unstable_suffix(operation.identifier)
+    return f"{operation.category.value}\x00{name}".encode("utf-8")
 
-    Implemented as an iterative post-order walk with hoisted bindings: QPG
-    calls this once per explained query, and the recursive form paid a
-    Python frame plus module-global lookups per node.
-    """
+
+def _structural_config_bytes(node: PlanNode) -> bytes:
+    # Length-framed: values are arbitrary strings and must not be able to
+    # forge component boundaries (see model.frame_lines).
+    return _structural_bytes(node) + model_module.frame_lines(
+        [
+            f"{category}->{identifier}={value}"
+            for category, identifier, value in _stable_properties(node.properties)
+        ]
+    )
+
+
+def _structural_node_fingerprint(node: PlanNode, include_configuration: bool) -> str:
+    """Merkle digest of a subtree's stable structure, memoised on the node
+    (QPG calls this once per explained query)."""
     key = _FP_STRUCTURAL_CONFIG if include_configuration else _FP_STRUCTURAL
     cached = node._fp_cache.get(key)
     if cached is not None:
         return cached
-    blake2b = hashlib.blake2b
-    framed = model_module._update_framed
-    strip = strip_unstable_suffix
-    stack = [node]
-    pending: List[PlanNode] = []
-    while stack:
-        current = stack.pop()
-        if key in current._fp_cache:
-            continue
-        pending.append(current)
-        stack.extend(current.children)
-    for current in reversed(pending):  # children always precede parents
-        cache = current._fp_cache
-        if key in cache:
-            continue
-        hasher = blake2b(digest_size=16)
-        update = hasher.update
-        update(current.operation.category.value.encode("utf-8"))
-        update(b"\x00")
-        update(strip(current.operation.identifier).encode("utf-8"))
-        if include_configuration:
-            for category, identifier, value in _stable_properties(current.properties):
-                # Length-framed: values are arbitrary strings and must not be
-                # able to forge component boundaries (see model._update_framed).
-                framed(hasher, b"\x01", f"{category}->{identifier}={value}")
-        for child in current.children:
-            update(b"\x02")
-            update(child._fp_cache[key].encode("ascii"))
-        cache[key] = hasher.hexdigest()
-    return node._fp_cache[key]
+    return model_module.merkle_fingerprint(
+        node, key, _structural_config_bytes if include_configuration else _structural_bytes
+    )
 
 
 def structural_fingerprint(

@@ -21,6 +21,8 @@ grammar specifies.
 from __future__ import annotations
 
 import hashlib
+import re
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -36,9 +38,9 @@ from repro.errors import PlanValidationError
 #: The value domain permitted by the grammar (``value`` production).
 PropertyValue = Any  # str | int | float | bool | None
 
-_IDENTIFIER_ALLOWED = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ "
-)
+#: An ASCII letter, then words of letters / digits / ``_`` joined by single
+#: spaces.  Used with ``fullmatch`` (``$`` would admit a trailing newline).
+_KEYWORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?: [A-Za-z0-9_]+)*")
 
 
 def is_valid_keyword(identifier: str) -> bool:
@@ -53,13 +55,7 @@ def is_valid_keyword(identifier: str) -> bool:
     visually identical identifiers (``"Scan"`` vs ``"Scan  "``) denote
     different operations.
     """
-    if not identifier:
-        return False
-    if not identifier[0].isalpha():
-        return False
-    if identifier.endswith(" ") or "  " in identifier:
-        return False
-    return all(ch in _IDENTIFIER_ALLOWED for ch in identifier)
+    return bool(identifier) and _KEYWORD.fullmatch(identifier) is not None
 
 
 def is_valid_value(value: PropertyValue) -> bool:
@@ -111,21 +107,79 @@ def canonical_properties(properties: Iterable["Property"]) -> List["Property"]:
     return sorted(properties, key=canonical_property_key)
 
 
-def _property_line(prop: "Property") -> str:
-    return f"{prop.category.value}->{prop.identifier}={value_token(prop.value)}"
+#: ``"<category>-><identifier>=<value token>"`` per category rank.
+_PROPERTY_LINE_FORMATS = [
+    category.value + "->%s=%s" for category in PROPERTY_CATEGORY_ORDER
+]
+
+_FRAME_HEADER = struct.Struct(">BI").pack
 
 
-def _update_framed(hasher, marker: bytes, text: str) -> None:
-    """Feed one variable-length component with explicit framing.
+def frame_lines(lines: Iterable[str]) -> bytes:
+    """Length-frame each line (``\\x01``, 4-byte big-endian length, UTF-8).
 
-    Length-prefixing keeps the digest injective: without it, a property
+    Length-prefixing keeps the digests injective: without it, a property
     *value* containing a marker byte could forge component boundaries and
     make two distinct plans hash alike.
     """
-    encoded = text.encode("utf-8")
-    hasher.update(marker)
-    hasher.update(len(encoded).to_bytes(4, "big"))
-    hasher.update(encoded)
+    parts: List[bytes] = []
+    for line in lines:
+        encoded = line.encode("utf-8")
+        parts.append(_FRAME_HEADER(1, len(encoded)))
+        parts.append(encoded)
+    return b"".join(parts)
+
+
+def _framed_properties(properties: Iterable["Property"]) -> bytes:
+    """The canonical-order property lines, framed, as one block of hash input
+    (the sort keys *are* the lines' contents: one token per value, one sort)."""
+    rank = _PROPERTY_CATEGORY_RANK
+    keys = sorted(
+        [(rank[prop.category], prop.identifier, value_token(prop.value)) for prop in properties]
+    )
+    formats = _PROPERTY_LINE_FORMATS
+    return frame_lines(
+        [formats[category] % (identifier, token) for category, identifier, token in keys]
+    )
+
+
+def _identity_bytes(node: "PlanNode") -> bytes:
+    # Keywords cannot contain the separator (is_valid_keyword), so the
+    # operation needs no framing; property lines embed arbitrary values.
+    operation = node.operation
+    head = f"{operation.category.value}\x00{operation.identifier}".encode("utf-8")
+    return head + _framed_properties(node.properties)
+
+
+def merkle_fingerprint(
+    root: "PlanNode", key: str, node_bytes: Callable[["PlanNode"], bytes]
+) -> str:
+    """Cache a *key* digest on every node under *root* lacking one; return root's.
+
+    A node's digest is one ``blake2b`` call over one buffer: *node_bytes* of
+    the node, then ``\\x02`` and the (fixed-width hex) digest of each child.
+    The walk is an iterative post-order: fingerprints sit on the campaign hot
+    path (one per explained query), and the recursive form paid a Python
+    frame per node.
+    """
+    stack = [root]
+    pending: List["PlanNode"] = []
+    while stack:
+        node = stack.pop()
+        if key in node._fp_cache:
+            continue
+        pending.append(node)
+        stack.extend(node.children)
+    blake2b = hashlib.blake2b
+    for node in reversed(pending):  # children always precede parents
+        cache = node._fp_cache
+        if key in cache:
+            continue
+        children = "".join(["\x02" + child._fp_cache[key] for child in node.children])
+        cache[key] = blake2b(
+            node_bytes(node) + children.encode("ascii"), digest_size=16
+        ).hexdigest()
+    return root._fp_cache[key]
 
 
 class _ObservedList(list):
@@ -283,6 +337,24 @@ class Property:
             )
         object.__setattr__(self, "identifier", intern_identifier(self.identifier))
 
+    @classmethod
+    def trusted(cls, category: PropertyCategory, identifier: str, value: PropertyValue) -> "Property":
+        """Build a property from the ``(category, identifier)`` of a normally
+        constructed one, which validated and interned the pair; only the
+        value domain is checked again (converters memoise the pair per name).
+        """
+        if not is_valid_value(value):
+            raise PlanValidationError(
+                f"invalid property value for {identifier!r}: {value!r}"
+            )
+        prop = object.__new__(cls)
+        # object.__setattr__, not prop.__dict__[...]: writing through __dict__
+        # takes the instance off CPython's key-sharing dicts (+1 MB peak RSS).
+        object.__setattr__(prop, "category", category)
+        object.__setattr__(prop, "identifier", identifier)
+        object.__setattr__(prop, "value", value)
+        return prop
+
     def __str__(self) -> str:
         return f"{self.category.value}->{self.identifier}: {self.value!r}"
 
@@ -434,40 +506,7 @@ class PlanNode:
         cached = self._fp_cache.get(FINGERPRINT_IDENTITY)
         if cached is not None:
             return cached
-        # Iterative post-order walk with hoisted bindings: plan fingerprints
-        # sit on the campaign hot path (one per explained query), and the
-        # recursive form paid a Python frame plus global lookups per node.
-        blake2b = hashlib.blake2b
-        framed = _update_framed
-        line = _property_line
-        key = FINGERPRINT_IDENTITY
-        stack = [self]
-        pending: List["PlanNode"] = []
-        while stack:
-            node = stack.pop()
-            if key in node._fp_cache:
-                continue
-            pending.append(node)
-            stack.extend(node.children)
-        for node in reversed(pending):  # children always precede parents
-            cache = node._fp_cache
-            if key in cache:
-                continue
-            hasher = blake2b(digest_size=16)
-            update = hasher.update
-            # Keywords cannot contain the separator (is_valid_keyword), so the
-            # operation needs no framing; property lines embed arbitrary values
-            # and are length-framed to keep the digest injective.
-            update(node.operation.category.value.encode("utf-8"))
-            update(b"\x00")
-            update(node.operation.identifier.encode("utf-8"))
-            for prop in canonical_properties(node.properties):
-                framed(hasher, b"\x01", line(prop))
-            for child in node.children:
-                update(b"\x02")
-                update(child._fp_cache[key].encode("ascii"))
-            cache[key] = hasher.hexdigest()
-        return self._fp_cache[key]
+        return merkle_fingerprint(self, FINGERPRINT_IDENTITY, _identity_bytes)
 
     def invalidate_fingerprints(self) -> None:
         """Clear every cached fingerprint in the subtree (after mutation)."""
@@ -686,11 +725,10 @@ class UnifiedPlan:
         cached = self._fp_cache.get(FINGERPRINT_IDENTITY)
         if cached is not None and cached[0] == root_digest:
             return cached[1]
-        hasher = hashlib.blake2b(digest_size=16)
-        hasher.update(root_digest.encode("utf-8"))
-        for prop in canonical_properties(self.properties):
-            _update_framed(hasher, b"\x01", _property_line(prop))
-        digest = hasher.hexdigest()
+        digest = hashlib.blake2b(
+            root_digest.encode("utf-8") + _framed_properties(self.properties),
+            digest_size=16,
+        ).hexdigest()
         self._fp_cache[FINGERPRINT_IDENTITY] = (root_digest, digest)
         return digest
 

@@ -258,6 +258,9 @@ class NameRegistry:
     def __init__(self) -> None:
         self._operations: Dict[Tuple[str, str], OperationMapping] = {}
         self._properties: Dict[Tuple[str, str], PropertyMapping] = {}
+        #: Bumped by every registration; whoever memoises resolutions (the
+        #: converters) compares it to know when to start over.
+        self.generation = 0
 
     # -- registration ------------------------------------------------------------
 
@@ -277,6 +280,7 @@ class NameRegistry:
         unified = intern_identifier(unified_name or clean_identifier(native_name))
         mapping = OperationMapping(dbms.lower(), native_name, unified, category)
         self._operations[(dbms.lower(), native_name.lower())] = mapping
+        self.generation += 1
         return mapping
 
     def register_property(
@@ -290,6 +294,7 @@ class NameRegistry:
         unified = intern_identifier(unified_name or clean_identifier(native_name))
         mapping = PropertyMapping(dbms.lower(), native_name, unified, category)
         self._properties[(dbms.lower(), native_name.lower())] = mapping
+        self.generation += 1
         return mapping
 
     def register_operations(

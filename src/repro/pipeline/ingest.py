@@ -45,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.converters.base import ConverterHub, default_hub, source_hash
+from repro.converters.base import ConverterHub, PlanConverter, default_hub, source_hash
 from repro.core.compare import structural_fingerprint
 from repro.core.model import UnifiedPlan
 from repro.errors import ConversionError
@@ -269,28 +269,17 @@ class PlanIngestService:
             return None
         return self.coverage.save()
 
-    def _canonical_name(self, dbms: str) -> str:
-        """Resolve aliases so 'postgres' and 'postgresql' share one bucket."""
-        try:
-            return self.hub.resolve_name(dbms)
-        except ConversionError:
-            return dbms.strip().lower()
+    def _resolve_spelling(self, dbms: str) -> Tuple[str, Optional[PlanConverter]]:
+        """``(canonical name, converter)`` for one spelling of a DBMS name.
 
-    def _group_key(self, source: PlanSource):
-        """Source-identity key for pre-conversion dedup, alias-canonical.
-
-        Returns ``(key, hub_derived)``; hub-derived keys can be handed back
-        to :meth:`ConverterHub.convert_traced` to skip re-hashing the text.
+        Aliases resolve, so 'postgres' and 'postgresql' share one bucket; an
+        unregistered DBMS keeps its normalised spelling and has no converter
+        (the conversion stage records the per-entry error).
         """
         try:
-            # The hub's own key also resolves the default format, so
-            # format=None and an explicit default-format spelling coincide.
-            return self.hub.cache_key(source.dbms, source.text, source.format), True
+            return self.hub.resolve_name(dbms), self.hub.converter(dbms)
         except ConversionError:
-            # Unregistered DBMS: group by the raw spelling; the conversion
-            # stage will record the per-entry error.
-            key = (source.dbms.strip().lower(), source.format, source_hash(source.text))
-            return key, False
+            return dbms.strip().lower(), None
 
     # -- single-plan convenience -------------------------------------------------
 
@@ -308,12 +297,26 @@ class PlanIngestService:
         report = IngestReport(entries=[IngestedPlan(source) for source in batch])
 
         # Stage 1: collapse identical sources before converting anything.
+        # Each spelling of a DBMS name resolves once per batch; the key is
+        # the hub's own (it also resolves the default format, so format=None
+        # and an explicit default-format spelling coincide) and is handed
+        # back to convert_traced to skip re-hashing the text.
+        spellings: Dict[str, Tuple[str, Optional[PlanConverter]]] = {}
+        names: List[str] = []
         groups: Dict[Tuple[str, Optional[str], str], List[int]] = {}
         hub_derived: Dict[Tuple[str, Optional[str], str], bool] = {}
         for index, source in enumerate(batch):
-            key, from_hub = self._group_key(source)
+            resolved = spellings.get(source.dbms)
+            if resolved is None:
+                resolved = spellings[source.dbms] = self._resolve_spelling(source.dbms)
+            name, converter = resolved
+            names.append(name)
+            if converter is not None:
+                key = converter.cache_key(source.text, source.format)
+            else:
+                key = (name, source.format, source_hash(source.text))
             groups.setdefault(key, []).append(index)
-            hub_derived[key] = from_hub
+            hub_derived[key] = converter is not None
 
         # Stage 2: resolve one representative per group — from the hub's
         # conversion cache, from the persistent source index (warm start:
@@ -389,7 +392,7 @@ class PlanIngestService:
             first_with[entry.fingerprint] = index
             if entry.fingerprint in self._indexed:
                 continue  # store entry known complete: nothing to learn
-            name = self._canonical_name(entry.source.dbms)
+            name = names[index]
             meta: Dict[str, object] = {"d": name}
             plan = self._seen.get(entry.fingerprint)
             if plan is not None:
@@ -402,8 +405,7 @@ class PlanIngestService:
 
         # Per-DBMS breakdown (exact: `converted`/`error` are per-entry facts).
         per_dbms_fingerprints: Dict[str, set] = {}
-        for entry in report.entries:
-            name = self._canonical_name(entry.source.dbms)
+        for name, entry in zip(names, report.entries):
             stats = report.per_dbms.setdefault(name, DbmsIngestStats())
             stats.sources += 1
             if not entry.ok:

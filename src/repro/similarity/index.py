@@ -6,8 +6,9 @@ three contracts as the structures it sits beside:
 
 * **Soft numpy dependency** (the :mod:`repro.engine.arrays` contract) —
   when numpy is importable and enabled, queries run as one matrix·vector
-  product over a cached dense matrix; otherwise a pure-list loop computes
-  the same distances.  Embedding vectors are integer-valued by construction
+  product over an append-only dense matrix (rows in insertion order, grown
+  by doubling, never rebuilt); otherwise a pure-list loop computes the
+  same distances.  Embedding vectors are integer-valued by construction
   (:mod:`repro.similarity.embedding`), so every product and partial sum is
   exact in float64 and the two paths return **bit-identical** distances —
   not merely close ones.  ``REPRO_DISABLE_NUMPY`` and
@@ -45,8 +46,8 @@ try:  # pragma: no cover - exercised via both CI jobs
 except ImportError:  # pragma: no cover
     _np = None
 
-#: Below this many entries the list loop beats building/consulting the
-#: dense matrix; above it the matrix path wins (and stays bit-identical).
+#: Below this many entries the list loop beats consulting the dense
+#: matrix; above it the matrix path wins (and stays bit-identical).
 _DENSE_MIN_ENTRIES = 8
 
 
@@ -107,9 +108,13 @@ class PlanIndex(ShardedLog):
         self._shards: List[Dict[str, Tuple[float, ...]]] = [
             dict() for _ in range(self.shard_count)
         ]
-        #: Bumped on every mutation; keys the cached dense matrix.
-        self._revision = 0
-        self._dense: Optional[Tuple[int, List[str], object, object]] = None
+        #: Every ``(fingerprint, vector)`` in insertion order — the row order of
+        #: the dense matrix, whose first ``_dense_rows`` rows are filled
+        #: (entries never leave).
+        self._entries: List[Tuple[str, Tuple[float, ...]]] = []
+        self._dense_rows = 0
+        self._matrix = None
+        self._norms_sq = None
 
     def _check_dimensions(self, vector: Tuple[float, ...]) -> None:
         if self.dimensions is None:
@@ -127,11 +132,14 @@ class PlanIndex(ShardedLog):
             return False
         if fingerprint in self._shards[shard]:
             return False
-        values = tuple(float(value) for value in vector)
+        self._insert(shard, fingerprint, tuple(float(value) for value in vector))
+        return True
+
+    def _insert(self, shard: int, fingerprint: str, values: Tuple[float, ...]) -> None:
+        """The one way an entry enters memory (add, load, merge alike)."""
         self._check_dimensions(values)
         self._shards[shard][fingerprint] = values
-        self._revision += 1
-        return True
+        self._entries.append((fingerprint, values))
 
     def _shard_records(self, shard: int) -> List[Dict[str, object]]:
         return [
@@ -140,10 +148,7 @@ class PlanIndex(ShardedLog):
         ]
 
     def _manifest_fields(self) -> Dict[str, object]:
-        return {
-            "entries": sum(len(shard) for shard in self._shards),
-            "dimensions": self.dimensions,
-        }
+        return {"entries": len(self._entries), "dimensions": self.dimensions}
 
     # -- core API --------------------------------------------------------------
 
@@ -161,8 +166,7 @@ class PlanIndex(ShardedLog):
             shard = shard_for(fingerprint, self.shard_count)
             if fingerprint in self._shards[shard]:
                 return False
-            self._shards[shard][fingerprint] = values
-            self._revision += 1
+            self._insert(shard, fingerprint, values)
             self._append(shard, {"f": fingerprint, "v": list(values)})
             return True
 
@@ -181,8 +185,7 @@ class PlanIndex(ShardedLog):
             return self._shards[shard].get(fingerprint)
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(len(shard) for shard in self._shards)
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.fingerprints())
@@ -190,46 +193,46 @@ class PlanIndex(ShardedLog):
     def fingerprints(self) -> List[str]:
         """Every indexed fingerprint, sorted (layout-independent order)."""
         with self._lock:
-            collected: List[str] = []
-            for shard in self._shards:
-                collected.extend(shard)
-            collected.sort()
-            return collected
+            return sorted([fingerprint for fingerprint, _ in self._entries])
 
     # -- queries ---------------------------------------------------------------
 
     def _dense_matrix(self):
-        """The cached ``(fingerprints, matrix, norms_sq)`` for numpy queries."""
-        dense = self._dense
-        if dense is not None and dense[0] == self._revision:
-            return dense[1], dense[2], dense[3]
-        fingerprints: List[str] = []
-        vectors: List[Tuple[float, ...]] = []
-        for shard in self._shards:
-            for fingerprint, vector in shard.items():
-                fingerprints.append(fingerprint)
-                vectors.append(vector)
-        matrix = _np.asarray(vectors, dtype=_np.float64)
-        # Squared norms stay exact integers; the sqrt happens per query on
-        # the norms_sq * query_norm_sq product (see _distances).
-        norms_sq = (matrix * matrix).sum(axis=1)
-        self._dense = (self._revision, fingerprints, matrix, norms_sq)
-        return fingerprints, matrix, norms_sq
+        """``(matrix, norms_sq)`` over every entry, rows in insertion order.
 
-    def _distances(
-        self, query: Tuple[float, ...]
-    ) -> List[Tuple[float, str]]:
-        """``(distance, fingerprint)`` for every entry (unordered)."""
-        use_numpy = (
-            _np is not None
-            and arrays.numpy_enabled()
-            and len(self) >= _DENSE_MIN_ENTRIES
-        )
+        Entries added since the last call go into spare capacity (doubled when
+        it runs out): a ``nearest_distance`` → ``add`` step costs its own row.
+        """
+        total = len(self._entries)
+        filled = self._dense_rows
+        if filled < total:
+            if self._matrix is None or total > len(self._matrix):
+                matrix = _np.empty((2 * total, self.dimensions), dtype=_np.float64)
+                norms_sq = _np.empty(2 * total, dtype=_np.float64)
+                if filled:
+                    matrix[:filled] = self._matrix[:filled]
+                    norms_sq[:filled] = self._norms_sq[:filled]
+                self._matrix, self._norms_sq = matrix, norms_sq
+            block = self._matrix[filled:total]
+            block[:] = [vector for _, vector in self._entries[filled:total]]
+            # Squared norms stay exact integers; the sqrt happens per query
+            # on the norms_sq * query_norm_sq product (see _nearest_pairs).
+            self._norms_sq[filled:total] = (block * block).sum(axis=1)
+            self._dense_rows = total
+        return self._matrix[:total], self._norms_sq[:total]
+
+    def _nearest_pairs(self, query: Tuple[float, ...], k: int) -> List[Tuple[float, str]]:
+        """Unordered ``(distance, fingerprint)`` pairs holding the *k* nearest:
+        every entry on the list path, those no farther than the *k*-th
+        smallest distance (ties included) on the numpy path."""
+        entries = self._entries
+        total = len(entries)
+        use_numpy = _np is not None and arrays.numpy_enabled() and total >= _DENSE_MIN_ENTRIES
         query_norm_sq = 0.0
         for value in query:
             query_norm_sq += value * value
         if use_numpy:
-            fingerprints, matrix, norms_sq = self._dense_matrix()
+            matrix, norms_sq = self._dense_matrix()
             dots = matrix.dot(_np.asarray(query, dtype=_np.float64))
             if query_norm_sq == 0.0:
                 distances = _np.where(norms_sq == 0.0, 0.0, 1.0)
@@ -243,25 +246,26 @@ class PlanIndex(ShardedLog):
                 distances = _np.maximum(
                     _np.where(norms_sq == 0.0, 1.0, 1.0 - dots / safe), 0.0
                 )
-            return [
-                (float(distance), fingerprint)
-                for distance, fingerprint in zip(distances, fingerprints)
-            ]
+            if k < total:
+                cutoff = _np.partition(distances, k - 1)[k - 1]
+                rows = _np.flatnonzero(distances <= cutoff).tolist()
+            else:
+                rows = range(total)
+            return [(float(distances[row]), entries[row][0]) for row in rows]
         pairs: List[Tuple[float, str]] = []
-        for shard in self._shards:
-            for fingerprint, vector in shard.items():
-                dot = 0.0
-                norm_sq = 0.0
-                for x, y in zip(vector, query):
-                    dot += x * y
-                    norm_sq += x * x
-                if norm_sq == 0.0 or query_norm_sq == 0.0:
-                    distance = 0.0 if norm_sq == query_norm_sq else 1.0
-                else:
-                    distance = max(
-                        0.0, 1.0 - dot / math.sqrt(norm_sq * query_norm_sq)
-                    )
-                pairs.append((distance, fingerprint))
+        for fingerprint, vector in entries:
+            dot = 0.0
+            norm_sq = 0.0
+            for x, y in zip(vector, query):
+                dot += x * y
+                norm_sq += x * x
+            if norm_sq == 0.0 or query_norm_sq == 0.0:
+                distance = 0.0 if norm_sq == query_norm_sq else 1.0
+            else:
+                distance = max(
+                    0.0, 1.0 - dot / math.sqrt(norm_sq * query_norm_sq)
+                )
+            pairs.append((distance, fingerprint))
         return pairs
 
     def query(
@@ -282,7 +286,7 @@ class PlanIndex(ShardedLog):
                     f"query width {len(query)} does not match the index "
                     f"width {self.dimensions}"
                 )
-            pairs = self._distances(query)
+            pairs = self._nearest_pairs(query, k)
         best = nsmallest(k, pairs)
         return [(fingerprint, distance) for distance, fingerprint in best]
 
@@ -309,11 +313,7 @@ class PlanIndex(ShardedLog):
         """
         if isinstance(other, PlanIndex):
             with other._lock:
-                entries = [
-                    (fingerprint, vector)
-                    for shard in other._shards
-                    for fingerprint, vector in shard.items()
-                ]
+                entries = list(other._entries)
         else:
             entries = list(other.items())
         added = 0
@@ -335,8 +335,7 @@ class PlanIndex(ShardedLog):
             return {
                 "entries": {
                     fingerprint: list(vector)
-                    for shard in self._shards
-                    for fingerprint, vector in shard.items()
+                    for fingerprint, vector in self._entries
                 },
             }
 

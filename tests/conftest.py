@@ -92,8 +92,11 @@ def build_relational_dialect(name):
     return dialect
 
 
-def build_dialect_example_plan(name):
-    """One converted example plan for *name*, covering every DBMS kind."""
+def build_dialect_example_plan(name, format_name=None):
+    """One converted example plan for *name*, covering every DBMS kind.
+
+    *format_name* picks one of the converter's native formats (default: its
+    first); MongoDB and InfluxDB have a single one."""
     if name == "mongodb":
         dialect = create_dialect("mongodb")
         dialect.insert_many("users", [{"_id": i, "age": i} for i in range(20)])
@@ -108,11 +111,12 @@ def build_dialect_example_plan(name):
             node_a = dialect.store.create_node(["Item"], {"qid": f"Q{i}"})
             node_b = dialect.store.create_node(["Item"], {"qid": f"R{i}"})
             dialect.store.create_relationship(node_a.node_id, "P31", node_b.node_id)
+        format_name = format_name or "json"
         output = dialect.explain(
             "MATCH (s:Item)-[r:P31]->(o:Item) RETURN s.qid, count(o.qid)",
-            format="json",
+            format=format_name,
         )
-        return converter_for("neo4j").convert(output.text, format="json")
+        return converter_for("neo4j").convert(output.text, format=format_name)
     if name == "influxdb":
         dialect = create_dialect("influxdb")
         dialect.write_points(
@@ -122,7 +126,7 @@ def build_dialect_example_plan(name):
         return converter_for("influxdb").convert(output.text)
     converter = converter_for(name)
     dialect = build_relational_dialect(name)
-    format_name = converter.formats[0]
+    format_name = format_name or converter.formats[0]
     serialized = dialect.explain(RELATIONAL_QUERY, format=format_name).text
     return converter.convert(serialized, format=format_name)
 
@@ -187,3 +191,15 @@ def dialect_example_plans():
     from repro.converters import available_converters
 
     return {name: build_dialect_example_plan(name) for name in available_converters()}
+
+
+@pytest.fixture(scope="session")
+def dialect_format_example_plans():
+    """One example UnifiedPlan per ``(dbms, native format)``.  Treat as frozen."""
+    from repro.converters import available_converters
+
+    return {
+        (name, format_name): build_dialect_example_plan(name, format_name)
+        for name in available_converters()
+        for format_name in converter_for(name).formats
+    }

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.converters import available_converters, converter_for
 from repro.core import OperationCategory, PropertyCategory, structural_fingerprint, validate_plan
 from repro.dialects import create_dialect
-from repro.errors import ConversionError
+from repro.core.naming import NameRegistry
+from repro.errors import ConversionError, PlanValidationError
 from repro.storage.timeseries_store import Point
 
 # The schema/data/query the relational conversions run over live in the
@@ -215,3 +216,161 @@ class TestUnknownNameFallback:
             assert operation.category is OperationCategory.EXECUTOR
             prop = converter.property("Imaginary Metric Xyz", 1)
             assert prop.category is PropertyCategory.STATUS
+
+
+class TestNameMemo:
+    """``PlanConverter.operation`` / ``property`` pay resolution, validation
+    and interning once per native name (PR 24); the memo must be invisible."""
+
+    def test_memoised_and_first_seen_names_build_equal_objects(self):
+        registry = NameRegistry()
+        seasoned = converter_for("postgresql", registry)
+        for _ in range(3):
+            seasoned.operation("Seq Scan")
+            seasoned.property("Total Cost", 1.5)
+            seasoned.property("never catalogued-name", "x")
+        fresh = converter_for("postgresql", registry)
+        for native in ("Seq Scan", "Frobnicate Quux Step 7"):
+            first_seen, memoised = fresh.operation(native), seasoned.operation(native)
+            assert first_seen == memoised and hash(first_seen) == hash(memoised)
+            assert seasoned.operation(native) is memoised  # the shared instance
+        for native, value in (("Total Cost", 12.5), ("never catalogued-name", "7"), ("Filter", None)):
+            first_seen, memoised = fresh.property(native, value), seasoned.property(native, value)
+            assert first_seen == memoised and hash(first_seen) == hash(memoised)
+            assert first_seen.identifier is memoised.identifier  # both interned
+            assert first_seen.__dict__ == memoised.__dict__
+            assert str(first_seen) == str(memoised)
+
+    def test_memoised_properties_still_coerce_and_check_values(self):
+        converter = converter_for("postgresql", NameRegistry())
+        assert converter.property("Plan Rows", "10").value == 10
+        assert converter.property("Plan Rows", "10").value == 10
+        assert converter.property("Plan Rows", " 2.5 ").value == 2.5
+        assert converter.property("Plan Rows", ["a"]).value == "['a']"
+        from repro.core.model import Property
+
+        with pytest.raises(PlanValidationError):
+            Property.trusted(PropertyCategory.COST, "Total Cost", ["not", "a", "value"])
+
+    def test_invalid_name_raises_on_every_call(self):
+        registry = NameRegistry()
+        registry.register_operation("postgresql", "Bad Op", OperationCategory.JOIN, "9 starts with a digit")
+        registry.register_property("postgresql", "Bad Prop", PropertyCategory.COST, "trailing space ")
+        converter = converter_for("postgresql", registry)
+        for _ in range(3):
+            with pytest.raises(PlanValidationError):
+                converter.operation("Bad Op")
+            with pytest.raises(PlanValidationError):
+                converter.property("Bad Prop", 1)
+        assert converter.operation("Good Op").identifier == "Good Op"
+
+    def test_a_registration_after_the_fact_is_seen(self):
+        registry = NameRegistry()
+        converter = converter_for("postgresql", registry)
+        assert converter.operation("LLM Join").category is OperationCategory.EXECUTOR
+        assert converter.property("Tokens Used", 3).category is PropertyCategory.STATUS
+        registry.register_operation("postgresql", "LLM Join", OperationCategory.JOIN)
+        registry.register_property("postgresql", "Tokens Used", PropertyCategory.COST)
+        assert converter.operation("LLM Join").category is OperationCategory.JOIN
+        assert converter.property("Tokens Used", 3).category is PropertyCategory.COST
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        from repro.converters import base
+
+        monkeypatch.setattr(base, "_NAME_MEMO_LIMIT", 4)
+        converter = converter_for("tidb", NameRegistry())
+        for number in range(50):  # auto-numbered operators, as in a long campaign
+            assert converter.operation(f"TableFullScan_{number}").identifier == f"Table Full Scan_{number}"
+            assert converter.property(f"metric {number}", number).value == number
+        assert len(converter._names().operations) == 4 and len(converter._names().properties) == 4
+        assert converter.operation("TableFullScan_49") == converter.operation("TableFullScan_49")
+
+
+    def test_threads_sharing_a_converter_agree_with_one_thread(self):
+        """The hub hands one converter to every ingest worker thread, so the
+        memo is shared state: racing fills (and a registration landing in the
+        middle) must never produce a property a lone thread would not."""
+        import sys
+        import threading
+
+        registry = NameRegistry()
+        shared = converter_for("tidb", registry)
+        names = [f"metric {number % 97}" for number in range(600)]
+        lone = converter_for("tidb", NameRegistry())
+        expected = [(lone.property(name, "1"), lone.operation(name)) for name in names]
+        results = {}
+
+        def worker(slot):
+            results[slot] = [(shared.property(name, "1"), shared.operation(name)) for name in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(6)]
+            for thread in threads:
+                thread.start()
+            # Unrelated to the names above: only the generation moves.
+            registry.register_property("tidb", "elsewhere", PropertyCategory.COST)
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(results[slot] == expected for slot in range(6))
+        # A registration that *does* touch a memoised name is seen by every
+        # call that starts after it.
+        registry.register_property("tidb", "metric 5", PropertyCategory.COST)
+        assert shared.property("metric 5", 1).category is PropertyCategory.COST
+
+
+class TestHubInstances:
+    def test_two_threads_get_the_one_shared_instance(self, hub):
+        """``converter()`` reads lock-free and locks only to instantiate:
+        racing first calls must still leave exactly one instance per DBMS."""
+        import threading
+
+        for name in available_converters():
+            barrier = threading.Barrier(2)
+            seen = []
+
+            def first_call():
+                barrier.wait()
+                seen.append(hub.converter(name))
+
+            threads = [threading.Thread(target=first_call) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen[0] is seen[1] is hub.converter(name)
+        assert sorted(hub._instances) == available_converters()
+
+    def test_instantiation_happens_once_under_contention(self, hub, monkeypatch):
+        import threading
+        import time
+
+        from repro.converters.base import ConverterHub
+
+        built = []
+        real = ConverterHub._classes["sqlite"]
+
+        class Slow(real):
+            def __init__(self, registry=None):
+                built.append(threading.get_ident())
+                time.sleep(0.05)  # hold the window open for the other thread
+                super().__init__(registry)
+
+        monkeypatch.setitem(ConverterHub._classes, "sqlite", Slow)
+        seen = []
+        threads = [
+            threading.Thread(target=lambda: seen.append(hub.converter("sqlite")))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 1
+        assert seen[0] is seen[1]
