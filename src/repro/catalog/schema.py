@@ -43,20 +43,25 @@ class DataType(enum.Enum):
     @property
     def is_numeric(self) -> bool:
         """Whether values of this type are ordered numbers."""
-        return self in {DataType.INTEGER, DataType.FLOAT, DataType.DECIMAL}
+        return self in _NUMERIC_TYPES
 
     @property
     def width(self) -> int:
         """A nominal byte width used by cardinality/width estimation."""
-        return {
-            DataType.INTEGER: 4,
-            DataType.FLOAT: 8,
-            DataType.DECIMAL: 8,
-            DataType.BOOLEAN: 1,
-            DataType.DATE: 4,
-            DataType.TIMESTAMP: 8,
-            DataType.TEXT: 32,
-        }[self]
+        return _TYPE_WIDTHS[self]
+
+
+_NUMERIC_TYPES = frozenset({DataType.INTEGER, DataType.FLOAT, DataType.DECIMAL})
+
+_TYPE_WIDTHS = {
+    DataType.INTEGER: 4,
+    DataType.FLOAT: 8,
+    DataType.DECIMAL: 8,
+    DataType.BOOLEAN: 1,
+    DataType.DATE: 4,
+    DataType.TIMESTAMP: 8,
+    DataType.TEXT: 32,
+}
 
 
 @dataclass

@@ -1164,10 +1164,15 @@ class Planner:
         needed: Dict[str, Set[str]] = {relation.alias: set() for relation in relations}
 
         def mark(expression: Optional[ast.Expression]) -> None:
-            if expression is None:
-                return
             for node in ast.iter_expressions(expression):
-                if isinstance(node, ast.Star):
+                if isinstance(node, ast.ColumnRef):
+                    if node.table and node.table in alias_names:
+                        needed[node.table].add(node.column)
+                    elif node.table is None:
+                        owner = self._owning_alias(node.column, alias_names)
+                        if owner is not None:
+                            needed[owner].add(node.column)
+                elif isinstance(node, ast.Star):
                     for relation in relations:
                         if relation.table_name and self.database.has_table(relation.table_name):
                             needed[relation.alias].update(
@@ -1175,13 +1180,6 @@ class Planner:
                             )
                         else:
                             needed[relation.alias].add("*")
-            for reference in ast.referenced_columns(expression):
-                if reference.table and reference.table in alias_names:
-                    needed[reference.table].add(reference.column)
-                elif reference.table is None:
-                    owner = self._owning_alias(reference.column, alias_names)
-                    if owner is not None:
-                        needed[owner].add(reference.column)
 
         for item in core.items:
             if isinstance(item.expression, ast.Star):

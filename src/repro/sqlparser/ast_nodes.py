@@ -381,40 +381,48 @@ class Explain(Statement):
 
 
 def iter_expressions(expression: Optional[Expression]) -> Iterator[Expression]:
-    """Yield *expression* and every nested sub-expression (pre-order)."""
-    if expression is None:
-        return
-    yield expression
-    children: Sequence[Optional[Expression]]
-    if isinstance(expression, BinaryOp):
-        children = (expression.left, expression.right)
-    elif isinstance(expression, UnaryOp):
-        children = (expression.operand,)
-    elif isinstance(expression, FunctionCall):
-        children = tuple(expression.arguments)
-    elif isinstance(expression, InList):
-        children = (expression.expression, *expression.items)
-    elif isinstance(expression, InSubquery):
-        children = (expression.expression,)
-    elif isinstance(expression, Between):
-        children = (expression.expression, expression.low, expression.high)
-    elif isinstance(expression, Like):
-        children = (expression.expression, expression.pattern)
-    elif isinstance(expression, IsNull):
-        children = (expression.expression,)
-    elif isinstance(expression, Case):
-        children = (
-            expression.operand,
-            *[when.condition for when in expression.whens],
-            *[when.result for when in expression.whens],
-            expression.else_result,
-        )
-    elif isinstance(expression, Cast):
-        children = (expression.expression,)
-    else:
-        children = ()
-    for child in children:
-        yield from iter_expressions(child)
+    """Yield *expression* and every nested sub-expression (pre-order).
+
+    An explicit stack, not recursive ``yield from``, which pays one generator
+    resumption per level for every node it yields.
+    """
+    stack = [expression]
+    while stack:
+        expression = stack.pop()
+        if expression is None:
+            continue
+        yield expression
+        if isinstance(expression, (ColumnRef, Literal)):
+            continue
+        children: Sequence[Optional[Expression]]
+        if isinstance(expression, BinaryOp):
+            children = (expression.left, expression.right)
+        elif isinstance(expression, UnaryOp):
+            children = (expression.operand,)
+        elif isinstance(expression, FunctionCall):
+            children = expression.arguments
+        elif isinstance(expression, InList):
+            children = (expression.expression, *expression.items)
+        elif isinstance(expression, InSubquery):
+            children = (expression.expression,)
+        elif isinstance(expression, Between):
+            children = (expression.expression, expression.low, expression.high)
+        elif isinstance(expression, Like):
+            children = (expression.expression, expression.pattern)
+        elif isinstance(expression, IsNull):
+            children = (expression.expression,)
+        elif isinstance(expression, Case):
+            children = (
+                expression.operand,
+                *[when.condition for when in expression.whens],
+                *[when.result for when in expression.whens],
+                expression.else_result,
+            )
+        elif isinstance(expression, Cast):
+            children = (expression.expression,)
+        else:
+            children = ()
+        stack.extend(reversed(children))
 
 
 def referenced_columns(expression: Optional[Expression]) -> List[ColumnRef]:
@@ -432,12 +440,19 @@ def contains_aggregate(expression: Optional[Expression]) -> bool:
 
 
 def split_conjuncts(expression: Optional[Expression]) -> List[Expression]:
-    """Split an AND-connected predicate into its conjuncts."""
-    if expression is None:
-        return []
-    if isinstance(expression, BinaryOp) and expression.operator.upper() == "AND":
-        return split_conjuncts(expression.left) + split_conjuncts(expression.right)
-    return [expression]
+    """Split an AND-connected predicate into its conjuncts, left to right.
+
+    Iterative: a long ``a AND b AND …`` chain costs linear time, no recursion.
+    """
+    conjuncts: List[Expression] = []
+    stack = [expression]
+    while stack:
+        expression = stack.pop()
+        if isinstance(expression, BinaryOp) and expression.operator.upper() == "AND":
+            stack += (expression.right, expression.left)
+        elif expression is not None:
+            conjuncts.append(expression)
+    return conjuncts
 
 
 def conjoin(conjuncts: Sequence[Expression]) -> Optional[Expression]:

@@ -12,11 +12,14 @@ objects.  It supports:
 * positional parameters (``?`` and ``$1``-style).
 
 The scanner is one master regular expression with named alternatives,
-advanced with :meth:`re.Pattern.match` so that a position no alternative
-matches is a lexical error (never silently skipped).  It is token-compatible
-with the original hand-rolled character loop (kept as a fixture in
-``tests/test_lexer_equivalence.py``) but roughly 3x faster, which matters
-because every generated campaign query is lexed at least once.
+driven by :meth:`re.Pattern.finditer`.  Its last alternative matches any
+single character, so the matches tile the input and a position no real
+alternative matches surfaces as an ``ERROR`` match — a lexical error at
+that index, never silently skipped.  It is token-compatible with the
+original hand-rolled character loop (kept as a fixture in
+``tests/test_lexer_equivalence.py``).  Every cold statement is lexed once,
+so a token costs one match, a lookup on its alternative's name and one
+:class:`~repro.sqlparser.tokens.Token`, and the regex scan is the larger part.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from repro.sqlparser.tokens import KEYWORDS, Token, TokenType
 #: number alternative: the engine has no hexadecimal literals, and letting
 #: ``0x10`` silently split into NUMBER ``0`` + identifier ``x10`` produced a
 #: bogus-but-"successful" query instead of an error (a PR-5 bug fix).
-_MASTER = re.compile(
+#: ``ERROR`` comes last and matches any one character, so it only wins
+#: where nothing else does.
+_SCAN = re.compile(
     r"""
       (?P<WS>\s+)
     | (?P<LINE_COMMENT>--[^\n]*\n?)
@@ -49,9 +54,25 @@ _MASTER = re.compile(
     | (?P<WORD>[^\W\d]\w*)
     | (?P<OPERATOR><>|!=|>=|<=|\|\||[=<>+\-*/%])
     | (?P<PUNCTUATION>[(),.;])
+    | (?P<ERROR>[\s\S])
     """,
     re.VERBOSE,
-).match
+).finditer
+
+#: Alternatives that produce no token.
+_SKIPPED = frozenset({"WS", "LINE_COMMENT"})
+
+#: Alternatives whose text is the token value as-is.
+_VERBATIM = {
+    name: TokenType[name] for name in ("PUNCTUATION", "NUMBER", "OPERATOR", "PARAMETER")
+}
+
+#: Quoted alternatives: the token type and the doubled / single quote pair.
+_QUOTED = {
+    "STRING": (TokenType.STRING, "''", "'"),
+    "DQUOTED": (TokenType.IDENTIFIER, '""', '"'),
+    "BQUOTED": (TokenType.IDENTIFIER, "``", "`"),
+}
 
 
 def _raise_unmatched(sql: str, index: int) -> None:
@@ -68,59 +89,41 @@ def tokenize(sql: str) -> List[Token]:
     """Tokenize *sql*, returning a token list terminated by an EOF token."""
     tokens: List[Token] = []
     append = tokens.append
-    index = 0
-    length = len(sql)
     # Local bindings: the loop body runs once per token over every campaign
     # query, so global/attribute lookups are hoisted out of it.
-    match = _MASTER
     keywords = KEYWORDS
+    verbatim = _VERBATIM.get
+    skipped = _SKIPPED
     make = Token
     KEYWORD = TokenType.KEYWORD
     IDENTIFIER = TokenType.IDENTIFIER
-    NUMBER = TokenType.NUMBER
-    STRING = TokenType.STRING
-    OPERATOR = TokenType.OPERATOR
-    PUNCTUATION = TokenType.PUNCTUATION
-    PARAMETER = TokenType.PARAMETER
 
-    while index < length:
-        found = match(sql, index)
-        if found is None:
-            _raise_unmatched(sql, index)
+    for found in _SCAN(sql):
         kind = found.lastgroup
-        if kind == "WS":
-            index = found.end()
+        if kind in skipped:
             continue
         text = found.group()
         if kind == "WORD":
             upper = text.upper()
             if upper in keywords:
-                append(make(KEYWORD, upper, index))
+                append(make(KEYWORD, upper, found.start()))
             else:
-                append(make(IDENTIFIER, text, index))
-        elif kind == "PUNCTUATION":
-            append(make(PUNCTUATION, text, index))
-        elif kind == "NUMBER":
-            append(make(NUMBER, text, index))
-        elif kind == "OPERATOR":
-            append(make(OPERATOR, text, index))
-        elif kind == "STRING":
-            append(make(STRING, text[1:-1].replace("''", "'"), index))
-        elif kind == "DQUOTED":
-            append(make(IDENTIFIER, text[1:-1].replace('""', '"'), index))
-        elif kind == "BQUOTED":
-            append(make(IDENTIFIER, text[1:-1].replace("``", "`"), index))
-        elif kind == "PARAMETER":
-            append(make(PARAMETER, text, index))
+                append(make(IDENTIFIER, text, found.start()))
+            continue
+        token_type = verbatim(kind)
+        if token_type is not None:
+            append(make(token_type, text, found.start()))
+        elif kind in _QUOTED:
+            token_type, doubled, single = _QUOTED[kind]
+            append(make(token_type, text[1:-1].replace(doubled, single), found.start()))
+        elif kind == "ERROR":
+            _raise_unmatched(sql, found.start())
         elif kind == "HEX":
             raise LexerError(
-                f"hexadecimal literals are not supported: {text!r}", index
+                f"hexadecimal literals are not supported: {text!r}", found.start()
             )
-        elif kind == "BLOCK_COMMENT":
-            if len(text) < 4 or not text.endswith("*/"):
-                raise LexerError("unterminated block comment", index)
-        # LINE_COMMENT: skipped like whitespace.
-        index = found.end()
+        elif len(text) < 4 or not text.endswith("*/"):  # BLOCK_COMMENT
+            raise LexerError("unterminated block comment", found.start())
 
-    append(Token(TokenType.EOF, "", length))
+    append(make(TokenType.EOF, "", len(sql)))
     return tokens

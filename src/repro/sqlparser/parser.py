@@ -1,8 +1,9 @@
-"""Recursive-descent parser for the SQL subset.
+"""Parser for the SQL subset.
 
 The parser consumes tokens from :mod:`repro.sqlparser.lexer` and produces the
-AST of :mod:`repro.sqlparser.ast_nodes`.  The grammar follows conventional SQL
-precedence:
+AST of :mod:`repro.sqlparser.ast_nodes`.  Statements are parsed by recursive
+descent; expressions by precedence climbing (:meth:`Parser._parse_binary`)
+with conventional SQL precedence:
 
 ``OR`` < ``AND`` < ``NOT`` < comparison / ``IN`` / ``BETWEEN`` / ``LIKE`` /
 ``IS`` < additive < multiplicative < unary < primary.
@@ -18,6 +19,39 @@ from repro.sqlparser.lexer import tokenize
 from repro.sqlparser.tokens import Token, TokenType
 
 _AGGREGATE_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
+
+_KEYWORD = TokenType.KEYWORD
+_OPERATOR = TokenType.OPERATOR
+
+#: Binding power of each binary operator for precedence climbing; a larger
+#: power binds tighter.  Prefix ``NOT`` sits at 3, between ``AND`` and the
+#: comparisons; the comparison tail (``IS``, ``[NOT] IN`` / ``BETWEEN`` /
+#: ``LIKE``) binds like ``=``.  Unary signs bind tightest of all.
+_BINARY_POWER = {
+    "OR": 1,
+    "AND": 2,
+    "=": 4, "<>": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "IS": 4, "IN": 4, "BETWEEN": 4, "LIKE": 4, "NOT": 4,
+    "+": 5, "-": 5, "||": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+_NOT_POWER = 3
+_ADDITIVE_POWER = 5
+_MAX_POWER = max(_BINARY_POWER.values())
+
+#: The deepest expression the parser accepts, counting both the height of
+#: the tree (so a left-deep ``a AND b AND …`` chain's length) and the
+#: nesting of parentheses, calls and subqueries (cf. SQLite's
+#: ``SQLITE_MAX_EXPR_DEPTH``).  The parser, printer, ``estimate_selectivity``,
+#: ``compile_expression(_batch)`` and ``evaluate`` recurse up to ~4 frames
+#: per level, so 200 stays well under Python's default recursion limit.
+MAX_EXPRESSION_DEPTH = 200
+
+#: Levels each SELECT adds: planning and running a nested one costs about
+#: three expression levels' worth of frames.
+_SELECT_DEPTH = 2
 
 _TYPE_KEYWORDS = {
     "INT", "INTEGER", "BIGINT", "FLOAT", "REAL", "DOUBLE", "PRECISION", "TEXT",
@@ -37,15 +71,21 @@ class Parser:
         #: sorted tuple per statement under :attr:`statement_tables`.
         self._tables: Set[str] = set()
         self.statement_tables: List[Tuple[str, ...]] = []
+        #: Expression-depth bookkeeping (see :meth:`_parse_binary`).
+        self._depth = 0
+        self._height = 0
 
     # ------------------------------------------------------------------ utils
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        if offset:
+            return self._tokens[min(self._index + offset, len(self._tokens) - 1)]
+        return self._tokens[self._index]
+
+    # The index never passes the trailing EOF token, so it needs no clamp.
 
     def _advance(self) -> Token:
-        token = self._peek()
+        token = self._tokens[self._index]
         if token.type is not TokenType.EOF:
             self._index += 1
         return token
@@ -70,13 +110,16 @@ class Parser:
         return self._advance()
 
     def _accept_keyword(self, *keywords: str) -> Optional[Token]:
-        if self._peek().matches_keyword(*keywords):
-            return self._advance()
+        token = self._tokens[self._index]
+        if token.type is TokenType.KEYWORD and token.value in keywords:
+            self._index += 1
+            return token
         return None
 
     def _accept_punctuation(self, char: str) -> bool:
-        if self._peek().is_punctuation(char):
-            self._advance()
+        token = self._tokens[self._index]
+        if token.type is TokenType.PUNCTUATION and token.value == char:
+            self._index += 1
             return True
         return False
 
@@ -177,6 +220,9 @@ class Parser:
 
     def parse_select(self) -> ast.SelectStatement:
         """Parse a SELECT statement including set operations and ORDER/LIMIT."""
+        self._depth += _SELECT_DEPTH
+        if self._depth > MAX_EXPRESSION_DEPTH:
+            raise self._too_deep()
         body = self._parse_set_operation_body()
         statement = ast.SelectStatement(body=body)
         if self._accept_keyword("ORDER"):
@@ -186,6 +232,7 @@ class Parser:
             statement.limit = self.parse_expression()
         if self._accept_keyword("OFFSET"):
             statement.offset = self.parse_expression()
+        self._depth -= _SELECT_DEPTH
         return statement
 
     def _parse_set_operation_body(self) -> Union[ast.SelectCore, ast.SetOperation]:
@@ -525,175 +572,166 @@ class Parser:
 
     def parse_expression(self) -> ast.Expression:
         """Parse a scalar expression (the OR level)."""
-        return self._parse_or()
+        return self._parse_binary(1)
 
-    def _parse_or(self) -> ast.Expression:
-        left = self._parse_and()
-        while self._accept_keyword("OR"):
-            left = ast.BinaryOp("OR", left, self._parse_and())
-        return left
+    def _parse_binary(self, min_power: int) -> ast.Expression:
+        """Parse an expression whose binary operators bind at least *min_power*.
 
-    def _parse_and(self) -> ast.Expression:
-        left = self._parse_not()
-        while self._accept_keyword("AND"):
-            left = ast.BinaryOp("AND", left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> ast.Expression:
-        if self._accept_keyword("NOT"):
-            return ast.UnaryOp("NOT", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expression:
-        left = self._parse_additive()
+        Precedence climbing over :data:`_BINARY_POWER`: one call per level
+        of nesting, not one per precedence level.  Only an operator binding
+        no tighter than the last one applied (``NOT`` after a prefix ``NOT``)
+        may follow it, so the ``+ 1`` of ``a IS NULL + 1`` is left
+        unconsumed, as a method-per-level descent leaves it.  :attr:`_height`
+        is the running maximum height of the expressions finished since the
+        enclosing call reset it, :attr:`_depth` the open nesting; either
+        passing :data:`MAX_EXPRESSION_DEPTH` raises :class:`ParseError`.
+        """
+        outer_height = self._height
+        self._height = 0
+        self._depth += 1
+        if self._depth > MAX_EXPRESSION_DEPTH:
+            raise self._too_deep()
+        tokens = self._tokens
+        token = tokens[self._index]
+        if min_power <= _NOT_POWER and token.type is _KEYWORD and token.value == "NOT":
+            self._index += 1
+            left: ast.Expression = ast.UnaryOp("NOT", self._parse_binary(_NOT_POWER))
+            ceiling = _NOT_POWER
+        else:
+            ceiling = _MAX_POWER
+            signs = []
+            while token.type is _OPERATOR and (token.value == "-" or token.value == "+"):
+                signs.append(token.value)
+                self._index += 1
+                token = tokens[self._index]
+            left = self._parse_primary()
+            for sign in reversed(signs):
+                left = ast.UnaryOp(sign, left)
+            self._height += len(signs)
+        height = self._height + 1
         while True:
-            token = self._peek()
-            negated = False
-            if token.matches_keyword("NOT") and self._peek(1).matches_keyword(
-                "IN", "BETWEEN", "LIKE"
-            ):
-                self._advance()
-                token = self._peek()
-                negated = True
-            if token.is_operator("=", "<>", "!=", "<", "<=", ">", ">="):
-                operator = self._advance().value
-                operator = "<>" if operator == "!=" else operator
-                left = ast.BinaryOp(operator, left, self._parse_additive())
-                continue
-            if token.matches_keyword("IS"):
-                self._advance()
+            token = tokens[self._index]
+            if token.type is not _OPERATOR and token.type is not _KEYWORD:
+                break
+            operator = token.value
+            power = _BINARY_POWER.get(operator, 0)
+            if power < min_power or power > ceiling:
+                break
+            ceiling = power
+            negated = operator == "NOT"
+            if negated:
+                if not tokens[self._index + 1].matches_keyword("IN", "BETWEEN", "LIKE"):
+                    break
+                self._index += 1
+                operator = tokens[self._index].value
+            self._index += 1
+            self._height = 0
+            if operator == "IS":
                 is_negated = bool(self._accept_keyword("NOT"))
                 self._expect_keyword("NULL")
                 left = ast.IsNull(left, negated=is_negated)
-                continue
-            if token.matches_keyword("IN"):
-                self._advance()
+            elif operator == "IN":
                 self._expect_punctuation("(")
                 if self._peek().matches_keyword("SELECT"):
                     subquery = self.parse_select()
                     self._expect_punctuation(")")
                     left = ast.InSubquery(left, subquery, negated)
                 else:
-                    items = [self.parse_expression()]
-                    while self._accept_punctuation(","):
-                        items.append(self.parse_expression())
+                    items = self._parse_expression_list()
                     self._expect_punctuation(")")
                     left = ast.InList(left, items, negated)
-                continue
-            if token.matches_keyword("BETWEEN"):
-                self._advance()
-                low = self._parse_additive()
+            elif operator == "BETWEEN":
+                low = self._parse_binary(_ADDITIVE_POWER)
                 self._expect_keyword("AND")
-                high = self._parse_additive()
+                high = self._parse_binary(_ADDITIVE_POWER)
                 left = ast.Between(left, low, high, negated)
-                continue
-            if token.matches_keyword("LIKE"):
-                self._advance()
-                left = ast.Like(left, self._parse_additive(), negated)
-                continue
-            break
+            elif operator == "LIKE":
+                left = ast.Like(left, self._parse_binary(_ADDITIVE_POWER), negated)
+            else:
+                right = self._parse_binary(power + 1)
+                left = ast.BinaryOp("<>" if operator == "!=" else operator, left, right)
+            height = max(height, self._height) + 1
+        if height > MAX_EXPRESSION_DEPTH:
+            raise self._too_deep()
+        self._height = max(outer_height, height)
+        self._depth -= 1
         return left
 
-    def _parse_additive(self) -> ast.Expression:
-        left = self._parse_multiplicative()
-        while self._peek().is_operator("+", "-", "||"):
-            operator = self._advance().value
-            left = ast.BinaryOp(operator, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expression:
-        left = self._parse_unary()
-        while self._peek().is_operator("*", "/", "%"):
-            operator = self._advance().value
-            left = ast.BinaryOp(operator, left, self._parse_unary())
-        return left
-
-    def _parse_unary(self) -> ast.Expression:
-        token = self._peek()
-        if token.is_operator("-", "+"):
-            self._advance()
-            return ast.UnaryOp(token.value, self._parse_unary())
-        return self._parse_primary()
+    def _too_deep(self) -> ParseError:
+        token = self._tokens[self._index]
+        return ParseError(
+            f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels "
+            f"near position {token.position}",
+            token,
+        )
 
     def _parse_primary(self) -> ast.Expression:
-        token = self._peek()
+        tokens = self._tokens
+        token = tokens[self._index]
+        kind = token.type
 
-        if token.type is TokenType.NUMBER:
-            self._advance()
+        if kind is TokenType.IDENTIFIER:
+            following = tokens[self._index + 1]
+            if following.is_punctuation("("):
+                return self._parse_function_call(token.value)
+            self._index += 1
+            if following.is_punctuation(".") and tokens[self._index + 1].type in (
+                TokenType.IDENTIFIER,
+                TokenType.KEYWORD,
+            ):
+                self._index += 2
+                return ast.ColumnRef(column=tokens[self._index - 1].value, table=token.value)
+            return ast.ColumnRef(column=token.value)
+
+        if kind is TokenType.NUMBER:
+            self._index += 1
             text = token.value
-            value: object
-            if any(ch in text for ch in ".eE"):
-                value = float(text)
-            else:
-                value = int(text)
-            return ast.Literal(value)
+            if "." in text or "e" in text or "E" in text:
+                return ast.Literal(float(text))
+            return ast.Literal(int(text))
 
-        if token.type is TokenType.STRING:
-            self._advance()
+        if kind is TokenType.KEYWORD:
+            value = token.value
+            if value in _KEYWORD_LITERALS:
+                self._index += 1
+                return ast.Literal(_KEYWORD_LITERALS[value])
+            if value == "CASE":
+                return self._parse_case()
+            if value == "CAST":
+                self._index += 1
+                self._expect_punctuation("(")
+                expression = self.parse_expression()
+                self._expect_keyword("AS")
+                target_type = self._parse_type_name()
+                self._expect_punctuation(")")
+                return ast.Cast(expression, target_type)
+            if value == "EXISTS":
+                self._index += 1
+                self._expect_punctuation("(")
+                query = self.parse_select()
+                self._expect_punctuation(")")
+                return ast.Exists(query)
+            # Aggregates, and functions spelled as keywords (EXTRACT, SUBSTRING).
+            if value in _AGGREGATE_KEYWORDS or tokens[self._index + 1].is_punctuation("("):
+                return self._parse_function_call(value)
+
+        elif kind is TokenType.STRING:
+            self._index += 1
             return ast.Literal(token.value)
 
-        if token.type is TokenType.PARAMETER:
-            self._advance()
+        elif kind is TokenType.PARAMETER:
+            self._index += 1
             return ast.Parameter(token.value)
 
-        if token.matches_keyword("NULL"):
-            self._advance()
-            return ast.Literal(None)
-        if token.matches_keyword("TRUE"):
-            self._advance()
-            return ast.Literal(True)
-        if token.matches_keyword("FALSE"):
-            self._advance()
-            return ast.Literal(False)
-
-        if token.matches_keyword("CASE"):
-            return self._parse_case()
-
-        if token.matches_keyword("CAST"):
-            self._advance()
-            self._expect_punctuation("(")
-            expression = self.parse_expression()
-            self._expect_keyword("AS")
-            target_type = self._parse_type_name()
-            self._expect_punctuation(")")
-            return ast.Cast(expression, target_type)
-
-        if token.matches_keyword("EXISTS"):
-            self._advance()
-            self._expect_punctuation("(")
-            query = self.parse_select()
-            self._expect_punctuation(")")
-            return ast.Exists(query)
-
-        if token.is_punctuation("("):
-            self._advance()
-            if self._peek().matches_keyword("SELECT"):
+        elif token.is_punctuation("("):
+            self._index += 1
+            if tokens[self._index].matches_keyword("SELECT"):
                 query = self.parse_select()
                 self._expect_punctuation(")")
                 return ast.ScalarSubquery(query)
             expression = self.parse_expression()
             self._expect_punctuation(")")
             return expression
-
-        if token.type is TokenType.KEYWORD and token.value in _AGGREGATE_KEYWORDS:
-            return self._parse_function_call(token.value)
-
-        if token.type is TokenType.KEYWORD and self._peek(1).is_punctuation("("):
-            # Functions spelled as keywords, e.g. EXTRACT, SUBSTRING.
-            return self._parse_function_call(token.value)
-
-        if token.type is TokenType.IDENTIFIER:
-            if self._peek(1).is_punctuation("("):
-                return self._parse_function_call(token.value)
-            self._advance()
-            if self._peek().is_punctuation(".") and self._peek(1).type in (
-                TokenType.IDENTIFIER,
-                TokenType.KEYWORD,
-            ):
-                self._advance()
-                column = self._advance().value
-                return ast.ColumnRef(column=column, table=token.value)
-            return ast.ColumnRef(column=token.value)
 
         raise ParseError(
             f"unexpected token {token.value!r} at position {token.position}", token

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 
@@ -49,9 +48,12 @@ SINGLE_CHAR_OPERATORS = frozenset("=<>+-*/%")
 PUNCTUATION = frozenset("(),.;")
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
+
+    A plain ``__slots__`` class rather than a frozen dataclass: the lexer
+    builds one per token of every cold statement, and a frozen dataclass
+    pays an ``object.__setattr__`` per field.  Tokens are never mutated.
 
     Attributes
     ----------
@@ -64,9 +66,23 @@ class Token:
         Character offset of the token's first character in the input.
     """
 
-    type: TokenType
-    value: str
-    position: int
+    __slots__ = ("type", "value", "position")
+
+    def __init__(self, type: TokenType, value: str, position: int) -> None:
+        self.type = type
+        self.value = value
+        self.position = position
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return (self.type, self.value, self.position) == (other.type, other.value, other.position)
+
+    def __hash__(self) -> int:
+        return hash((self.type, self.value, self.position))
+
+    def __repr__(self) -> str:
+        return f"Token(type={self.type!r}, value={self.value!r}, position={self.position!r})"
 
     def matches_keyword(self, *keywords: str) -> bool:
         """Return whether this token is one of the given keywords."""

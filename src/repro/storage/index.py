@@ -57,6 +57,10 @@ class OrderedIndex:
     def __init__(self, definition: Index) -> None:
         self.definition = definition
         self._entries: List[Tuple[Tuple[_SortKey, ...], IndexKey, int]] = []
+        #: Set once a NaN leading value is inserted: NaN compares false both
+        #: ways, so ``insort`` stops keeping the entries sorted by leading
+        #: value and :meth:`range_scan` can no longer bisect them.
+        self._unordered = False
 
     # -- maintenance -------------------------------------------------------------
 
@@ -69,6 +73,8 @@ class OrderedIndex:
                 f"duplicate key {raw!r} for unique index {self.definition.name!r}"
             )
         insort(self._entries, (wrapped, raw, row_id))
+        if raw and raw[0] != raw[0]:
+            self._unordered = True
 
     def remove(self, key: Sequence[object], row_id: int) -> None:
         """Remove the entry for ``(key, row_id)`` if present."""
@@ -83,6 +89,7 @@ class OrderedIndex:
     def clear(self) -> None:
         """Remove every entry."""
         self._entries.clear()
+        self._unordered = False
 
     def _contains_key(self, wrapped: Tuple[_SortKey, ...]) -> bool:
         position = bisect_left(self._entries, (wrapped,))
@@ -122,8 +129,26 @@ class OrderedIndex:
         include_low: bool = True,
         include_high: bool = True,
     ) -> Iterator[Tuple[IndexKey, int]]:
-        """Yield ``(key, row_id)`` for leading-column values in ``[low, high]``."""
-        for wrapped, raw, row_id in self._entries:
+        """Yield ``(key, row_id)`` for leading-column values in ``[low, high]``.
+
+        Entries are sorted by leading value with NULLs first, so the answer
+        is the slice between two bisections; entries with a NULL leading
+        value are never yielded.  A NaN, which sorts nowhere, in a bound or
+        a leading value sends the scan through every entry instead, testing
+        each one.
+        """
+        entries = self._entries
+        if not (self._unordered or low != low or high != high):
+            # With no low bound the slice starts after the NULLs.
+            start = self._leading_position(_SortKey(low), after=low is None or not include_low)
+            stop = (
+                len(entries) if high is None
+                else self._leading_position(_SortKey(high), after=include_high)
+            )
+            for _, raw, row_id in entries[start:stop]:
+                yield raw, row_id
+            return
+        for wrapped, raw, row_id in entries:
             leading = raw[0] if raw else None
             if leading is None:
                 continue
@@ -137,6 +162,21 @@ class OrderedIndex:
                 if high_key < leading_key or (leading_key == high_key and not include_high):
                     continue
             yield raw, row_id
+
+    def _leading_position(self, key: _SortKey, after: bool) -> int:
+        """The first entry whose leading value sorts after *key*, or at it
+        unless *after*."""
+        entries = self._entries
+        probe = (key,)
+        low, high = 0, len(entries)
+        while low < high:
+            middle = (low + high) // 2
+            leading = entries[middle][0][:1]
+            if leading < probe or (after and leading == probe):
+                low = middle + 1
+            else:
+                high = middle
+        return low
 
     def ordered_entries(self) -> Iterator[Tuple[IndexKey, int]]:
         """Yield every ``(key, row_id)`` pair in key order."""

@@ -29,9 +29,9 @@ class TLPResult:
 
 
 def _row_key(row: dict) -> Tuple:
-    return tuple(
-        (key, repr(value)) for key, value in sorted(row.items(), key=lambda item: item[0])
-    )
+    # Dict keys are unique, so sorting the items never compares two values;
+    # repr keeps 1, 1.0 and True apart.
+    return tuple([(key, repr(value)) for key, value in sorted(row.items())])
 
 
 def partition_queries(table: str, predicate: ast.Expression, select_list: str = "*") -> Tuple[str, str, str]:

@@ -106,6 +106,13 @@ class TestTLP:
         first, second, third = partition_queries("t0", predicate)
         assert "NOT" in second and "IS NULL" in third
 
+    def test_row_keys_ignore_column_order_but_keep_value_types(self):
+        from repro.testing.tlp import _row_key
+
+        assert _row_key({"b": 2, "a": 1}) == _row_key({"a": 1, "b": 2})
+        keys = {_row_key({"a": value}) for value in (1, 1.0, True, "1", None)}
+        assert len(keys) == 5
+
 
 class TestQPGAndCERT:
     def test_qpg_discovers_plans_and_mutates(self):

@@ -1,0 +1,154 @@
+"""The bisecting ``OrderedIndex.range_scan`` against the linear scan it replaced.
+
+``range_scan`` used to walk every entry and wrap each leading value in a
+fresh ``_SortKey``.  It now bisects the sorted entries to the ``[low,
+high]`` slice.  The linear scan is kept here verbatim as a fixture
+(``linear_range_scan``) and hypothesis checks that both yield the identical
+``(key, row_id)`` sequence over NULLs, bools, ``1`` / ``1.0`` ties,
+strings, mixed types and exclusive bounds.
+
+NaN is the one value that does not sort: it compares false both ways, so
+``insort`` stops keeping the entries ordered once a NaN leading value is
+inserted, and SQL can store one (``CAST('nan' AS FLOAT)``).  Such an index
+keeps scanning every entry; ``TestNaN`` pins the output it had before.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.catalog.schema import Index
+from repro.dialects import create_dialect
+from repro.storage import OrderedIndex
+from repro.storage.index import _SortKey
+
+
+def linear_range_scan(index, low=None, high=None, include_low=True, include_high=True):
+    """The pre-bisection ``OrderedIndex.range_scan`` body, verbatim (fixture)."""
+    for wrapped, raw, row_id in index._entries:
+        leading = raw[0] if raw else None
+        if leading is None:
+            continue
+        leading_key = _SortKey(leading)
+        if low is not None:
+            low_key = _SortKey(low)
+            if leading_key < low_key or (leading_key == low_key and not include_low):
+                continue
+        if high is not None:
+            high_key = _SortKey(high)
+            if high_key < leading_key or (leading_key == high_key and not include_high):
+                continue
+        yield raw, row_id
+
+
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([0.0, 1.0, 1.5, -2.5, 3.0, math.inf, -math.inf]),
+    st.sampled_from(["", "1", "a", "b", "True"]),
+)
+
+
+def _build(keys):
+    index = OrderedIndex(Index("i", "t", ["a", "b"]))
+    for row_id, key in enumerate(keys):
+        index.insert(key, row_id)
+    return index
+
+
+def _assert_same(index, low, high, include_low, include_high):
+    expected = list(linear_range_scan(index, low, high, include_low, include_high))
+    actual = list(index.range_scan(low, high, include_low, include_high))
+    assert actual == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(_VALUES, _VALUES), max_size=40),
+    _VALUES,
+    _VALUES,
+    st.booleans(),
+    st.booleans(),
+)
+def test_bisect_matches_linear_scan(keys, low, high, include_low, include_high):
+    _assert_same(_build(keys), low, high, include_low, include_high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_VALUES, _VALUES), max_size=30),
+    st.lists(st.integers(min_value=0, max_value=29), max_size=10),
+    _VALUES,
+    _VALUES,
+)
+def test_bisect_matches_linear_scan_after_removals(keys, removed, low, high):
+    index = _build(keys)
+    for row_id in removed:
+        if row_id < len(keys):
+            index.remove(keys[row_id], row_id)
+    _assert_same(index, low, high, True, True)
+
+
+def test_ties_between_int_float_and_bool_are_inclusive_or_not_together():
+    index = _build([(1, None), (1.0, None), (True, None), (2, None), (0, None)])
+    assert [row for _, row in index.range_scan(1, 1)] == [0, 1, 2]
+    assert [row for _, row in index.range_scan(1, 2, include_low=False)] == [3]
+    assert [row for _, row in index.range_scan(0, 1.0, include_high=False)] == [4]
+
+
+class TestNaN:
+    NAN = float("nan")
+
+    def _index(self):
+        index = OrderedIndex(Index("i", "t", ["a"]))
+        for row_id, value in enumerate([1.0, self.NAN, 3.0, None, 0.5, 2.0, self.NAN, 5.0]):
+            index.insert((value,), row_id)
+        return index
+
+    def test_output_pinned(self):
+        # Captured from the linear scan before bisection: every NaN entry is
+        # yielded for every range, and 0.5 sits after a NaN, out of order.
+        index = self._index()
+        cases = {
+            (None, None, True, True): [0, 1, 4, 5, 2, 6, 7],
+            (0.7, 3.0, True, True): [0, 1, 5, 2, 6],
+            (2.0, None, False, True): [1, 2, 6, 7],
+            (None, 2.0, True, False): [0, 1, 4, 6],
+            (0.0, 1.0, True, True): [0, 1, 4, 6],
+        }
+        for (low, high, include_low, include_high), expected in cases.items():
+            scanned = index.range_scan(low, high, include_low, include_high)
+            assert [row for _, row in scanned] == expected
+
+    @given(_VALUES, _VALUES, st.booleans(), st.booleans())
+    def test_matches_linear_scan(self, low, high, include_low, include_high):
+        _assert_same(self._index(), low, high, include_low, include_high)
+
+    def test_nan_bounds_match_linear_scan(self):
+        index = _build([(1, 2), (None, 1), ("a", 0), (2.5, 2)])
+        for low, high in [(self.NAN, None), (None, self.NAN), (self.NAN, self.NAN)]:
+            _assert_same(index, low, high, True, True)
+
+    def test_sql_can_store_nan_in_an_indexed_column(self):
+        dialect = create_dialect("postgresql")
+        dialect.execute("CREATE TABLE t (c0 FLOAT, c1 INT)")
+        dialect.execute("CREATE INDEX i0 ON t (c0)")
+        dialect.execute(
+            "INSERT INTO t (c0, c1) VALUES "
+            "(1.0, 0), (CAST('nan' AS FLOAT), 1), (3.0, 2), (0.5, 3)"
+        )
+        index = dialect.database.index("i0")
+        keys = [key[0] for key, _ in index.ordered_entries()]
+        assert keys[0] == 1.0 and math.isnan(keys[1]) and keys[2:] == [0.5, 3.0]
+        assert [row for _, row in index.range_scan(0.0, 0.7)] == [2, 4]
+        assert dialect.execute("SELECT c1 FROM t WHERE c0 < 0.7") == [{"c1": 3}]
+
+    def test_clear_makes_the_index_sortable_again(self):
+        index = self._index()
+        index.clear()
+        for row_id, value in enumerate([3, 1, 2]):
+            index.insert((value,), row_id)
+        assert not index._unordered
+        assert [row for _, row in index.range_scan(1, 2)] == [1, 2]

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.dialects import create_dialect
 from repro.errors import LexerError, ParseError
 from repro.sqlparser import ast, parse_one, parse_sql, print_statement, tokenize
+from repro.sqlparser.parser import MAX_EXPRESSION_DEPTH
 from repro.sqlparser.printer import print_expression
 from repro.sqlparser.tokens import TokenType
 
@@ -237,6 +239,91 @@ class TestAstUtilities:
         statement = parse_one("SELECT * FROM a JOIN (SELECT * FROM b) AS s ON a.x = s.x")
         tables = [t.name for t in ast.base_tables(statement.body.from_clause)]
         assert tables == ["a", "b"]
+
+    def test_split_conjuncts_is_linear_and_ordered_on_long_chains(self):
+        # 3 000 conjuncts used to recurse (RecursionError) and copy lists
+        # quadratically; built here without the parser, which limits depth.
+        conjuncts = [ast.BinaryOp("=", ast.ColumnRef(f"c{i}"), ast.Literal(i)) for i in range(3000)]
+        assert ast.split_conjuncts(ast.conjoin(conjuncts)) == conjuncts
+        right_deep = conjuncts[-1]
+        for conjunct in reversed(conjuncts[:-1]):
+            right_deep = ast.BinaryOp("AND", conjunct, right_deep)
+        assert ast.split_conjuncts(right_deep) == conjuncts
+
+    def test_iter_expressions_is_pre_order(self):
+        expression = parse_one(
+            "SELECT CASE WHEN a THEN b WHEN c THEN d ELSE e END + f(g, h) "
+            "FROM t WHERE x NOT BETWEEN y AND z"
+        ).body.items[0].expression
+        names = [
+            node.column if isinstance(node, ast.ColumnRef) else type(node).__name__
+            for node in ast.iter_expressions(expression)
+        ]
+        assert names == ["BinaryOp", "Case", "a", "c", "b", "d", "e", "FunctionCall", "g", "h"]
+
+
+def _parens(levels):
+    return "SELECT " + "(" * levels + "1" + ")" * levels
+
+
+class TestExpressionDepthLimit:
+    """Deep SQL is a typed ``ParseError``, never a ``RecursionError``."""
+
+    @staticmethod
+    def _dialect(executor):
+        dialect = create_dialect("postgresql", executor=executor)
+        dialect.execute("CREATE TABLE t (c0 INT)")
+        dialect.execute("INSERT INTO t (c0) VALUES (1), (2), (3)")
+        return dialect
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_roadmap_parenthesised_input_runs(self, executor):
+        assert parse_sql(_parens(120))
+        assert self._dialect(executor).execute(_parens(120)) == [{"1": 1}]
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            _parens(200),
+            _parens(5000),
+            "SELECT * FROM t WHERE 1=1" + " AND 1=1" * 2999,
+            "SELECT " + "NOT " * 5000 + "TRUE",
+            "SELECT " + "- " * 5000 + "1",
+            "SELECT " + "ABS(" * 1000 + "1" + ")" * 1000,
+            "SELECT " + "(SELECT " * 200 + "1" + ")" * 200,
+        ],
+        ids=[
+            "parens-200", "parens-5000", "and-3000", "not-5000", "minus-5000",
+            "call-1000", "subquery-200",
+        ],
+    )
+    def test_too_deep_is_a_parse_error(self, sql, executor):
+        with pytest.raises(ParseError, match="nested deeper than 200 levels"):
+            parse_sql(sql)
+        dialect = self._dialect(executor)
+        with pytest.raises(ParseError, match="nested deeper than 200 levels"):
+            dialect.execute(sql)
+        assert dialect.execute("SELECT c0 FROM t WHERE c0 > 1") == [{"c0": 2}, {"c0": 3}]
+
+    def test_queries_at_the_limit_plan_and_run_on_both_executors(self):
+        # Each is the deepest query of its shape the parser accepts.
+        at_limit = [
+            "SELECT c0 FROM t WHERE " + " OR ".join(["c0 = 2"] * (MAX_EXPRESSION_DEPTH - 1)),
+            "SELECT c0 FROM t WHERE c0 > " + " + ".join(["0"] * (MAX_EXPRESSION_DEPTH - 1)),
+            "SELECT " + "ABS(" * 197 + "c0" + ")" * 197 + " FROM t",
+            "SELECT c0 FROM t WHERE " + "CASE WHEN c0 = 2 THEN " * 196 + "TRUE" + " ELSE FALSE END" * 196,
+            "SELECT c0 FROM t WHERE " + "EXISTS (SELECT c0 FROM t WHERE " * 65 + "c0 = 2" + ")" * 65,
+        ]
+        for sql in at_limit:
+            parse_sql(sql)
+            rows = {executor: self._dialect(executor).execute(sql) for executor in ("row", "vectorized")}
+            assert rows["row"] == rows["vectorized"] and rows["row"]
+            self._dialect("vectorized").explain(sql, format="json")
+        with pytest.raises(ParseError):
+            parse_sql(at_limit[0] + " OR c0 = 2")
+        with pytest.raises(ParseError):
+            parse_sql("SELECT " + "ABS(" * 198 + "c0" + ")" * 198 + " FROM t")
 
 
 class TestPrinter:
