@@ -8,6 +8,7 @@ and equi-depth histograms for numeric columns.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -49,7 +50,8 @@ class ColumnStatistics:
         between the min/max bounds; falls back to a default constant when no
         statistics exist.
         """
-        if not self.is_numeric:
+        if not self.is_numeric or low != low or high != high:
+            # A NaN bound orders against nothing: no estimate beats the default.
             return DEFAULT_RANGE_SELECTIVITY
         if self.histogram:
             return self._histogram_fraction(low, high)
@@ -69,7 +71,7 @@ class ColumnStatistics:
         if effective_high < effective_low:
             return 0.0
         fraction = (effective_high - effective_low) / (upper_bound - lower_bound)
-        return min(max(fraction * (1.0 - self.null_fraction), 0.0), 1.0)
+        return self._clamp(fraction)
 
     def _histogram_fraction(
         self, low: Optional[float], high: Optional[float]
@@ -95,7 +97,15 @@ class ColumnStatistics:
             return index + offset
 
         fraction = (position(upper) - position(lower)) / buckets
-        return min(max(fraction * (1.0 - self.null_fraction), 0.0), 1.0)
+        return self._clamp(fraction)
+
+    def _clamp(self, fraction: float) -> float:
+        """*fraction* of the non-null rows, clamped to ``[0, 1]``; a NaN
+        (``inf - inf`` between infinite bounds) falls back to the default."""
+        selectivity = fraction * (1.0 - self.null_fraction)
+        if selectivity != selectivity:
+            return DEFAULT_RANGE_SELECTIVITY
+        return min(max(selectivity, 0.0), 1.0)
 
 
 @dataclass
@@ -114,7 +124,13 @@ class TableStatistics:
 def collect_column_statistics(
     column: str, values: Sequence[object], is_numeric: bool
 ) -> ColumnStatistics:
-    """Compute :class:`ColumnStatistics` from a column's values."""
+    """Compute :class:`ColumnStatistics` from a column's values.
+
+    A float NaN counts toward the distinct values but not toward the
+    bounds: it is unordered, so ``min``/``max`` and the histogram's sort
+    would return whatever happened to sit next to it.  The histogram also
+    skips infinities, whose bucket widths would interpolate to NaN.
+    """
     non_null = [value for value in values if value is not None]
     total = len(values)
     statistics = ColumnStatistics(
@@ -123,15 +139,20 @@ def collect_column_statistics(
         null_fraction=0.0 if total == 0 else (total - len(non_null)) / total,
         is_numeric=is_numeric,
     )
-    if non_null:
+    ordered = [value for value in non_null if value == value]
+    if ordered:
         try:
-            statistics.minimum = min(non_null)
-            statistics.maximum = max(non_null)
+            statistics.minimum = min(ordered)
+            statistics.maximum = max(ordered)
         except TypeError:
             statistics.minimum = None
             statistics.maximum = None
-    if is_numeric and non_null:
-        numeric = sorted(float(value) for value in non_null if isinstance(value, (int, float)))
+    if is_numeric and ordered:
+        numeric = sorted(
+            float(value)
+            for value in ordered
+            if isinstance(value, (int, float)) and math.isfinite(value)
+        )
         if numeric:
             statistics.histogram = _equi_depth_histogram(numeric)
     return statistics

@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
+from repro.core.formats.json_emit import dumps_indented
 from repro.core.model import UnifiedPlan
 from repro.errors import FormatError
 
 
-def dumps(plan: UnifiedPlan, indent: int = 2) -> str:
-    """Serialize *plan* to a JSON document."""
-    return json.dumps(plan.to_dict(), indent=indent, sort_keys=False)
+def dumps(plan: UnifiedPlan) -> str:
+    """Serialize *plan* to a two-space-indented JSON document."""
+    return dumps_indented(plan.to_dict())
 
 
 def loads(text: str) -> UnifiedPlan:

@@ -21,11 +21,11 @@ output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.catalog.database import Database
+from repro.core.formats.json_emit import dumps_indented
 from repro.dialects.prepared import PreparedQueryCache, reset_runtime
 from repro.engine import create_executor
 from repro.engine.executor import Executor, Row
@@ -351,7 +351,7 @@ def render_json_plan(plan: RawPlan, node_key: str = "Node Type") -> str:
     if plan.root is not None:
         document["Plan"] = node_to_dict(plan.root)
     document.update(plan.properties)
-    return json.dumps([document], indent=2)
+    return dumps_indented([document])
 
 
 def render_table_plan(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.formats.json_emit import dumps_indented
 from repro.dialects.base import ExplainOutput, SimulatedDBMS
 from repro.errors import DialectError
 from repro.storage.document_store import Document, DocumentStore, match_filter
@@ -324,7 +325,7 @@ class MongoDBDialect(SimulatedDBMS):
         else:
             raise DialectError(self.name, "explain requires a find or aggregate command")
         if chosen == "json":
-            text = json.dumps(document, indent=2, default=str)
+            text = dumps_indented(document, default=str)
         else:  # graph
             text = self._graph_from_plan(document)
         return ExplainOutput(dbms=self.name, format=chosen, text=text, query=statement)

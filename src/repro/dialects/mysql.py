@@ -11,9 +11,9 @@ its query plans carry fewer operations than PostgreSQL's or TiDB's
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
+from repro.core.formats.json_emit import dumps_indented
 from repro.dialects.base import (
     RawPlan,
     RawPlanNode,
@@ -324,7 +324,7 @@ class MySQLDialect(RelationalDialect):
         }
         if plan.root is not None:
             document["query_block"]["plan"] = node_to_dict(plan.root)
-        return json.dumps(document, indent=2)
+        return dumps_indented(document)
 
     def _serialize_tree(self, plan: RawPlan) -> str:
         lines: List[str] = []

@@ -17,11 +17,11 @@ Executors/Combinators.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.formats.json_emit import dumps_indented
 from repro.dialects.base import ExplainOutput, SimulatedDBMS
 from repro.errors import DialectError
 from repro.storage.graph_store import GraphStore
@@ -322,7 +322,7 @@ class Neo4jDialect(SimulatedDBMS):
             "Total allocated memory": 184,
         }
         if chosen == "json":
-            text = json.dumps({"plan": operators, "summary": plan_properties}, indent=2)
+            text = dumps_indented({"plan": operators, "summary": plan_properties})
         elif chosen == "text":
             text = self._render_table(operators, plan_properties)
         else:

@@ -17,9 +17,9 @@ and JSON.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
+from repro.core.formats.json_emit import dumps_indented
 from repro.dialects.base import RawPlan, RawPlanNode, RelationalDialect, format_number
 from repro.errors import DialectError
 from repro.optimizer.cost import CostModel
@@ -345,4 +345,4 @@ class TiDBDialect(RelationalDialect):
             return data
 
         document = node_to_dict(plan.root) if plan.root is not None else {}
-        return json.dumps([document], indent=2)
+        return dumps_indented([document])

@@ -47,6 +47,10 @@ from repro.engine.vectorized import (
 from repro.optimizer.physical import PhysicalNode
 from repro.sqlparser import ast_nodes as ast
 
+#: Rows per morsel: the parallel executor caps every batch at this size so
+#: scans and filters have chunks to fan out (the serial engine is uncapped).
+MORSEL_ROWS = 1024
+
 #: Below this many total input rows a morsel fan-out costs more than the
 #: stage itself; the serial path runs instead.
 MORSEL_MIN_ROWS = 256
@@ -173,14 +177,11 @@ class ParallelExecutor(VectorizedExecutor):
         self,
         database,
         planner: Optional[object] = None,
-        batch_size: Optional[int] = None,
+        batch_size: int = MORSEL_ROWS,
         workers: Optional[int] = None,
         morsel_min_rows: int = MORSEL_MIN_ROWS,
     ) -> None:
-        if batch_size is None:
-            super().__init__(database, planner)
-        else:
-            super().__init__(database, planner, batch_size)
+        super().__init__(database, planner, batch_size)
         self.exchange = MorselExchange(workers)
         self.morsel_min_rows = morsel_min_rows
 

@@ -4,8 +4,8 @@ The row executor (:class:`~repro.engine.executor.Executor`) materializes a
 ``List[Dict[str, object]]`` at every operator — one dictionary, one
 :class:`~repro.engine.expressions.EvaluationContext`, and one closure call
 per row per node.  The vectorized executor processes :class:`RowBatch`
-chunks instead: parallel per-column value lists (default 1024 rows per
-chunk), fed by the heap tables' cached columnar snapshots
+chunks instead: parallel per-column value lists, fed by the heap tables'
+cached columnar snapshots
 (:meth:`~repro.storage.table.HeapTable.column_batch`) and filtered through
 batch-compiled expressions with selection vectors
 (:func:`~repro.engine.expressions.compile_predicate_batch`).
@@ -23,6 +23,13 @@ Design rules:
   convert at the boundary (:func:`batches_from_rows` groups consecutive
   rows with identical key sets, so every batch is *uniform* and per-batch
   column resolution is exactly per-row resolution).
+* **One batch per uniform run** — the serial executor does not cap
+  batches: each operator emits its output as produced, one
+  :class:`RowBatch` per run of rows sharing a key set, so no operator
+  re-splits its output only for the next one to concatenate it again.
+  ``batch_size=`` caps chunks for the morsel executor
+  (:mod:`repro.engine.morsel` owns the morsel size) and for tests that
+  drive the multi-batch paths.
 * **Column at a time** — no operator indexes ``column[position]`` inside a
   per-row loop: keys and arguments are evaluated once per operator and
   factorised, probed, gathered or folded as whole columns (typed arrays
@@ -65,9 +72,6 @@ from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.printer import print_expression
 from repro.storage.index import sortable
 
-#: Default number of rows per chunk flowing between operators.
-DEFAULT_BATCH_SIZE = 1024
-
 _EMPTY_ROW: Row = {}
 
 _SCAN_KINDS = (OpKind.SEQ_SCAN, OpKind.INDEX_SCAN, OpKind.INDEX_ONLY_SCAN)
@@ -107,12 +111,13 @@ class RowBatch:
         return f"RowBatch(columns={list(self.columns)}, length={self.length})"
 
 
-def batches_from_rows(rows: List[Row], batch_size: int = DEFAULT_BATCH_SIZE) -> List[RowBatch]:
+def batches_from_rows(rows: List[Row], batch_size: Optional[int] = None) -> List[RowBatch]:
     """Chunk *rows* into uniform batches, preserving order.
 
     Consecutive rows with identical key lists share a batch (capped at
-    *batch_size*); a run break starts a new batch, so heterogeneous row
-    lists (e.g. positional UNIONs of different arities) round-trip exactly.
+    *batch_size* when one is given); a run break starts a new batch, so
+    heterogeneous row lists (e.g. positional UNIONs of different arities)
+    round-trip exactly.
     """
     batches: List[RowBatch] = []
     run: List[Row] = []
@@ -126,7 +131,7 @@ def batches_from_rows(rows: List[Row], batch_size: int = DEFAULT_BATCH_SIZE) -> 
 
     for row in rows:
         keys = list(row)
-        if run_keys is None or keys != run_keys or len(run) >= batch_size:
+        if keys != run_keys or (batch_size is not None and len(run) >= batch_size):
             flush()
             run_keys = keys
         run.append(row)
@@ -157,9 +162,10 @@ def _gather(batch: RowBatch, positions) -> RowBatch:
     )
 
 
-def _split(batch: RowBatch, batch_size: int) -> List[RowBatch]:
-    """Split *batch* into chunks of at most *batch_size* rows."""
-    if batch.length <= batch_size:
+def _split(batch: RowBatch, batch_size: Optional[int]) -> List[RowBatch]:
+    """Split *batch* into chunks of at most *batch_size* rows (no split
+    without a cap)."""
+    if batch_size is None or batch.length <= batch_size:
         return [batch] if batch.length else []
     return [
         RowBatch(
@@ -197,7 +203,7 @@ def _concat(batches: List[RowBatch]) -> RowBatch:
 
 
 def _gather_global(
-    batches: List[RowBatch], order: List[int], batch_size: int
+    batches: List[RowBatch], order: List[int], batch_size: Optional[int]
 ) -> List[RowBatch]:
     """Reorder rows across *batches* by global index (sorts, dedupes).
 
@@ -217,7 +223,8 @@ class VectorizedExecutor(Executor):
     """Executes physical plans over columnar batches.
 
     Drop-in for :class:`Executor`: identical public API, identical results
-    and ``EXPLAIN ANALYZE`` row counts, batched internals.
+    and ``EXPLAIN ANALYZE`` row counts, batched internals.  Batches are
+    uncapped unless *batch_size* is given.
     """
 
     #: Statements whose scans cover fewer total rows than this run on the
@@ -230,7 +237,7 @@ class VectorizedExecutor(Executor):
         self,
         database,
         planner: Optional[object] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: Optional[int] = None,
         row_path_threshold: Optional[int] = None,
     ) -> None:
         super().__init__(database, planner)

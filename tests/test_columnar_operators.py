@@ -4,9 +4,10 @@ Grouped aggregation, hash-join probe / LEFT-join assembly and ``IN`` lists
 evaluate whole columns per batch (``VectorizedExecutor._batch_aggregate``,
 ``_batch_hash_join``, ``expressions._in_list_kernel``).  Every case here runs
 row ↔ vectorized-list ↔ vectorized-numpy over tables of
-``3 * ARRAY_MIN_ROWS`` rows with a small ``batch_size`` — so inputs span
-several batches, and UNION ALL of different arities makes them non-uniform —
-and compares result rows *by repr* (``1`` is not ``1.0``, float sums are
+``3 * ARRAY_MIN_ROWS`` rows, once with a small ``batch_size`` — so inputs
+span several batches, and UNION ALL of different arities makes them
+non-uniform — and once uncapped (the serial default: one batch per uniform
+run), and compares result rows *by repr* (``1`` is not ``1.0``, float sums are
 bit-identical, NaN equals NaN) plus ``EXPLAIN ANALYZE`` ``actual_rows`` and
 ``loops`` node for node.  The numpy mode drops out cleanly when numpy is
 absent or disabled; the list mode always runs.
@@ -29,6 +30,8 @@ from repro.sqlparser.parser import parse_sql
 
 ROWS = 3 * arrays.ARRAY_MIN_ROWS
 BATCH_SIZE = 50
+#: Every vectorized run happens at each of these caps (``None``: uncapped).
+BATCH_SIZES = (BATCH_SIZE, None)
 NAN = float("nan")
 
 
@@ -63,7 +66,6 @@ class Engines:
                 load(dialect)
             dialect.analyze_tables()
             self.dialects[kind] = dialect
-        self.dialects["vectorized"].executor.batch_size = BATCH_SIZE
 
     @staticmethod
     def _frozen(rows):
@@ -91,11 +93,14 @@ class Engines:
         expected_rows, expected_counts, plan = self._observe("row", query)
         if operator is not None:
             assert any(node.kind is operator for node in plan.walk()), query
-        for label, use_numpy in _kernel_modes():
-            arrays.set_numpy_enabled(use_numpy)
-            rows, counts, _ = self._observe("vectorized", query)
-            assert rows == expected_rows, (label, query)
-            assert counts == expected_counts, (label, query)
+        executor = self.dialects["vectorized"].executor
+        for batch_size in BATCH_SIZES:
+            executor.batch_size = batch_size
+            for label, use_numpy in _kernel_modes():
+                arrays.set_numpy_enabled(use_numpy)
+                rows, counts, _ = self._observe("vectorized", query)
+                assert rows == expected_rows, (label, batch_size, query)
+                assert counts == expected_counts, (label, batch_size, query)
         return expected_rows
 
 
