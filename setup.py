@@ -7,9 +7,10 @@ builds with older setuptools) is unavailable.
 Developer workflow (see also README.md):
 
 * tier-1 test suite: ``PYTHONPATH=src python -m pytest -x -q``
-* perf snapshot:     ``PYTHONPATH=src python benchmarks/run_benchmarks.py``
-  (writes ``BENCH_pipeline.json``; add ``--suite`` for the full
-  pytest-benchmark run)
+* benchmark:         ``python3 benchmarks/e2e/run.py`` (``--quick`` runs
+  every workload's correctness gates in seconds)
+* paper artifacts:   ``PYTHONPATH=src python -m pytest benchmarks/bench_table*.py
+  benchmarks/bench_fig*.py benchmarks/bench_listing*.py``
 """
 
 from setuptools import find_packages, setup

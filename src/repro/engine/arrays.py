@@ -49,8 +49,9 @@ MAX_EXACT_INT = 2 ** 53
 _SAFE_INT_BOUND = 2 ** 62
 
 #: Tables smaller than this keep plain-list snapshots: array construction
-#: costs more than it saves on tiny inputs (see BENCH_executor.json's
-#: corpus_execute field, measured over 1-60 row generator tables).
+#: costs more than it saves on tiny inputs.  Re-tune it against the
+#: ``campaign`` (1-60 row generator tables) and ``tpch_exec`` workloads of
+#: ``benchmarks/e2e/run.py``.
 ARRAY_MIN_ROWS = 64
 
 _BAIL = object()  # internal sentinel: operand not vectorizable

@@ -229,8 +229,9 @@ class VectorizedExecutor(Executor):
 
     #: Statements whose scans cover fewer total rows than this run on the
     #: inherited row path: per-statement snapshot/batch setup costs more
-    #: than vectorization saves on tiny inputs (the corpus_execute field of
-    #: BENCH_executor.json tracks the effect over 1-60 row corpus tables).
+    #: than vectorization saves on tiny inputs.  Re-tune it against the
+    #: ``campaign`` (1-60 row generator tables) and ``tpch_exec`` workloads
+    #: of ``benchmarks/e2e/run.py``.
     ROW_PATH_THRESHOLD = 32
 
     def __init__(

@@ -110,7 +110,6 @@ class QueryService:
         self._host = host
         self._port = port
         self._registry = registry if registry is not None else TenantRegistry()
-        self._read_dispatch = read_dispatch
         self._process_pool: Optional[ProcessReadPool] = None
         if read_dispatch == "process":
             self._process_pool = ProcessReadPool(workers=process_workers)

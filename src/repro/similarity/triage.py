@@ -40,7 +40,8 @@ from repro.similarity.index import cosine_distance
 
 #: Default cosine-distance radius for joining a cluster.  Embeddings are
 #: integer count vectors, so 0.15 groups plans sharing operator mix and
-#: shape while splitting different plan families (see BENCH_similarity).
+#: shape while splitting different plan families (tests/test_similarity.py,
+#: ``TestClusterReports``).
 DEFAULT_CLUSTER_THRESHOLD = 0.15
 
 

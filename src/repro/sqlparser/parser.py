@@ -43,10 +43,11 @@ _MAX_POWER = max(_BINARY_POWER.values())
 
 #: The deepest expression the parser accepts, counting both the height of
 #: the tree (so a left-deep ``a AND b AND …`` chain's length) and the
-#: nesting of parentheses, calls and subqueries (cf. SQLite's
-#: ``SQLITE_MAX_EXPR_DEPTH``).  The parser, printer, ``estimate_selectivity``,
-#: ``compile_expression(_batch)`` and ``evaluate`` recurse up to ~4 frames
-#: per level, so 200 stays well under Python's default recursion limit.
+#: nesting of parentheses, calls and subqueries, parenthesised set-operation
+#: arms and FROM items included (cf. SQLite's ``SQLITE_MAX_EXPR_DEPTH``).
+#: The parser, printer, ``estimate_selectivity``, ``compile_expression(_batch)``
+#: and ``evaluate`` recurse up to ~4 frames per level, so 200 stays well under
+#: Python's default recursion limit.
 MAX_EXPRESSION_DEPTH = 200
 
 #: Levels each SELECT adds: planning and running a nested one costs about
@@ -252,8 +253,12 @@ class Parser:
         self,
     ) -> Union[ast.SelectCore, ast.SetOperation]:
         if self._accept_punctuation("("):
+            self._depth += 1
+            if self._depth > MAX_EXPRESSION_DEPTH:
+                raise self._too_deep()
             body = self._parse_set_operation_body()
             self._expect_punctuation(")")
+            self._depth -= 1
             return body
         return self._parse_select_core()
 
@@ -387,8 +392,12 @@ class Parser:
                 self._expect_punctuation(")")
                 alias = self._parse_optional_alias() or "subquery"
                 return ast.SubqueryRef(query, alias)
+            self._depth += 1
+            if self._depth > MAX_EXPRESSION_DEPTH:
+                raise self._too_deep()
             inner = self._parse_from_clause()
             self._expect_punctuation(")")
+            self._depth -= 1
             return inner
         name = self._expect_table()
         alias = self._parse_optional_alias()

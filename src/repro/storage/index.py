@@ -59,7 +59,7 @@ class OrderedIndex:
         self._entries: List[Tuple[Tuple[_SortKey, ...], IndexKey, int]] = []
         #: Set once a NaN leading value is inserted: NaN compares false both
         #: ways, so ``insort`` stops keeping the entries sorted by leading
-        #: value and :meth:`range_scan` can no longer bisect them.
+        #: value and no lookup or scan can bisect them any more.
         self._unordered = False
 
     # -- maintenance -------------------------------------------------------------
@@ -100,8 +100,14 @@ class OrderedIndex:
     # -- lookups -----------------------------------------------------------------
 
     def lookup(self, key: Sequence[object]) -> List[int]:
-        """Return the row ids whose full key equals *key*."""
+        """Return the row ids whose full key equals *key*.
+
+        Like :meth:`range_scan`, an index holding a NaN leading value is
+        no longer sorted, so it tests every entry instead of bisecting.
+        """
         wrapped = sortable(tuple(key))
+        if self._unordered:
+            return [row_id for entry, _, row_id in self._entries if entry == wrapped]
         results: List[int] = []
         position = bisect_left(self._entries, (wrapped,))
         while position < len(self._entries) and self._entries[position][0] == wrapped:
@@ -112,11 +118,18 @@ class OrderedIndex:
     def prefix_lookup(self, prefix: Sequence[object]) -> List[int]:
         """Return row ids whose key starts with *prefix* (leading columns)."""
         wrapped_prefix = sortable(tuple(prefix))
+        width = len(wrapped_prefix)
+        if self._unordered:
+            return [
+                row_id
+                for entry, _, row_id in self._entries
+                if entry[:width] == wrapped_prefix
+            ]
         results: List[int] = []
         position = bisect_left(self._entries, (wrapped_prefix,))
         while position < len(self._entries):
             wrapped, _, row_id = self._entries[position]
-            if wrapped[: len(wrapped_prefix)] != wrapped_prefix:
+            if wrapped[:width] != wrapped_prefix:
                 break
             results.append(row_id)
             position += 1

@@ -30,6 +30,7 @@ from repro.converters import ConverterHub
 from repro.core.compare import structural_fingerprint
 from repro.dialects import create_dialect
 from repro.dialects.prepared import reset_runtime
+from repro.engine.executor import Executor
 from repro.optimizer.bounds import bound_violations
 from repro.optimizer.physical import ATTACHED_KEYS, INIT_PLANS, SUBPLANS, OpKind
 from repro.optimizer.planner import Planner
@@ -508,6 +509,15 @@ def _attached(plan, key):
     ]
 
 
+def _shaped_nodes(node):
+    """*node* and every node below it in a PostgreSQL JSON plan."""
+    stack, shaped = [node], []
+    while stack:
+        shaped.append(stack.pop())
+        stack.extend(shaped[-1].get("Plans", ()))
+    return shaped
+
+
 class _SubqueryShapes:
     """Seeded queries whose subqueries the semi/anti rewrite leaves in place.
 
@@ -811,12 +821,9 @@ class TestInitPlanCounts:
         assert not any(node.runtime.executed for node in init_plan.walk())
         # EXPLAIN ANALYZE shows it the way PostgreSQL does: never executed.
         document = json.loads(dialect.explain(query, format="json", analyze=True).text)
-        stack, shaped = [document[0]["Plan"]], []
-        while stack:
-            shaped.append(stack.pop())
-            stack.extend(shaped[-1].get("Plans", ()))
         (init_node,) = [
-            node for node in shaped if node.get("Parent Relationship") == "InitPlan"
+            node for node in _shaped_nodes(document[0]["Plan"])
+            if node.get("Parent Relationship") == "InitPlan"
         ]
         assert "Actual Rows" in document[0]["Plan"]
         assert "Actual Rows" not in init_node
@@ -842,6 +849,54 @@ class TestInitPlanCounts:
         # The same tree again after the heap changed underneath it.
         dialect.database.insert_rows("s", [{"x": 30}])
         assert len(dialect.executor.execute(plan)) == 9
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_in_subquery_inner_runs_once_decorrelated_and_per_row_otherwise(
+        self, executor, monkeypatch
+    ):
+        """O(outer + inner) against O(outer x inner), counted.
+
+        EXPLAIN ANALYZE never runs a per-row subplan, so the per-row side
+        is counted at ``Executor._run_subquery``.
+        """
+        calls = []
+        original = Executor._run_subquery
+
+        def counted(self, query, outer_row):
+            calls.append(query)
+            return original(self, query, outer_row)
+
+        monkeypatch.setattr(Executor, "_run_subquery", counted)
+        query = "SELECT COUNT(*) FROM o WHERE o.a IN (SELECT i.x FROM i)"
+        for decorrelate in (True, False):
+            dialect = create_dialect(
+                "postgresql", executor=executor, decorrelate=decorrelate
+            )
+            dialect.execute("CREATE TABLE o (a INT)")
+            dialect.execute("CREATE TABLE i (x INT)")
+            dialect.execute(
+                "INSERT INTO o (a) VALUES " + ", ".join(f"({v % 80})" for v in range(300))
+            )
+            dialect.execute(
+                "INSERT INTO i (x) VALUES " + ", ".join(f"({v * 2})" for v in range(40))
+            )
+            dialect.analyze_tables()
+            del calls[:]
+            assert dialect.execute(query) == [{"COUNT(*)": 150}]
+            if not decorrelate:
+                assert len(calls) == 300
+                continue
+            assert calls == []
+            document = json.loads(dialect.explain(query, format="json", analyze=True).text)
+            (semi,) = [
+                node for node in _shaped_nodes(document[0]["Plan"])
+                if node["Node Type"] == "Hash Semi Join"
+            ]
+            (inner,) = [
+                node for node in _shaped_nodes(semi) if node.get("Relation Name") == "i"
+            ]
+            assert inner["Node Type"] == "Seq Scan"
+            assert (inner["Actual Loops"], inner["Actual Rows"]) == (1, 40)
 
     def test_concurrent_service_readers_match_the_direct_twin(self):
         twin = create_dialect("postgresql")

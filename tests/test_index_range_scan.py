@@ -10,7 +10,8 @@ strings, mixed types and exclusive bounds.
 NaN is the one value that does not sort: it compares false both ways, so
 ``insort`` stops keeping the entries ordered once a NaN leading value is
 inserted, and SQL can store one (``CAST('nan' AS FLOAT)``).  Such an index
-keeps scanning every entry; ``TestNaN`` pins the output it had before.
+keeps scanning every entry; ``TestNaN`` pins the output it had before, and
+that point and prefix lookups test every entry too rather than bisect.
 """
 
 import math
@@ -144,6 +145,24 @@ class TestNaN:
         assert keys[0] == 1.0 and math.isnan(keys[1]) and keys[2:] == [0.5, 3.0]
         assert [row for _, row in index.range_scan(0.0, 0.7)] == [2, 4]
         assert dialect.execute("SELECT c1 FROM t WHERE c0 < 0.7") == [{"c1": 3}]
+
+    def test_point_and_prefix_lookups_find_rows_after_a_nan(self):
+        dialect = create_dialect("postgresql")
+        dialect.execute("CREATE TABLE t (a FLOAT, b INT)")
+        dialect.execute("CREATE INDEX i0 ON t (a)")
+        dialect.execute(
+            "INSERT INTO t (a, b) VALUES "
+            + ", ".join(f"({value}.0, {value})" for value in range(1, 9))
+        )
+        dialect.execute("INSERT INTO t (a, b) VALUES (CAST('nan' AS FLOAT), 0)")
+        dialect.execute("INSERT INTO t (a, b) VALUES (9.5, 95)")
+        assert dialect.execute("SELECT b FROM t WHERE a = 9.5") == [{"b": 95}]
+        assert dialect.execute("SELECT b FROM t WHERE a = 4.0") == [{"b": 4}]
+        index = _build([(1.0, 1), (self.NAN, 2), (3.0, 3), (0.5, 4), (3.0, 5)])
+        assert index.lookup((0.5, 4)) == [3]
+        assert index.lookup((3.0, 5)) == [4]
+        assert index.prefix_lookup((0.5,)) == [3]
+        assert index.prefix_lookup((3.0,)) == [2, 4]
 
     def test_clear_makes_the_index_sortable_again(self):
         index = self._index()

@@ -278,4 +278,5 @@ class TestWorkerCrashResume:
                     "reports",
                     "queries_generated",
                     "cert_pairs_checked",
+                    "bound_queries_checked",
                 }

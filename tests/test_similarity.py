@@ -398,6 +398,10 @@ class TestCampaignIntegration:
         assert len(a.index_payload["entries"]) > 0
         for vector in a.index_payload["entries"].values():
             assert len(vector) == EMBEDDING_DIMENSIONS
+        # Clustering partitions the reports: each lands in exactly one cluster.
+        members = [(m.dbms, m.bug_id) for c in a.cluster_reports() for m in c.members]
+        assert a.reports
+        assert sorted(members) == sorted((r.dbms, r.bug_id) for r in a.reports)
 
     def test_sharded_similarity_equals_serial(self):
         serial = TestingCampaign(novelty="similarity", **_SMALL).run()

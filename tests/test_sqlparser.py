@@ -292,10 +292,14 @@ class TestExpressionDepthLimit:
             "SELECT " + "- " * 5000 + "1",
             "SELECT " + "ABS(" * 1000 + "1" + ")" * 1000,
             "SELECT " + "(SELECT " * 200 + "1" + ")" * 200,
+            "(" * 600 + "SELECT 1" + ")" * 600,
+            "SELECT c0 FROM " + "(" * 600 + "SELECT 1" + ")" * 600,
+            "SELECT c0 FROM " + "(t JOIN " * 600 + "t" + " ON 1=1)" * 600,
         ],
         ids=[
             "parens-200", "parens-5000", "and-3000", "not-5000", "minus-5000",
-            "call-1000", "subquery-200",
+            "call-1000", "subquery-200", "set-operation-arm-600",
+            "from-subquery-600", "from-join-600",
         ],
     )
     def test_too_deep_is_a_parse_error(self, sql, executor):
@@ -314,6 +318,10 @@ class TestExpressionDepthLimit:
             "SELECT " + "ABS(" * 197 + "c0" + ")" * 197 + " FROM t",
             "SELECT c0 FROM t WHERE " + "CASE WHEN c0 = 2 THEN " * 196 + "TRUE" + " ELSE FALSE END" * 196,
             "SELECT c0 FROM t WHERE " + "EXISTS (SELECT c0 FROM t WHERE " * 65 + "c0 = 2" + ")" * 65,
+            # Each SELECT counts 2, each parenthesis around a set-operation
+            # arm 1 and the select item inside them 1.
+            "(" * 197 + "SELECT c0 FROM t" + ")" * 197,
+            "SELECT c0 FROM " + "(" * 196 + "SELECT c0 FROM t" + ")" * 196,
         ]
         for sql in at_limit:
             parse_sql(sql)
@@ -324,6 +332,10 @@ class TestExpressionDepthLimit:
             parse_sql(at_limit[0] + " OR c0 = 2")
         with pytest.raises(ParseError):
             parse_sql("SELECT " + "ABS(" * 198 + "c0" + ")" * 198 + " FROM t")
+        with pytest.raises(ParseError):
+            parse_sql("(" * 198 + "SELECT c0 FROM t" + ")" * 198)
+        with pytest.raises(ParseError):
+            parse_sql("SELECT c0 FROM " + "(" * 197 + "SELECT c0 FROM t" + ")" * 197)
 
 
 class TestPrinter:
