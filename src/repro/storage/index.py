@@ -59,7 +59,8 @@ class OrderedIndex:
         self._entries: List[Tuple[Tuple[_SortKey, ...], IndexKey, int]] = []
         #: Set once a NaN leading value is inserted: NaN compares false both
         #: ways, so ``insort`` stops keeping the entries sorted by leading
-        #: value and no lookup or scan can bisect them any more.
+        #: value and no lookup, scan, removal or uniqueness check can bisect
+        #: them any more.
         self._unordered = False
 
     # -- maintenance -------------------------------------------------------------
@@ -79,6 +80,12 @@ class OrderedIndex:
     def remove(self, key: Sequence[object], row_id: int) -> None:
         """Remove the entry for ``(key, row_id)`` if present."""
         wrapped = sortable(tuple(key))
+        if self._unordered:
+            for index, (entry, _, entry_row_id) in enumerate(self._entries):
+                if entry_row_id == row_id and entry == wrapped:
+                    del self._entries[index]
+                    return
+            return
         index = bisect_left(self._entries, (wrapped,))
         while index < len(self._entries) and self._entries[index][0] == wrapped:
             if self._entries[index][2] == row_id:
@@ -92,6 +99,8 @@ class OrderedIndex:
         self._unordered = False
 
     def _contains_key(self, wrapped: Tuple[_SortKey, ...]) -> bool:
+        if self._unordered:
+            return any(entry == wrapped for entry, _, _ in self._entries)
         position = bisect_left(self._entries, (wrapped,))
         return (
             position < len(self._entries) and self._entries[position][0] == wrapped

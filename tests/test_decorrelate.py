@@ -850,15 +850,24 @@ class TestInitPlanCounts:
         dialect.database.insert_rows("s", [{"x": 30}])
         assert len(dialect.executor.execute(plan)) == 9
 
-    @pytest.mark.parametrize("executor", ["row", "vectorized"])
-    def test_in_subquery_inner_runs_once_decorrelated_and_per_row_otherwise(
-        self, executor, monkeypatch
-    ):
-        """O(outer + inner) against O(outer x inner), counted.
+    @staticmethod
+    def _outer_inner_dialect(executor, decorrelate):
+        """300 outer rows ``o.a`` (0..79 cycling) and 40 inner ``i.x`` (even 0..78)."""
+        dialect = create_dialect("postgresql", executor=executor, decorrelate=decorrelate)
+        dialect.execute("CREATE TABLE o (a INT)")
+        dialect.execute("CREATE TABLE i (x INT)")
+        dialect.execute(
+            "INSERT INTO o (a) VALUES " + ", ".join(f"({v % 80})" for v in range(300))
+        )
+        dialect.execute(
+            "INSERT INTO i (x) VALUES " + ", ".join(f"({v * 2})" for v in range(40))
+        )
+        dialect.analyze_tables()
+        return dialect
 
-        EXPLAIN ANALYZE never runs a per-row subplan, so the per-row side
-        is counted at ``Executor._run_subquery``.
-        """
+    @pytest.fixture
+    def subquery_calls(self, monkeypatch):
+        """Every ``Executor._run_subquery`` call, recorded as it happens."""
         calls = []
         original = Executor._run_subquery
 
@@ -867,36 +876,87 @@ class TestInitPlanCounts:
             return original(self, query, outer_row)
 
         monkeypatch.setattr(Executor, "_run_subquery", counted)
+        return calls
+
+    def _assert_inner_scanned_once(self, dialect, query, join_type, inner_rows):
+        document = json.loads(dialect.explain(query, format="json", analyze=True).text)
+        (join,) = [
+            node for node in _shaped_nodes(document[0]["Plan"])
+            if node["Node Type"] == join_type
+        ]
+        (inner,) = [
+            node for node in _shaped_nodes(join) if node.get("Relation Name") == "i"
+        ]
+        assert inner["Node Type"] == "Seq Scan"
+        assert (inner["Actual Loops"], inner["Actual Rows"]) == (1, inner_rows)
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_in_subquery_inner_runs_once_decorrelated_and_per_row_otherwise(
+        self, executor, subquery_calls
+    ):
+        """O(outer + inner) against O(outer x inner), counted.
+
+        EXPLAIN ANALYZE never reports a per-row subplan's loops, so the
+        per-row side is counted at ``Executor._run_subquery``.
+        """
         query = "SELECT COUNT(*) FROM o WHERE o.a IN (SELECT i.x FROM i)"
         for decorrelate in (True, False):
-            dialect = create_dialect(
-                "postgresql", executor=executor, decorrelate=decorrelate
-            )
-            dialect.execute("CREATE TABLE o (a INT)")
-            dialect.execute("CREATE TABLE i (x INT)")
-            dialect.execute(
-                "INSERT INTO o (a) VALUES " + ", ".join(f"({v % 80})" for v in range(300))
-            )
-            dialect.execute(
-                "INSERT INTO i (x) VALUES " + ", ".join(f"({v * 2})" for v in range(40))
-            )
-            dialect.analyze_tables()
-            del calls[:]
+            dialect = self._outer_inner_dialect(executor, decorrelate)
+            del subquery_calls[:]
             assert dialect.execute(query) == [{"COUNT(*)": 150}]
             if not decorrelate:
-                assert len(calls) == 300
+                assert len(subquery_calls) == 300
                 continue
-            assert calls == []
-            document = json.loads(dialect.explain(query, format="json", analyze=True).text)
-            (semi,) = [
-                node for node in _shaped_nodes(document[0]["Plan"])
-                if node["Node Type"] == "Hash Semi Join"
-            ]
-            (inner,) = [
-                node for node in _shaped_nodes(semi) if node.get("Relation Name") == "i"
-            ]
-            assert inner["Node Type"] == "Seq Scan"
-            assert (inner["Actual Loops"], inner["Actual Rows"]) == (1, 40)
+            assert subquery_calls == []
+            self._assert_inner_scanned_once(dialect, query, "Hash Semi Join", 40)
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    @pytest.mark.parametrize(
+        "query, join_type, inner_rows, count",
+        [
+            (
+                "SELECT COUNT(*) FROM o WHERE o.a NOT IN (SELECT i.x FROM i)",
+                "Hash Anti Join", 40, 150,
+            ),
+            (
+                "SELECT COUNT(*) FROM o WHERE EXISTS (SELECT i.x FROM i WHERE i.x > 70)",
+                "Hash Semi Join", 4, 300,
+            ),
+            (
+                "SELECT COUNT(*) FROM o WHERE NOT EXISTS (SELECT i.x FROM i WHERE i.x > 70)",
+                "Hash Anti Join", 4, 0,
+            ),
+        ],
+        ids=["not-in", "exists", "not-exists"],
+    )
+    def test_other_uncorrelated_shapes_run_the_inner_once_decorrelated(
+        self, executor, subquery_calls, query, join_type, inner_rows, count
+    ):
+        for decorrelate in (True, False):
+            dialect = self._outer_inner_dialect(executor, decorrelate)
+            del subquery_calls[:]
+            assert dialect.execute(query) == [{"COUNT(*)": count}]
+            if not decorrelate:
+                assert len(subquery_calls) == 300
+                continue
+            assert subquery_calls == []
+            self._assert_inner_scanned_once(dialect, query, join_type, inner_rows)
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    @pytest.mark.parametrize("negated", [False, True], ids=["exists", "not-exists"])
+    def test_correlated_exists_runs_per_row_in_both_modes(
+        self, executor, subquery_calls, negated
+    ):
+        """The rewrite leaves a correlated subquery alone: one run per outer row."""
+        query = (
+            "SELECT COUNT(*) FROM o WHERE " + ("NOT " if negated else "")
+            + "EXISTS (SELECT i.x FROM i WHERE i.x = o.a)"
+        )
+        for decorrelate in (True, False):
+            dialect = self._outer_inner_dialect(executor, decorrelate)
+            del subquery_calls[:]
+            assert dialect.execute(query) == [{"COUNT(*)": 150}]
+            assert len(subquery_calls) == 300
 
     def test_concurrent_service_readers_match_the_direct_twin(self):
         twin = create_dialect("postgresql")

@@ -11,18 +11,21 @@ NaN is the one value that does not sort: it compares false both ways, so
 ``insort`` stops keeping the entries ordered once a NaN leading value is
 inserted, and SQL can store one (``CAST('nan' AS FLOAT)``).  Such an index
 keeps scanning every entry; ``TestNaN`` pins the output it had before, and
-that point and prefix lookups test every entry too rather than bisect.
+that point and prefix lookups, removals and the uniqueness check test every
+entry too rather than bisect.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Index
 from repro.dialects import create_dialect
+from repro.errors import StorageError
 from repro.storage import OrderedIndex
-from repro.storage.index import _SortKey
+from repro.storage.index import _SortKey, sortable
 
 
 def linear_range_scan(index, low=None, high=None, include_low=True, include_high=True):
@@ -163,6 +166,99 @@ class TestNaN:
         assert index.lookup((3.0, 5)) == [4]
         assert index.prefix_lookup((0.5,)) == [3]
         assert index.prefix_lookup((3.0,)) == [2, 4]
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(NAN, 0), (3.0, 1), (1.0, 2), (2.0, 3), (1.0, 4), (0.5, 5)],
+            [(1.0, 0), (2.0, 1), (NAN, 2), (0.5, 3), (2.0, 4), (9.5, 5)],
+            [(2.0, 0), (NAN, 1), (1.0, 2), (NAN, 3), (0.5, 4), (1.0, 5), (NAN, 6)],
+        ],
+        ids=["nan-first", "nan-middle", "nan-repeated"],
+    )
+    def test_lookups_after_a_nan_match_the_inserted_rows(self, keys):
+        index = _build(keys)
+        assert index._unordered
+        for key in {key for key in keys if key[0] == key[0]}:
+            expected = [row_id for row_id, stored in enumerate(keys) if stored == key]
+            assert sorted(index.lookup(key)) == expected
+            expected = [
+                row_id for row_id, stored in enumerate(keys) if stored[0] == key[0]
+            ]
+            assert sorted(index.prefix_lookup(key[:1])) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.one_of(_VALUES, st.just(NAN)), _VALUES), max_size=30),
+        st.tuples(_VALUES, _VALUES),
+    )
+    def test_lookups_match_a_linear_filter(self, keys, probe):
+        index = _build(keys)
+        for key in keys[:5] + [probe]:
+            wrapped = sortable(key)
+            expected = [
+                row_id for row_id, stored in enumerate(keys) if sortable(stored) == wrapped
+            ]
+            assert sorted(index.lookup(key)) == expected
+            expected = [
+                row_id for row_id, stored in enumerate(keys)
+                if sortable(stored)[:1] == wrapped[:1]
+            ]
+            assert sorted(index.prefix_lookup(key[:1])) == expected
+
+    def test_removal_after_a_nan_drops_the_entry(self):
+        keys = [(1.0, 0), (2.0, 1), (3.0, 2), (self.NAN, 3), (0.5, 4), (2.5, 5)]
+        index = _build(keys)
+        index.remove(keys[5], 5)
+        index.remove(keys[4], 4)
+        index.remove(keys[3], 3)
+        assert [row_id for _, row_id in index.ordered_entries()] == [0, 1, 2]
+        assert index.lookup((2.5, 5)) == [] and index.prefix_lookup((0.5,)) == []
+
+    def test_unique_index_rejects_a_duplicate_after_a_nan(self):
+        index = OrderedIndex(Index("u", "t", ["a"], unique=True))
+        for row_id, value in enumerate([1.0, self.NAN, 9.5]):
+            index.insert((value,), row_id)
+        with pytest.raises(StorageError, match="duplicate key"):
+            index.insert((9.5,), 3)
+        assert index.lookup((9.5,)) == [2]
+
+    @pytest.mark.parametrize("dbms", ["postgresql", "mysql", "sqlite", "tidb", "sqlserver"])
+    def test_sql_point_lookups_after_a_nan(self, dbms):
+        dialect = create_dialect(dbms)
+        dialect.execute("CREATE TABLE t (a FLOAT, b INT)")
+        dialect.execute("CREATE INDEX i0 ON t (a)")
+        dialect.execute(
+            "INSERT INTO t (a, b) VALUES "
+            + ", ".join(f"({value}.0, {value})" for value in range(1, 9))
+        )
+        dialect.execute("INSERT INTO t (a, b) VALUES (CAST('nan' AS FLOAT), 0)")
+        dialect.execute("INSERT INTO t (a, b) VALUES (9.5, 95), (0.5, 5)")
+        for value, b in [(9.5, 95), (0.5, 5), (4.0, 4), (8.0, 8)]:
+            assert dialect.execute(f"SELECT b FROM t WHERE a = {value}") == [{"b": b}]
+        assert dialect.execute("SELECT b FROM t WHERE a = 7.5") == []
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    def test_sql_writes_after_a_nan_keep_the_index_in_step(self, executor):
+        dialect = create_dialect("postgresql", executor=executor)
+        dialect.execute("CREATE TABLE t (a FLOAT, b INT)")
+        dialect.execute("CREATE INDEX i0 ON t (a)")
+        dialect.execute(
+            "INSERT INTO t (a, b) VALUES (1.0, 1), (2.0, 2), (CAST('nan' AS FLOAT), 0), (9.5, 95)"
+        )
+        index = dialect.database.index("i0")
+        dialect.execute("DELETE FROM t WHERE b = 95")
+        assert len(index) == 3
+        assert dialect.execute("SELECT b FROM t WHERE a = 9.5") == []
+        # A deleted row's entry left behind would point at a missing row id.
+        dialect.execute("INSERT INTO t (a, b) VALUES (9.5, 96)")
+        assert dialect.execute("SELECT b FROM t WHERE a = 9.5") == [{"b": 96}]
+        dialect.execute("UPDATE t SET a = 7.0 WHERE b = 96")
+        assert dialect.execute("SELECT b FROM t WHERE a = 9.5") == []
+        assert dialect.execute("SELECT b FROM t WHERE a = 7.0") == [{"b": 96}]
+        dialect.execute("DELETE FROM t WHERE b = 0")
+        assert len(index) == 3
+        assert dialect.execute("SELECT COUNT(*) FROM t") == [{"COUNT(*)": 3}]
 
     def test_clear_makes_the_index_sortable_again(self):
         index = self._index()

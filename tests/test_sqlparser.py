@@ -338,6 +338,67 @@ class TestExpressionDepthLimit:
             parse_sql("SELECT c0 FROM " + "(" * 197 + "SELECT c0 FROM t" + ")" * 197)
 
 
+def _aliased_join(levels):
+    query = "SELECT COUNT(*) FROM "
+    for level in range(levels):
+        query += f"(t AS t{level} JOIN "
+    return query + "t" + " ON 1=1)" * levels
+
+
+#: Parentheses around a whole query or FROM item, by name: the query at
+#: *levels* of nesting, the deepest nesting the parser accepts, and the
+#: rows at three levels.  Each SELECT counts 2, each parenthesis 1 and the
+#: expressions inside them their own height.
+_PARENTHESISED_SHAPES = {
+    "set-operation-arm": (
+        lambda levels: "(" * levels + "SELECT c0 FROM t" + ")" * levels,
+        197, [1, 2, 3],
+    ),
+    "right-union-arm": (
+        lambda levels: "SELECT c0 FROM t UNION " + "(" * levels + "SELECT c0 FROM t" + ")" * levels,
+        197, [1, 2, 3],
+    ),
+    "whole-union": (
+        lambda levels: "(" * levels + "SELECT c0 FROM t UNION ALL SELECT c0 FROM t" + ")" * levels,
+        197, [1, 1, 2, 2, 3, 3],
+    ),
+    "from-subquery": (
+        lambda levels: "SELECT c0 FROM " + "(" * levels + "SELECT c0 FROM t" + ")" * levels,
+        196, [1, 2, 3],
+    ),
+    "from-join": (_aliased_join, 196, [81]),
+    "in-subquery": (
+        lambda levels: (
+            "SELECT c0 FROM t WHERE c0 IN " + "(" * levels + "SELECT MAX(c0) FROM t" + ")" * levels
+        ),
+        194, [3],
+    ),
+}
+
+
+class TestParenthesisedQueryDepth:
+    """Parentheses around queries and FROM items count against the limit."""
+
+    @pytest.mark.parametrize("shape", sorted(_PARENTHESISED_SHAPES))
+    def test_deepest_accepted_nesting_parses(self, shape):
+        build, limit, _ = _PARENTHESISED_SHAPES[shape]
+        assert len(parse_sql(build(limit))) == 1
+
+    @pytest.mark.parametrize("shape", sorted(_PARENTHESISED_SHAPES))
+    def test_one_level_deeper_is_a_parse_error(self, shape):
+        build, limit, _ = _PARENTHESISED_SHAPES[shape]
+        with pytest.raises(ParseError, match="nested deeper than 200 levels"):
+            parse_sql(build(limit + 1))
+
+    @pytest.mark.parametrize("shape", sorted(_PARENTHESISED_SHAPES))
+    def test_shallow_nesting_runs_on_both_executors(self, shape):
+        build, _, expected = _PARENTHESISED_SHAPES[shape]
+        for executor in ("row", "vectorized"):
+            dialect = TestExpressionDepthLimit._dialect(executor)
+            rows = dialect.execute(build(3))
+            assert sorted(value for row in rows for value in row.values()) == expected
+
+
 class TestPrinter:
     ROUNDTRIP_QUERIES = [
         "SELECT c0 FROM t0 WHERE (c0 < 5)",
