@@ -33,9 +33,23 @@ from repro.core.naming import NameRegistry, default_registry
 from repro.errors import ConversionError
 
 
-#: Native names one converter memoises, per kind; once full, unseen names
-#: resolve afresh on every call (the ``IdentifierPool`` rule).
+#: Entries one converter memoises, per kind (operation names, property
+#: names, property values); once full, unseen ones resolve afresh on every
+#: call (the ``IdentifierPool`` rule).
 _NAME_MEMO_LIMIT = 4096
+
+#: Raw value types the property memo keys on.  Exact types only: a subclass
+#: (an ``IntEnum``, a ``str`` subclass) may hash, compare or coerce unlike
+#: its base, and JSON lists and dicts are unhashable.
+_MEMO_VALUE_TYPES = frozenset((str, int, bool, type(None)))
+
+#: Errors a parser raises on input of the wrong shape (a JSON scalar where
+#: an object belongs, a malformed number, a tree nested past the stack):
+#: :meth:`PlanConverter.convert` reports them as a ``ConversionError``.
+_MALFORMED_INPUT_ERRORS = (
+    ValueError, TypeError, AttributeError, KeyError, IndexError, RecursionError,
+)
+
 
 class _NameMemo(NamedTuple):
     """What one converter has resolved under one registry generation."""
@@ -45,6 +59,8 @@ class _NameMemo(NamedTuple):
     operations: Dict[str, Operation]
     #: Native name -> the validated, interned pair of its Property.
     properties: Dict[str, Tuple[PropertyCategory, str]]
+    #: ``_value_key(native name, raw value)`` -> the shared frozen Property.
+    values: Dict[tuple, Property]
 
 
 class PlanConverter:
@@ -59,18 +75,27 @@ class PlanConverter:
 
     def __init__(self, registry: Optional[NameRegistry] = None) -> None:
         self.registry = registry or default_registry()
-        self._memo = _NameMemo(self.registry.generation, {}, {})
+        self._memo = _NameMemo(self.registry.generation, {}, {}, {})
 
     # -- API -----------------------------------------------------------------------
 
     def convert(self, serialized: str, format: Optional[str] = None) -> UnifiedPlan:
-        """Convert a serialized plan into a :class:`UnifiedPlan`."""
+        """Convert a serialized plan into a :class:`UnifiedPlan`.
+
+        Malformed input raises a :class:`~repro.errors.ReproError` (usually a
+        ``ConversionError``), never an untyped crash of the parser.
+        """
         chosen = (format or self.formats[0]).lower()
         if chosen not in self.formats:
             raise ConversionError(
                 self.dbms, f"format {chosen!r} not supported; available: {self.formats}"
             )
-        plan = self._parse(serialized, chosen)
+        try:
+            plan = self._parse(serialized, chosen)
+        except _MALFORMED_INPUT_ERRORS as exc:
+            raise ConversionError(
+                self.dbms, f"malformed {chosen} plan: {type(exc).__name__}: {exc}"
+            ) from exc
         plan.source_dbms = self.dbms
         return plan
 
@@ -93,7 +118,7 @@ class PlanConverter:
         """
         memo = self._memo
         if memo.generation != self.registry.generation:
-            memo = self._memo = _NameMemo(self.registry.generation, {}, {})
+            memo = self._memo = _NameMemo(self.registry.generation, {}, {}, {})
         return memo
 
     def operation(self, native_name: str) -> Operation:
@@ -113,17 +138,46 @@ class PlanConverter:
         return PlanNode(self.operation(native_name))
 
     def property(self, native_name: str, value: object) -> Property:
-        """Map a native property name/value to a unified property (the first
-        of a name is built normally; its validated pair serves the rest)."""
-        memo = self._names().properties
-        resolved = memo.get(native_name)
+        """Map a native property name/value to a unified property.
+
+        One shared frozen instance per distinct ``(name, raw value)``: a
+        repeat skips coercion, validation and construction.  Otherwise the
+        first of a name is built normally and its validated pair serves the
+        rest.
+        """
+        memo = self._names()
+        key = _value_key(native_name, value)
+        if key is not None:
+            prop = memo.values.get(key)
+            if prop is not None:
+                return prop
+        resolved = memo.properties.get(native_name)
         if resolved is not None:
-            return Property.trusted(resolved[0], resolved[1], _coerce_value(value))
-        category, unified = self.registry.resolve_property(self.dbms, native_name)
-        prop = Property(category, unified, _coerce_value(value))
-        if len(memo) < _NAME_MEMO_LIMIT:
-            memo[native_name] = (prop.category, prop.identifier)
+            prop = Property.trusted(resolved[0], resolved[1], _coerce_value(value))
+        else:
+            category, unified = self.registry.resolve_property(self.dbms, native_name)
+            prop = Property(category, unified, _coerce_value(value))
+            if len(memo.properties) < _NAME_MEMO_LIMIT:
+                memo.properties[native_name] = (prop.category, prop.identifier)
+        if key is not None and len(memo.values) < _NAME_MEMO_LIMIT:
+            memo.values[key] = prop
         return prop
+
+
+def _value_key(native_name: str, value: object) -> Optional[tuple]:
+    """The property memo's key for a raw value, or None to bypass the memo.
+
+    Two raw values may share a key only if they coerce to the same value
+    token.  As dict keys ``True == 1 == 1.0`` and ``0.0 == -0.0``, so the
+    exact type is part of the key and a float is keyed by its ``repr`` (its
+    value token's text); NaN never equals itself, so it is not memoised.
+    """
+    kind = value.__class__
+    if kind is float:
+        return None if value != value else (native_name, kind, repr(value))
+    if kind in _MEMO_VALUE_TYPES:
+        return (native_name, kind, value)
+    return None
 
 
 def _coerce_value(value: object) -> object:

@@ -68,9 +68,15 @@ _FP_STRUCTURAL_CONFIG = "structural+config"
 
 
 def _structural_bytes(node: PlanNode) -> bytes:
+    # Cached on the Operation, which converters share between every node
+    # of one native name: the suffix regex runs once per operation.
     operation = node.operation
-    name = strip_unstable_suffix(operation.identifier)
-    return f"{operation.category.value}\x00{name}".encode("utf-8")
+    head = operation._structural_head
+    if head is None:
+        name = strip_unstable_suffix(operation.identifier)
+        head = f"{operation.category.value}\x00{name}".encode("utf-8")
+        object.__setattr__(operation, "_structural_head", head)
+    return head
 
 
 def _structural_config_bytes(node: PlanNode) -> bytes:

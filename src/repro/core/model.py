@@ -95,11 +95,7 @@ def value_token(value: PropertyValue) -> str:
 
 def canonical_property_key(prop: "Property") -> Tuple[int, str, str]:
     """The canonical sort key: grammar category order, then name, then value."""
-    return (
-        _PROPERTY_CATEGORY_RANK[prop.category],
-        prop.identifier,
-        value_token(prop.value),
-    )
+    return (prop._canonical or _canonical_line(prop))[0]
 
 
 def canonical_properties(properties: Iterable["Property"]) -> List["Property"]:
@@ -130,25 +126,46 @@ def frame_lines(lines: Iterable[str]) -> bytes:
     return b"".join(parts)
 
 
+def _canonical_line(prop: "Property") -> Tuple[Tuple[int, str, str], bytes]:
+    """``(canonical sort key, framed line)`` of *prop*, cached on it.
+
+    The key *is* the line's content, so equal keys mean equal lines and a
+    list of these pairs sorts into canonical order.  Converters share one
+    frozen Property per distinct value, so each line is built once per
+    value rather than once per node.
+    """
+    rank = _PROPERTY_CATEGORY_RANK[prop.category]
+    token = value_token(prop.value)
+    encoded = (_PROPERTY_LINE_FORMATS[rank] % (prop.identifier, token)).encode("utf-8")
+    cached = ((rank, prop.identifier, token), _FRAME_HEADER(1, len(encoded)) + encoded)
+    object.__setattr__(prop, "_canonical", cached)
+    return cached
+
+
+def _sorted_lines(properties: Iterable["Property"]) -> List[bytes]:
+    """The framed property lines in canonical order."""
+    pairs = [prop._canonical or _canonical_line(prop) for prop in properties]
+    pairs.sort()
+    return [line for _, line in pairs]
+
+
 def _framed_properties(properties: Iterable["Property"]) -> bytes:
     """The canonical-order property lines, framed, as one block of hash input
-    (the sort keys *are* the lines' contents: one token per value, one sort)."""
-    rank = _PROPERTY_CATEGORY_RANK
-    keys = sorted(
-        [(rank[prop.category], prop.identifier, value_token(prop.value)) for prop in properties]
-    )
-    formats = _PROPERTY_LINE_FORMATS
-    return frame_lines(
-        [formats[category] % (identifier, token) for category, identifier, token in keys]
-    )
+    (byte for byte what :func:`frame_lines` makes of the rendered lines)."""
+    return b"".join(_sorted_lines(properties))
 
 
 def _identity_bytes(node: "PlanNode") -> bytes:
     # Keywords cannot contain the separator (is_valid_keyword), so the
     # operation needs no framing; property lines embed arbitrary values.
     operation = node.operation
-    head = f"{operation.category.value}\x00{operation.identifier}".encode("utf-8")
-    return head + _framed_properties(node.properties)
+    head = operation._identity_head
+    if head is None:
+        head = f"{operation.category.value}\x00{operation.identifier}".encode("utf-8")
+        object.__setattr__(operation, "_identity_head", head)
+    lines = _sorted_lines(node.properties)
+    lines.insert(0, head)
+    return b"".join(lines)
 
 
 def merkle_fingerprint(
@@ -191,22 +208,27 @@ class _ObservedList(list):
     fingerprints.  Caches of already-fingerprinted ancestors cannot be
     reached from here (nodes hold no parent pointers); mutating below a
     fingerprinted ancestor requires `invalidate_fingerprints` on it.
+
+    The list holds its owner's cache dict, not the owner: a back-reference
+    would put every node in a reference cycle, so a discarded plan would
+    wait for a full cyclic collection instead of being freed at once.
     """
 
-    __slots__ = ("_owner",)
+    __slots__ = ("_cache",)
 
-    def __init__(self, owner, iterable=()) -> None:
+    def __init__(self, cache: Dict[str, Any], iterable=()) -> None:
         super().__init__(iterable)
-        self._owner = owner
+        self._cache = cache
 
     def _touch(self) -> None:
-        cache = self._owner._fp_cache
-        if cache:
-            cache.clear()
+        if self._cache:
+            self._cache.clear()
 
     def append(self, item):
-        super().append(item)
-        self._touch()
+        # Inlined: converters append every property and child through here.
+        list.append(self, item)
+        if self._cache:
+            self._cache.clear()
 
     def extend(self, iterable):
         super().extend(iterable)
@@ -275,6 +297,13 @@ class Operation:
     category: OperationCategory
     identifier: str
 
+    #: Hash-input heads cached on first use (not fields, so ``==``, ``hash``,
+    #: ``repr`` and pickling ignore them): ``category\x00identifier`` for
+    #: the identity fingerprint, and its unstable-suffix-stripped twin,
+    #: which :mod:`repro.core.compare` fills for the structural ones.
+    _identity_head = None
+    _structural_head = None
+
     def __post_init__(self) -> None:
         if not isinstance(self.category, OperationCategory):
             raise PlanValidationError(
@@ -287,6 +316,9 @@ class Operation:
         # Intern so repeated names across plans share one string object;
         # equality then hits the pointer fast path (see core.naming).
         object.__setattr__(self, "identifier", intern_identifier(self.identifier))
+
+    def __reduce__(self):
+        return (self.__class__, (self.category, self.identifier))
 
     def __str__(self) -> str:
         return f"{self.category.value}->{self.identifier}"
@@ -322,6 +354,11 @@ class Property:
     identifier: str
     value: PropertyValue = None
 
+    #: ``(canonical sort key, framed line)`` cached the first time the
+    #: property is fingerprinted (see ``_canonical_line``).  Not a field:
+    #: ``==``, ``hash``, ``repr``, ``to_dict`` and pickling ignore it.
+    _canonical = None
+
     def __post_init__(self) -> None:
         if not isinstance(self.category, PropertyCategory):
             raise PlanValidationError(
@@ -355,6 +392,9 @@ class Property:
         object.__setattr__(prop, "value", value)
         return prop
 
+    def __reduce__(self):
+        return (self.__class__, (self.category, self.identifier, self.value))
+
     def __str__(self) -> str:
         return f"{self.category.value}->{self.identifier}: {self.value!r}"
 
@@ -376,7 +416,7 @@ class Property:
         )
 
 
-@dataclass
+@dataclass(init=False)
 class PlanNode:
     """A node of the unified plan tree: one operation plus its properties.
 
@@ -397,30 +437,45 @@ class PlanNode:
         default_factory=dict, repr=False, compare=False
     )
 
+    def __init__(
+        self,
+        operation: Operation,
+        properties: Iterable[Property] = (),
+        children: Iterable["PlanNode"] = (),
+        _fp_cache: Optional[Dict[str, str]] = None,
+    ) -> None:
+        # Built directly rather than through __setattr__ (a node is built
+        # per operator of every converted plan); same attribute order.
+        cache = {} if _fp_cache is None else _fp_cache
+        object.__setattr__(self, "operation", operation)
+        object.__setattr__(self, "properties", _ObservedList(cache, properties))
+        object.__setattr__(self, "children", _ObservedList(cache, children))
+        object.__setattr__(self, "_fp_cache", cache)
+
     def __setattr__(self, name: str, value: Any) -> None:
-        if name in ("properties", "children") and not (
-            isinstance(value, _ObservedList) and value._owner is self
+        cache = self._fp_cache
+        if name == "_fp_cache":
+            self.properties._cache = self.children._cache = value
+        elif name in ("properties", "children") and not (
+            isinstance(value, _ObservedList) and value._cache is cache
         ):
-            value = _ObservedList(self, value)
+            value = _ObservedList(cache, value)
         object.__setattr__(self, name, value)
-        if name != "_fp_cache":
-            cache = self.__dict__.get("_fp_cache")
-            if cache:
-                cache.clear()
+        if name != "_fp_cache" and cache:
+            cache.clear()
 
     def __getstate__(self):
         # Pickle/deepcopy as plain lists and without cached fingerprints:
         # the restored copy's lists would otherwise lose their invalidation
         # hook while the stale cache survives.
-        state = dict(self.__dict__)
-        state["properties"] = list(state["properties"])
-        state["children"] = list(state["children"])
-        state["_fp_cache"] = {}
-        return state
+        return {
+            "operation": self.operation,
+            "properties": list(self.properties),
+            "children": list(self.children),
+        }
 
     def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)  # re-wraps the lists via __setattr__
+        PlanNode.__init__(self, **state)  # re-wraps the lists
 
     # -- construction helpers -------------------------------------------------
 
@@ -578,7 +633,7 @@ class PlanNode:
         return f"PlanNode({self.operation}, {len(self.properties)} props, {len(self.children)} children)"
 
 
-@dataclass
+@dataclass(init=False)
 class UnifiedPlan:
     """A complete unified query plan: an optional tree plus plan properties.
 
@@ -601,28 +656,45 @@ class UnifiedPlan:
         default_factory=dict, repr=False, compare=False
     )
 
+    def __init__(
+        self,
+        root: Optional[PlanNode] = None,
+        properties: Iterable[Property] = (),
+        source_dbms: str = "",
+        query: str = "",
+        _fp_cache: Optional[Dict[str, Tuple[str, Any]]] = None,
+    ) -> None:
+        cache = {} if _fp_cache is None else _fp_cache
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "properties", _ObservedList(cache, properties))
+        object.__setattr__(self, "source_dbms", source_dbms)
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "_fp_cache", cache)
+
     def __setattr__(self, name: str, value: Any) -> None:
-        if name == "properties" and not (
-            isinstance(value, _ObservedList) and value._owner is self
+        cache = self._fp_cache
+        if name == "_fp_cache":
+            self.properties._cache = value
+        elif name == "properties" and not (
+            isinstance(value, _ObservedList) and value._cache is cache
         ):
-            value = _ObservedList(self, value)
+            value = _ObservedList(cache, value)
         object.__setattr__(self, name, value)
         # source_dbms/query do not contribute to the fingerprint, so only
         # structural fields invalidate the plan-level cache.
-        if name in ("root", "properties"):
-            cache = self.__dict__.get("_fp_cache")
-            if cache:
-                cache.clear()
+        if name in ("root", "properties") and cache:
+            cache.clear()
 
     def __getstate__(self):
-        state = dict(self.__dict__)
-        state["properties"] = list(state["properties"])
-        state["_fp_cache"] = {}
-        return state
+        return {
+            "root": self.root,
+            "properties": list(self.properties),
+            "source_dbms": self.source_dbms,
+            "query": self.query,
+        }
 
     def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)  # re-wraps the list via __setattr__
+        UnifiedPlan.__init__(self, **state)  # re-wraps the list
 
     # -- construction helpers -------------------------------------------------
 

@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.converters.base import ConverterHub, PlanConverter, default_hub, source_hash
 from repro.core.compare import structural_fingerprint
 from repro.core.model import UnifiedPlan
-from repro.errors import ConversionError
+from repro.errors import ConversionError, ReproError
 from repro.pipeline.coverage import CoverageStore, source_key_digest
 
 
@@ -467,7 +467,7 @@ class PlanIngestService:
                     source.dbms, source.text, source.format, key=key
                 )
                 return plan, None, parsed
-            except Exception as exc:  # conversion errors become per-entry data
+            except ReproError as exc:  # conversion errors become per-entry data
                 return None, str(exc), False
 
         if len(jobs) < self.parallel_threshold or self.max_workers <= 1:

@@ -16,6 +16,9 @@ The corpus-building helpers that used to be duplicated per test file
 * ``dialect_example_plans`` — one converted example :class:`UnifiedPlan`
   per registered DBMS (relational and NoSQL), used by the round-trip
   format matrix.  The plans are shared across tests: treat them as frozen.
+* ``dialect_format_example_texts`` / ``dialect_format_example_plans`` —
+  one raw example plan text, and its conversion, per ``(dbms, native
+  format)`` pair (all 17).
 """
 
 import json
@@ -92,11 +95,12 @@ def build_relational_dialect(name):
     return dialect
 
 
-def build_dialect_example_plan(name, format_name=None):
-    """One converted example plan for *name*, covering every DBMS kind.
+def build_dialect_example_text(name, format_name=None):
+    """One raw example plan text for *name*, covering every DBMS kind.
 
     *format_name* picks one of the converter's native formats (default: its
     first); MongoDB and InfluxDB have a single one."""
+    format_name = format_name or converter_for(name).formats[0]
     if name == "mongodb":
         dialect = create_dialect("mongodb")
         dialect.insert_many("users", [{"_id": i, "age": i} for i in range(20)])
@@ -104,31 +108,33 @@ def build_dialect_example_plan(name, format_name=None):
         document = dialect.explain_find(
             "users", {"age": {"$lt": 10}}, sort=[("age", 1)], limit=5
         )
-        return converter_for("mongodb").convert(json.dumps(document), format="json")
+        return json.dumps(document)
     if name == "neo4j":
         dialect = create_dialect("neo4j")
         for i in range(5):
             node_a = dialect.store.create_node(["Item"], {"qid": f"Q{i}"})
             node_b = dialect.store.create_node(["Item"], {"qid": f"R{i}"})
             dialect.store.create_relationship(node_a.node_id, "P31", node_b.node_id)
-        format_name = format_name or "json"
-        output = dialect.explain(
+        return dialect.explain(
             "MATCH (s:Item)-[r:P31]->(o:Item) RETURN s.qid, count(o.qid)",
             format=format_name,
-        )
-        return converter_for("neo4j").convert(output.text, format=format_name)
+        ).text
     if name == "influxdb":
         dialect = create_dialect("influxdb")
         dialect.write_points(
             "m", [Point(timestamp=i, fields={"v": 1.0}) for i in range(10)]
         )
-        output = dialect.explain("SELECT v FROM m")
-        return converter_for("influxdb").convert(output.text)
-    converter = converter_for(name)
+        return dialect.explain("SELECT v FROM m").text
     dialect = build_relational_dialect(name)
-    format_name = format_name or converter.formats[0]
-    serialized = dialect.explain(RELATIONAL_QUERY, format=format_name).text
-    return converter.convert(serialized, format=format_name)
+    return dialect.explain(RELATIONAL_QUERY, format=format_name).text
+
+
+def build_dialect_example_plan(name, format_name=None):
+    """:func:`build_dialect_example_text`, converted."""
+    format_name = format_name or converter_for(name).formats[0]
+    return converter_for(name).convert(
+        build_dialect_example_text(name, format_name), format=format_name
+    )
 
 
 @pytest.fixture
@@ -194,12 +200,21 @@ def dialect_example_plans():
 
 
 @pytest.fixture(scope="session")
-def dialect_format_example_plans():
-    """One example UnifiedPlan per ``(dbms, native format)``.  Treat as frozen."""
+def dialect_format_example_texts():
+    """One raw example plan text per ``(dbms, native format)``."""
     from repro.converters import available_converters
 
     return {
-        (name, format_name): build_dialect_example_plan(name, format_name)
+        (name, format_name): build_dialect_example_text(name, format_name)
         for name in available_converters()
         for format_name in converter_for(name).formats
+    }
+
+
+@pytest.fixture(scope="session")
+def dialect_format_example_plans(dialect_format_example_texts):
+    """One example UnifiedPlan per ``(dbms, native format)``.  Treat as frozen."""
+    return {
+        (name, format_name): converter_for(name).convert(text, format=format_name)
+        for (name, format_name), text in dialect_format_example_texts.items()
     }

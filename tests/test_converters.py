@@ -1,15 +1,20 @@
 """Tests for the DBMS-specific → unified plan converters (integration with dialects)."""
 
+import copy
 import json
+import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.converters import available_converters, converter_for
+from repro.converters import ConverterHub, available_converters, converter_for
+from repro.converters.base import _coerce_value
 from repro.core import OperationCategory, PropertyCategory, structural_fingerprint, validate_plan
+from repro.core.model import Property, UnifiedPlan, value_token
 from repro.dialects import create_dialect
 from repro.core.naming import NameRegistry
-from repro.errors import ConversionError, PlanValidationError
+from repro.errors import ConversionError, PlanValidationError, ReproError
 from repro.storage.timeseries_store import Point
 
 # The schema/data/query the relational conversions run over live in the
@@ -218,9 +223,16 @@ class TestUnknownNameFallback:
             assert prop.category is PropertyCategory.STATUS
 
 
+def _fields(prop):
+    """A property's fields, its value by exact type and token: ``==`` alone
+    cannot tell ``True``, ``1`` and ``1.0`` apart, nor ``0.0`` from ``-0.0``."""
+    return (prop.category, prop.identifier, type(prop.value), value_token(prop.value))
+
+
 class TestNameMemo:
     """``PlanConverter.operation`` / ``property`` pay resolution, validation
-    and interning once per native name (PR 24); the memo must be invisible."""
+    and interning once per native name, and build one shared ``Property``
+    per distinct ``(name, raw value)``; the memo must be invisible."""
 
     def test_memoised_and_first_seen_names_build_equal_objects(self):
         registry = NameRegistry()
@@ -228,7 +240,10 @@ class TestNameMemo:
         for _ in range(3):
             seasoned.operation("Seq Scan")
             seasoned.property("Total Cost", 1.5)
+            seasoned.property("Total Cost", 12.5)
             seasoned.property("never catalogued-name", "x")
+            seasoned.property("never catalogued-name", "7")
+            seasoned.property("Filter", None)
         fresh = converter_for("postgresql", registry)
         for native in ("Seq Scan", "Frobnicate Quux Step 7"):
             first_seen, memoised = fresh.operation(native), seasoned.operation(native)
@@ -236,10 +251,54 @@ class TestNameMemo:
             assert seasoned.operation(native) is memoised  # the shared instance
         for native, value in (("Total Cost", 12.5), ("never catalogued-name", "7"), ("Filter", None)):
             first_seen, memoised = fresh.property(native, value), seasoned.property(native, value)
+            assert seasoned.property(native, value) is memoised  # the shared instance
             assert first_seen == memoised and hash(first_seen) == hash(memoised)
             assert first_seen.identifier is memoised.identifier  # both interned
-            assert first_seen.__dict__ == memoised.__dict__
-            assert str(first_seen) == str(memoised)
+            assert _fields(first_seen) == _fields(memoised)
+            assert str(first_seen) == str(memoised) and repr(first_seen) == repr(memoised)
+
+    def test_raw_values_that_compare_equal_keep_their_own_type_and_sign(self):
+        """``True == 1 == 1.0`` and ``0.0 == -0.0`` as dict keys, yet each
+        coerces to a different value token; NaN never equals itself."""
+        raws = [True, 1, 1.0, "1", 0.0, -0.0, float("nan"), False, 0, "0", "-0.0"]
+        converter = converter_for("postgresql", NameRegistry())
+        for order in (raws, raws[::-1], raws + raws):
+            for raw in order:
+                prop = converter.property("Plan Rows", raw)
+                expected = _coerce_value(raw)
+                assert type(prop.value) is type(expected)
+                assert value_token(prop.value) == value_token(expected)
+                if isinstance(expected, float):
+                    assert math.copysign(1.0, prop.value) == math.copysign(1.0, expected)
+        assert converter.property("Plan Rows", -0.0).value.hex() == "-0x0.0p+0"
+        assert math.isnan(converter.property("Plan Rows", float("nan")).value)
+
+    def test_unhashable_and_subclassed_raw_values_bypass_the_memo(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        converter = converter_for("mysql", NameRegistry())
+        converter.property("used_columns", "warm-up")
+        before = dict(converter._names().values)
+        for raw in ({"a": 1}, ["a", 1], Level.LOW):
+            first, second = converter.property("used_columns", raw), converter.property("used_columns", raw)
+            assert first == second and first is not second
+            assert first.value == _coerce_value(raw)
+        assert converter._names().values == before
+
+    def test_a_registration_starts_a_fresh_value_memo(self):
+        registry = NameRegistry()
+        converter = converter_for("postgresql", registry)
+        before = converter.property("Tokens Used", 3)
+        assert converter.property("Tokens Used", 3) is before
+        registry.register_operation("postgresql", "Unrelated Op", OperationCategory.JOIN)
+        after = converter.property("Tokens Used", 3)
+        assert after is not before and after == before
+        assert list(converter._names().values.values()) == [after]
+        registry.register_property("postgresql", "Tokens Used", PropertyCategory.COST)
+        assert converter.property("Tokens Used", 3).category is PropertyCategory.COST
 
     def test_memoised_properties_still_coerce_and_check_values(self):
         converter = converter_for("postgresql", NameRegistry())
@@ -247,8 +306,6 @@ class TestNameMemo:
         assert converter.property("Plan Rows", "10").value == 10
         assert converter.property("Plan Rows", " 2.5 ").value == 2.5
         assert converter.property("Plan Rows", ["a"]).value == "['a']"
-        from repro.core.model import Property
-
         with pytest.raises(PlanValidationError):
             Property.trusted(PropertyCategory.COST, "Total Cost", ["not", "a", "value"])
 
@@ -282,8 +339,13 @@ class TestNameMemo:
         for number in range(50):  # auto-numbered operators, as in a long campaign
             assert converter.operation(f"TableFullScan_{number}").identifier == f"Table Full Scan_{number}"
             assert converter.property(f"metric {number}", number).value == number
-        assert len(converter._names().operations) == 4 and len(converter._names().properties) == 4
+            assert converter.property("estRows", str(number)).value == number
+        memo = converter._names()
+        assert len(memo.operations) == 4 and len(memo.properties) == 4 and len(memo.values) == 4
         assert converter.operation("TableFullScan_49") == converter.operation("TableFullScan_49")
+        past_the_bound = converter.property("estRows", "49")
+        assert converter.property("estRows", "49") == past_the_bound
+        assert converter.property("estRows", "49") is not past_the_bound
 
 
     def test_threads_sharing_a_converter_agree_with_one_thread(self):
@@ -295,13 +357,18 @@ class TestNameMemo:
 
         registry = NameRegistry()
         shared = converter_for("tidb", registry)
-        names = [f"metric {number % 97}" for number in range(600)]
+        # Raw values that collide as dict keys, so racing value-memo fills
+        # must still keep each one's own type and sign.
+        raws = [True, 1, 1.0, "1", 0.0, -0.0]
+        calls = [(f"metric {number % 97}", raws[number % len(raws)]) for number in range(600)]
         lone = converter_for("tidb", NameRegistry())
-        expected = [(lone.property(name, "1"), lone.operation(name)) for name in names]
+        expected = [(_fields(lone.property(name, raw)), lone.operation(name)) for name, raw in calls]
         results = {}
 
         def worker(slot):
-            results[slot] = [(shared.property(name, "1"), shared.operation(name)) for name in names]
+            results[slot] = [
+                (_fields(shared.property(name, raw)), shared.operation(name)) for name, raw in calls
+            ]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -321,6 +388,132 @@ class TestNameMemo:
         # call that starts after it.
         registry.register_property("tidb", "metric 5", PropertyCategory.COST)
         assert shared.property("metric 5", 1).category is PropertyCategory.COST
+
+
+#: Every ``(dbms, native format)`` pair a converter parses (17).
+FORMAT_PAIRS = [(name, fmt) for name in available_converters() for fmt in converter_for(name).formats]
+
+
+class TestSharedValues:
+    """Within one converter's lifetime a repeated value is one shared frozen
+    ``Property``; the sharing must change no fingerprint and no copy."""
+
+    @pytest.mark.parametrize("name,format_name", FORMAT_PAIRS)
+    def test_a_text_converted_twice_shares_every_property(self, name, format_name, dialect_format_example_texts):
+        text = dialect_format_example_texts[(name, format_name)]
+        converter = converter_for(name, NameRegistry())
+        first, second = (converter.convert(text, format=format_name) for _ in range(2))
+        assert len(first.all_properties()) == len(second.all_properties()) > 0
+        for left, right in zip(first.all_properties(), second.all_properties()):
+            assert left is right
+        for left, right in zip(first.nodes(), second.nodes()):
+            assert left is not right and left.operation is right.operation
+        fresh = converter_for(name, NameRegistry()).convert(text, format=format_name)
+        assert second.fingerprint() == first.fingerprint() == fresh.fingerprint()
+        assert structural_fingerprint(second, True) == structural_fingerprint(fresh, True)
+
+    @pytest.mark.parametrize("name,format_name", FORMAT_PAIRS)
+    def test_a_shared_plan_round_trips_with_its_fingerprint(self, name, format_name, dialect_format_example_texts):
+        converter = converter_for(name, NameRegistry())
+        text = dialect_format_example_texts[(name, format_name)]
+        converter.convert(text, format=format_name)  # every value is now memoised
+        plan = converter.convert(text, format=format_name)
+        expected = plan.fingerprint(), structural_fingerprint(plan), structural_fingerprint(plan, True)
+        for clone in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan), plan.copy()):
+            assert clone == plan
+            assert (clone.fingerprint(), structural_fingerprint(clone), structural_fingerprint(clone, True)) == expected
+
+    def test_a_cached_line_is_invisible(self):
+        bare = Property(PropertyCategory.COST, "Total Cost", -0.0)
+        lined = Property(PropertyCategory.COST, "Total Cost", -0.0)
+        node = converter_for("postgresql", NameRegistry()).make_node("Seq Scan")
+        node.properties.append(lined)
+        node.fingerprint()
+        assert lined._canonical is not None and bare._canonical is None
+        assert lined == bare and hash(lined) == hash(bare)
+        assert repr(lined) == repr(bare) and str(lined) == str(bare)
+        assert lined.to_dict() == bare.to_dict()
+        assert pickle.dumps(lined) == pickle.dumps(bare)
+        for clone in (pickle.loads(pickle.dumps(lined)), copy.deepcopy(lined)):
+            assert clone == lined and clone._canonical is None
+        operation = node.operation
+        assert operation._identity_head is not None
+        assert pickle.loads(pickle.dumps(operation))._identity_head is None
+
+
+#: Documents of the wrong shape for some parser: JSON scalars and arrays
+#: where an object belongs (and the reverse), members of the wrong type,
+#: malformed numbers, XML without plan elements, and nesting past the stack.
+WRONG_SHAPES = [
+    "", " ", "[]", "{}", "123", "null", "true", '"plan"', "[1]", "[[]]", "[null]",
+    '[{"Plan": 5}]', '[{"Plan": {"Plans": 7}}]', '[{"Plan": {"Plans": [1]}}]',
+    '{"query_block": []}', '{"query_block": {"plan": 5}}', '{"query_block": {"cost_info": 3}}',
+    '{"query_block": {"plan": {"nested_operations": 4}}}',
+    '{"id": 5, "subOperators": 7}', '{"id": 5, "subOperators": [1]}',
+    '{"plan": 5}', '{"plan": [5]}', '{"plan": [{"Operator": "X"}], "summary": 3}',
+    '{"queryPlanner": 5}', '{"queryPlanner": {"winningPlan": 5}}',
+    '{"queryPlanner": {"winningPlan": {"inputStage": 4}}}',
+    '{"queryPlanner": {"winningPlan": {"inputStages": [3]}}, "executionStats": 1}',
+    "[" * 5000 + "]" * 5000,
+    '{"a": ' * 5000 + "1" + "}" * 5000,
+    "Seq Scan on t0  (cost=0.00...22 rows=9 width=16)",
+    "-> Table scan  (cost=1.2.3 rows=5)",
+    "<a/>", "<RelOp/>", "<a><RelOp PhysicalOp='x'>" + "<RelOp>" * 3000 + "</RelOp>" * 3000 + "</RelOp></a>",
+    "|id|\n|x|", "| a | b |\n| 1 |", "(", "|--", "+Foo | x | y |", "\x00",
+]
+
+
+def _converts_or_raises_typed(name, format_name, text):
+    """Convert *text*: a plan that fingerprints, or a ``ReproError``."""
+    try:
+        plan = converter_for(name).convert(text, format=format_name)
+    except ReproError:
+        return
+    assert isinstance(plan, UnifiedPlan)
+    plan.fingerprint()
+    structural_fingerprint(plan, True)
+
+
+class TestMalformedInput:
+    """Every converter either converts or raises a ``ReproError``: a parser
+    crash on input of the wrong shape is mapped in ``PlanConverter.convert``."""
+
+    @pytest.mark.parametrize("name,format_name", FORMAT_PAIRS)
+    def test_wrong_shape_documents(self, name, format_name):
+        for text in WRONG_SHAPES:
+            _converts_or_raises_typed(name, format_name, text)
+
+    def test_the_reported_crashes_are_conversion_errors(self):
+        for name, format_name, text in [
+            ("postgresql", "text", "Seq Scan on t0  (cost=0.00...22 rows=9 width=16)"),
+            ("postgresql", "json", "[1]"),
+            ("mysql", "json", "[]"),
+            ("neo4j", "json", "123"),
+            ("mongodb", "json", "null"),
+            ("tidb", "json", '{"id": 5, "subOperators": 7}'),
+        ]:
+            with pytest.raises(ConversionError, match=rf"^\[{name}\] malformed {format_name} plan") as caught:
+                converter_for(name).convert(text, format=format_name)
+            assert isinstance(caught.value.__cause__, (ValueError, TypeError, AttributeError))
+
+    @pytest.mark.parametrize("name,format_name", FORMAT_PAIRS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_or_damaged_texts(self, name, format_name, data, dialect_format_example_texts):
+        text = dialect_format_example_texts[(name, format_name)]
+        position = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+        damaged = data.draw(st.sampled_from([text[:position], text[:position] + text[position + 1:]]))
+        _converts_or_raises_typed(name, format_name, damaged)
+
+    def test_ingest_records_malformed_sources_as_entry_errors(self):
+        from repro.pipeline import PlanIngestService, PlanSource
+
+        service = PlanIngestService(hub=ConverterHub())
+        report = service.ingest_batch(
+            [PlanSource("mysql", "[]", "json"), PlanSource("tidb", '{"id": 5, "subOperators": 7}', "json")]
+        )
+        assert report.errors == 2
+        assert all(entry.error.startswith(f"[{entry.source.dbms}] malformed json plan") for entry in report.entries)
 
 
 class TestHubInstances:

@@ -1,5 +1,8 @@
 """Unit tests for the unified plan data model (repro.core.model / categories)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -208,6 +211,39 @@ class TestUnifiedPlan:
         assert counts[PropertyCategory.CONFIGURATION] == 3
         assert counts[PropertyCategory.STATUS] == 1
         assert counts[PropertyCategory.CARDINALITY] == 1
+
+    def test_a_dropped_plan_is_freed_without_the_cycle_collector(self):
+        """Observed lists point at their owner's cache, not at the owner, so
+        a plan holds no reference cycle: reference counting frees it."""
+        plan = build_sample_plan()
+        plan.fingerprint()
+        probes = [weakref.ref(plan)] + [weakref.ref(each) for each in plan.nodes()]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del plan
+            assert all(probe() is None for probe in probes)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_mutation_invalidates_through_rebuilt_lists_and_caches(self):
+        plan = build_sample_plan()
+        scan = plan.root.find_operations("Full Table Scan")[0]
+        original = plan.fingerprint()
+        scan.properties = list(scan.properties)  # re-wrapped for this node
+        scan.properties.append(Property(PropertyCategory.STATUS, "Loops", 2))
+        plan.root.invalidate_fingerprints()
+        changed = plan.fingerprint()
+        assert changed != original
+        scan._fp_cache = {}  # the lists follow a replaced cache
+        scan.fingerprint()
+        scan.properties.pop()
+        assert scan._fp_cache == {}
+        plan.properties = plan.properties  # the plan's own list is kept
+        plan.fingerprint()
+        plan.properties.append(Property(PropertyCategory.STATUS, "Workers", 2))
+        assert plan._fp_cache == {}
 
     def test_merge_property_lists_keeps_first(self):
         first = [Property(PropertyCategory.COST, "Total Cost", 1)]
