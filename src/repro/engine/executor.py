@@ -31,7 +31,7 @@ from repro.errors import ExecutionError
 from repro.optimizer.physical import ATTACHED_KEYS, INIT_PLANS, OpKind, PhysicalNode
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.printer import print_expression
-from repro.storage.index import sortable
+from repro.storage.index import key_part, sortable
 
 Row = Dict[str, object]
 
@@ -799,11 +799,13 @@ def _extract_bounds(
         ):
             if conjunct.expression.column.lower() != leading_column.lower() or conjunct.negated:
                 continue
-            values = [
-                item.value for item in conjunct.items if isinstance(item, ast.Literal)
-            ]
-            if len(values) == len(conjunct.items):
-                bounds.equality_values = values
+            if all(isinstance(item, ast.Literal) for item in conjunct.items):
+                # One lookup per distinct index key, first appearance kept:
+                # ``IN (1, 1)`` or ``IN (1, 1.0)`` must not fetch a row twice.
+                distinct: Dict[object, object] = {}
+                for item in conjunct.items:
+                    distinct.setdefault(key_part(item.value), item.value)
+                bounds.equality_values = list(distinct.values())
                 found = True
             continue
         else:

@@ -637,38 +637,43 @@ class BatchContext:
         return self._rows
 
 
-def resolve_batch_column(
-    context: BatchContext, reference: ast.ColumnRef
-) -> List[object]:
-    """Resolve a column reference against a batch (cf. :func:`resolve_column`).
+def _resolve_batch_key(columns: Dict[str, List[object]], reference: ast.ColumnRef) -> str:
+    """The key of a batch's *columns* that *reference* resolves to (cf.
+    :func:`resolve_column`).
 
     Batches are uniform, so resolving against the key set once is equivalent
     to resolving against each row; the fallback order (exact qualified,
     case-insensitive qualified, exact bare, suffix match, case-insensitive
     bare) mirrors :func:`resolve_column` including its first-match behaviour
-    for ambiguous unqualified references.
+    for ambiguous unqualified references.  The answer depends only on the
+    key sequence and the reference.
     """
-    columns = context.columns
     if reference.table:
         qualified = f"{reference.table}.{reference.column}"
         if qualified in columns:
-            return columns[qualified]
+            return qualified
         lowered = qualified.lower()
-        for key, values in columns.items():
+        for key in columns:
             if key.lower() == lowered:
-                return values
+                return key
         raise ExecutionError(f"unknown column {qualified!r}")
     if reference.column in columns:
-        return columns[reference.column]
+        return reference.column
     suffix = "." + reference.column.lower()
-    matches = [key for key in columns if key.lower().endswith(suffix)]
-    if matches:
-        return columns[matches[0]]
+    for key in columns:
+        if key.lower().endswith(suffix):
+            return key
     lowered_column = reference.column.lower()
-    for key, values in columns.items():
+    for key in columns:
         if key.lower() == lowered_column:
-            return values
+            return key
     raise ExecutionError(f"unknown column {reference.column!r}")
+
+
+#: How many batch schemas one compiled column reference remembers its key
+#: for.  A plan node sees one or two; past the bound a schema resolves
+#: afresh on every call.
+_BINDING_MEMO_LIMIT = 64
 
 
 #: Callable evaluating one compiled expression over a whole batch.
@@ -718,11 +723,28 @@ def compile_expression_batch(expression: ast.Expression) -> CompiledBatchExpress
             else expression.column
         )
 
+        # Off the exact key, the key the reference resolves to is remembered
+        # per batch schema (the key tuple decides resolution), so a hot plan
+        # scans its keys once, not once per execution.  A failure is never
+        # remembered: an unknown column raises on every call.  The memo is
+        # created on the first miss; most references never miss.
+        bindings: Optional[Dict[tuple, str]] = None
+
         def column(context, key=key, reference=expression):
-            values = context.columns.get(key)
+            nonlocal bindings
+            columns = context.columns
+            values = columns.get(key)
             if values is not None:
                 return values
-            return resolve_batch_column(context, reference)
+            if bindings is None:
+                bindings = {}
+            schema = tuple(columns)
+            bound = bindings.get(schema)
+            if bound is None:
+                bound = _resolve_batch_key(columns, reference)
+                if len(bindings) < _BINDING_MEMO_LIMIT:
+                    bindings[schema] = bound
+            return columns[bound]
 
         return column
     if isinstance(expression, ast.BinaryOp):

@@ -34,6 +34,16 @@ Design rules:
   per-row loop: keys and arguments are evaluated once per operator and
   factorised, probed, gathered or folded as whole columns (typed arrays
   through :mod:`repro.engine.arrays`, plain lists through ``zip``).
+* **Scans emit what the statement reads** — a scan of a snapshot with at
+  least ``arrays.ARRAY_MIN_ROWS`` rows keeps only the columns whose
+  lower-cased name the statement references somewhere
+  (:func:`_referenced_names`, computed once per plan root), so filters,
+  joins and sorts gather two columns of a sixteen-column table, not all
+  sixteen.  Every key a reference could resolve to keeps its place, so
+  resolution picks the same key as before; a ``*`` anywhere keeps them all.
+* **Static work once per plan** — compiled closures, column bindings,
+  index bounds and a scan's emitted keys are cached on the (shared) plan
+  nodes, so a hot plan pays per row, not per execution.
 * **Oracle equivalence** — results, row order, and ``EXPLAIN ANALYZE``
   runtime row counts are identical to the row executor's
   (tests/test_vectorized_equivalence.py fuzzes this over the generator
@@ -44,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.engine.executor import (
     Executor,
@@ -64,7 +74,6 @@ from repro.engine.expressions import (
     compile_expression_batch,
     compile_predicate_batch,
     evaluate,
-    resolve_batch_column,
 )
 from repro.errors import CatalogError, ExecutionError, StorageError
 from repro.optimizer.physical import INIT_PLANS, OpKind, PhysicalNode
@@ -73,6 +82,10 @@ from repro.sqlparser.printer import print_expression
 from repro.storage.index import sortable
 
 _EMPTY_ROW: Row = {}
+
+#: Marks a batch-compiled cache slot that holds no value yet (``None`` is a
+#: value: no index bounds, no column pruning).
+_MISSING = object()
 
 _SCAN_KINDS = (OpKind.SEQ_SCAN, OpKind.INDEX_SCAN, OpKind.INDEX_ONLY_SCAN)
 
@@ -300,7 +313,7 @@ class VectorizedExecutor(Executor):
     def _execute_batches(
         self, node: PhysicalNode, analyze: bool, outer_row: Row
     ) -> List[RowBatch]:
-        started = time.perf_counter()
+        started = time.perf_counter() if analyze else 0.0
         handler = _BATCH_HANDLERS.get(node.kind) if not outer_row else None
         if handler is not None:
             batches = handler(self, node, analyze)
@@ -336,8 +349,8 @@ class VectorizedExecutor(Executor):
         if cache is None:
             cache = {}
             node._batch_compiled = cache
-        compiled = cache.get(key)
-        if compiled is None:
+        compiled = cache.get(key, _MISSING)
+        if compiled is _MISSING:
             compiled = builder()
             cache[key] = compiled
         return compiled
@@ -369,15 +382,50 @@ class VectorizedExecutor(Executor):
                 return snapshot
         return table.column_batch()
 
+    def _scan_columns(self, node: PhysicalNode, snapshot) -> Dict[str, List[object]]:
+        """The snapshot columns *node* emits, keyed ``alias.column``.
+
+        Below ``arrays.ARRAY_MIN_ROWS`` rows every column is emitted: the
+        columns are plain lists there, a gather is cheap, and a cold
+        statement pays neither the walk behind :meth:`_statement_names` nor
+        a cache entry.  Above it, only the columns the statement may read;
+        which ones is cached on the node per snapshot schema and name set.
+        """
+        alias = node.info.get("alias") or node.info["table"]
+        columns = snapshot.columns
+        if snapshot.length < arrays.ARRAY_MIN_ROWS:
+            prefix = alias + "."
+            return {prefix + name: values for name, values in columns.items()}
+        schema = tuple(columns)
+        names = self._statement_names()
+        keys = self._node_batch_compiled(
+            node,
+            ("scan_keys", schema, names),
+            lambda: [
+                (name, f"{alias}.{name}")
+                for name in schema
+                # A name that is not a plain identifier could match a
+                # reference in ways a name set cannot see (``a.b`` by
+                # suffix); it is always kept.
+                if names is None or name.lower() in names or not name.isidentifier()
+            ],
+        )
+        return {key: columns[name] for name, key in keys}
+
+    def _statement_names(self) -> Optional[FrozenSet[str]]:
+        """The executing statement's :func:`_referenced_names`, computed once
+        per plan root.  The root is the one this thread's top-level
+        ``execute`` recorded: the service's reader threads share one
+        executor and one cached plan."""
+        root = self._local.subqueries.root
+        return self._node_batch_compiled(
+            root, "referenced_names", lambda: _referenced_names(root)
+        )
+
     def _batch_seq_scan(self, node: PhysicalNode, analyze: bool) -> List[RowBatch]:
         table = self.database.table(node.info["table"])
-        alias = node.info.get("alias") or node.info["table"]
         snapshot = self._table_snapshot(table)
-        prefix = alias + "."
-        base = RowBatch(
-            {prefix + name: values for name, values in snapshot.columns.items()},
-            snapshot.length,
-        )
+        base = RowBatch(self._scan_columns(node, snapshot), snapshot.length)
         batches = _split(base, self.batch_size)
         if node.info.get("filter") is None:
             return batches
@@ -385,10 +433,14 @@ class VectorizedExecutor(Executor):
 
     def _batch_index_scan(self, node: PhysicalNode, analyze: bool) -> List[RowBatch]:
         table = self.database.table(node.info["table"])
-        alias = node.info.get("alias") or node.info["table"]
         index = self.database.index(node.info["index"])
         index_condition = node.info.get("index_condition")
-        bounds = _extract_bounds(index_condition, index.definition.leading_column())
+        leading = index.definition.leading_column()
+        bounds = self._node_batch_compiled(
+            node,
+            ("bounds", leading),
+            lambda: _extract_bounds(index_condition, leading),
+        )
         if bounds is not None and bounds.equality_values is not None:
             row_ids: List[int] = []
             for value in bounds.equality_values:
@@ -409,11 +461,10 @@ class VectorizedExecutor(Executor):
             raise StorageError(
                 f"row id {exc.args[0]} does not exist in {table.schema.name!r}"
             ) from exc
-        prefix = alias + "."
         batch = RowBatch(
             {
-                prefix + name: arrays.take_column(values, positions)
-                for name, values in snapshot.columns.items()
+                key: arrays.take_column(values, positions)
+                for key, values in self._scan_columns(node, snapshot).items()
             },
             len(positions),
         )
@@ -514,7 +565,16 @@ class VectorizedExecutor(Executor):
     def _batch_hash_join(self, node: PhysicalNode, analyze: bool) -> List[RowBatch]:
         left_batches = self._execute_batches(node.children[0], analyze, _EMPTY_ROW)
         right_batches = self._execute_batches(node.children[1], analyze, _EMPTY_ROW)
-        keys = _equi_join_keys(node.info.get("condition"))
+        # One compiled column reference per key side: each binds once per
+        # batch schema (``compile_expression_batch``), not once per execution.
+        keys = self._node_batch_compiled(
+            node,
+            "join_keys",
+            lambda: [
+                (compile_expression_batch(left), compile_expression_batch(right))
+                for left, right in _equi_join_keys(node.info.get("condition"))
+            ],
+        )
         if not keys:
             return self._batch_join_generic(node, left_batches, right_batches)
         join_type = node.info.get("join_type", "INNER")
@@ -748,15 +808,16 @@ class VectorizedExecutor(Executor):
         return _split(RowBatch(columns, length), self.batch_size)
 
     def _key_columns(
-        self, batch: RowBatch, references: List[ast.ColumnRef]
+        self, batch: RowBatch, references: List[Callable]
     ) -> Optional[List[List[object]]]:
-        """Resolve join-key columns, ``None`` when any reference is unknown
-        (the row executor's ``_hash_key`` treats that as a NULL key)."""
+        """Resolve join-key columns through their compiled references,
+        ``None`` when any reference is unknown (the row executor's
+        ``_hash_key`` treats that as a NULL key)."""
         if not batch.length:
             return None
         context = BatchContext(batch.columns, batch.length)
         try:
-            return [resolve_batch_column(context, ref) for ref in references]
+            return [reference(context) for reference in references]
         except ExecutionError:
             return None
 
@@ -1039,6 +1100,46 @@ class VectorizedExecutor(Executor):
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _referenced_names(root: PhysicalNode) -> Optional[FrozenSet[str]]:
+    """Every lower-cased column name *root*'s statement may read, or
+    ``None`` when a ``*`` / ``t.*`` makes it read every column.
+
+    The walk covers each node's ``info`` — expressions, attached init-plans
+    and subplans, subquery ASTs inside expressions (also those planned only
+    at first use), a DML ``statement`` — and ``USING`` column lists.  It
+    deliberately ignores the planner's needed-column sets, which miss ORDER
+    BY keys and references inside subqueries.  A reference ``a.b`` also
+    contributes ``b``: resolution matches keys by exact text, by ``.name``
+    suffix and case-insensitively, so every key a reference can resolve to
+    is ``alias.column`` with ``column`` among these names (or a column name
+    that is not a plain identifier, which scans always keep).
+    """
+    names = set()
+    stack: List[object] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, PhysicalNode):
+            stack.extend(item.children)
+            stack.extend(item.info.values())
+        elif isinstance(item, ast.ColumnRef):
+            text = (
+                f"{item.table}.{item.column}" if item.table else item.column
+            ).lower()
+            names.add(text)
+            while "." in text:
+                text = text.split(".", 1)[1]
+                names.add(text)
+        elif isinstance(item, ast.Star):
+            return None
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, ast.Node):
+            if isinstance(item, ast.Join):
+                names.update(column.lower() for column in item.using_columns)
+            stack.extend(vars(item).values())
+    return frozenset(names)
 
 
 def _safe_batch_values(fn, expression, context: BatchContext) -> List[object]:

@@ -5,17 +5,44 @@ lookups, range scans, and ordered full scans — the access paths that back
 ``Index Scan`` / ``Index Only Scan`` / ``Index Range Scan`` operations in the
 simulated DBMSs.  A ``None`` component in a key sorts before every non-null
 value, mirroring NULLS FIRST ordering.
+
+Entries hold *native* keys: one ``(rank, value)`` tuple per key component
+(:func:`key_part`), exactly the pair a :class:`_SortKey` compares, so bisect
+compares plain tuples in C instead of calling ``__eq__`` / ``__lt__`` per
+step.  Order and equality are unchanged, NaN included: a tuple comparison
+takes the same identity shortcut on its elements that comparing two
+``_SortKey._key()`` pairs took.  :class:`_SortKey` stays for the executors'
+sort paths, which mix it with per-key descending flags.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left, insort
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Index
 from repro.errors import StorageError
 
 IndexKey = Tuple[object, ...]
+NativeKey = Tuple[Tuple[int, object], ...]
+
+
+def key_part(value: object) -> Tuple[int, object]:
+    """The total-order ``(rank, value)`` pair of one key component: NULL
+    first, then numbers (bools as ints, the rest as floats, so ``1``,
+    ``1.0`` and ``True`` are one key), then everything else as text."""
+    if value is None:
+        return (0, "")
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (1, float(value))
+    return (2, str(value))
+
+
+def native_key(key: Sequence[object]) -> NativeKey:
+    """The native form of a raw key tuple, as index entries store it."""
+    return tuple(map(key_part, key))
 
 
 class _SortKey:
@@ -24,14 +51,7 @@ class _SortKey:
     __slots__ = ("rank", "value")
 
     def __init__(self, value: object) -> None:
-        if value is None:
-            self.rank, self.value = 0, ""
-        elif isinstance(value, bool):
-            self.rank, self.value = 1, int(value)
-        elif isinstance(value, (int, float)):
-            self.rank, self.value = 1, float(value)
-        else:
-            self.rank, self.value = 2, str(value)
+        self.rank, self.value = key_part(value)
 
     def _key(self) -> Tuple[int, object]:
         return (self.rank, self.value)
@@ -56,10 +76,11 @@ class OrderedIndex:
 
     def __init__(self, definition: Index) -> None:
         self.definition = definition
-        self._entries: List[Tuple[Tuple[_SortKey, ...], IndexKey, int]] = []
-        #: Set once a NaN leading value is inserted: NaN compares false both
-        #: ways, so ``insort`` stops keeping the entries sorted by leading
-        #: value and no lookup, scan, removal or uniqueness check can bisect
+        self._entries: List[Tuple[NativeKey, IndexKey, int]] = []
+        #: Set once a key holding a NaN is inserted: NaN compares false both
+        #: ways, so ``insort`` stops keeping the entries sorted (by leading
+        #: value, or within one leading value when a later component is
+        #: NaN) and no lookup, scan, removal or uniqueness check can bisect
         #: them any more.
         self._unordered = False
 
@@ -68,18 +89,21 @@ class OrderedIndex:
     def insert(self, key: Sequence[object], row_id: int) -> None:
         """Insert an entry; rejects duplicates for unique indexes."""
         raw = tuple(key)
-        wrapped = sortable(raw)
+        wrapped = native_key(raw)
         if self.definition.unique and self._contains_key(wrapped):
             raise StorageError(
                 f"duplicate key {raw!r} for unique index {self.definition.name!r}"
             )
         insort(self._entries, (wrapped, raw, row_id))
-        if raw and raw[0] != raw[0]:
-            self._unordered = True
+        if not self._unordered:
+            for value in raw:
+                if value != value:
+                    self._unordered = True
+                    break
 
     def remove(self, key: Sequence[object], row_id: int) -> None:
         """Remove the entry for ``(key, row_id)`` if present."""
-        wrapped = sortable(tuple(key))
+        wrapped = native_key(key)
         if self._unordered:
             for index, (entry, _, entry_row_id) in enumerate(self._entries):
                 if entry_row_id == row_id and entry == wrapped:
@@ -98,7 +122,7 @@ class OrderedIndex:
         self._entries.clear()
         self._unordered = False
 
-    def _contains_key(self, wrapped: Tuple[_SortKey, ...]) -> bool:
+    def _contains_key(self, wrapped: NativeKey) -> bool:
         if self._unordered:
             return any(entry == wrapped for entry, _, _ in self._entries)
         position = bisect_left(self._entries, (wrapped,))
@@ -111,10 +135,10 @@ class OrderedIndex:
     def lookup(self, key: Sequence[object]) -> List[int]:
         """Return the row ids whose full key equals *key*.
 
-        Like :meth:`range_scan`, an index holding a NaN leading value is
+        Like :meth:`range_scan`, an index holding a key with a NaN is
         no longer sorted, so it tests every entry instead of bisecting.
         """
-        wrapped = sortable(tuple(key))
+        wrapped = native_key(key)
         if self._unordered:
             return [row_id for entry, _, row_id in self._entries if entry == wrapped]
         results: List[int] = []
@@ -126,7 +150,7 @@ class OrderedIndex:
 
     def prefix_lookup(self, prefix: Sequence[object]) -> List[int]:
         """Return row ids whose key starts with *prefix* (leading columns)."""
-        wrapped_prefix = sortable(tuple(prefix))
+        wrapped_prefix = native_key(prefix)
         width = len(wrapped_prefix)
         if self._unordered:
             return [
@@ -156,16 +180,16 @@ class OrderedIndex:
         Entries are sorted by leading value with NULLs first, so the answer
         is the slice between two bisections; entries with a NULL leading
         value are never yielded.  A NaN, which sorts nowhere, in a bound or
-        a leading value sends the scan through every entry instead, testing
-        each one.
+        in any stored key sends the scan through every entry instead,
+        testing each one.
         """
         entries = self._entries
         if not (self._unordered or low != low or high != high):
             # With no low bound the slice starts after the NULLs.
-            start = self._leading_position(_SortKey(low), after=low is None or not include_low)
+            start = self._leading_position(key_part(low), after=low is None or not include_low)
             stop = (
                 len(entries) if high is None
-                else self._leading_position(_SortKey(high), after=include_high)
+                else self._leading_position(key_part(high), after=include_high)
             )
             for _, raw, row_id in entries[start:stop]:
                 yield raw, row_id
@@ -174,18 +198,18 @@ class OrderedIndex:
             leading = raw[0] if raw else None
             if leading is None:
                 continue
-            leading_key = _SortKey(leading)
+            leading_key = key_part(leading)
             if low is not None:
-                low_key = _SortKey(low)
+                low_key = key_part(low)
                 if leading_key < low_key or (leading_key == low_key and not include_low):
                     continue
             if high is not None:
-                high_key = _SortKey(high)
+                high_key = key_part(high)
                 if high_key < leading_key or (leading_key == high_key and not include_high):
                     continue
             yield raw, row_id
 
-    def _leading_position(self, key: _SortKey, after: bool) -> int:
+    def _leading_position(self, key: Tuple[int, object], after: bool) -> int:
         """The first entry whose leading value sorts after *key*, or at it
         unless *after*."""
         entries = self._entries

@@ -15,14 +15,22 @@ absent or disabled; the list mode always runs.
 Every join is written with qualified columns whose left operand names the
 left input: an unqualified equality written the other way round matches
 nothing on this engine (ROADMAP open item 1(a), third known engine bug).
+
+Scans of snapshots with at least ``ARRAY_MIN_ROWS`` rows emit only the
+columns the statement names (``TestScanPruning``): the parity cases there
+cover the shapes that read columns other than through a plain reference —
+``*``, subqueries, derived tables, DML, ambiguous and mixed-case names.
 """
+
+import sys
+import threading
 
 import pytest
 
 from repro.benchmarking import tpch
 from repro.dialects import create_dialect
 from repro.dialects.prepared import reset_runtime
-from repro.engine import arrays
+from repro.engine import arrays, expressions, vectorized
 from repro.engine.expressions import BatchContext, compile_expression_batch
 from repro.errors import ExecutionError, ReproError
 from repro.optimizer.physical import OpKind
@@ -215,6 +223,40 @@ class TestAggregateReferenceBatchCase:
         assert list(compile_expression_batch(self.EXPRESSION)(BatchContext({}, 0))) == []
 
 
+class TestColumnBinding:
+    """A compiled column reference that misses the exact key remembers the
+    key it resolved to per batch schema; a failure is never remembered."""
+
+    @pytest.fixture
+    def resolutions(self, monkeypatch):
+        calls = []
+        resolve = expressions._resolve_batch_key
+
+        def counting(columns, reference):
+            calls.append(tuple(columns))
+            return resolve(columns, reference)
+
+        monkeypatch.setattr(expressions, "_resolve_batch_key", counting)
+        return calls
+
+    def test_binds_once_per_schema(self, resolutions):
+        compiled = compile_expression_batch(parse_sql("SELECT B FROM t")[0].body.items[0].expression)
+        assert compiled(BatchContext({"t.a": [1], "t.b": [2]}, 1)) == [2]
+        assert compiled(BatchContext({"t.a": [3], "t.b": [4]}, 1)) == [4]
+        assert len(resolutions) == 1
+        # Another key order is another schema: the first match may differ.
+        assert compiled(BatchContext({"u.b": [5], "t.b": [6]}, 1)) == [5]
+        assert compiled(BatchContext({"t.b": [7], "u.b": [8]}, 1)) == [7]
+        assert len(resolutions) == 3
+
+    def test_an_unknown_column_raises_on_every_call(self, resolutions):
+        compiled = compile_expression_batch(parse_sql("SELECT nope FROM t")[0].body.items[0].expression)
+        for _ in range(3):
+            with pytest.raises(ExecutionError, match="unknown column 'nope'"):
+                compiled(BatchContext({"t.a": [1]}, 1))
+        assert len(resolutions) == 3
+
+
 # ---------------------------------------------------------------------------
 # Hash joins
 # ---------------------------------------------------------------------------
@@ -363,6 +405,192 @@ class TestInLists:
         assert run("s IN ('a', 'b')", {"s": ["a", None, "c"]}) == [True, None, False]
         for text in ("k IN (1, 'a')", "k IN (1, k)", "k IN (TRUE, 3)"):
             assert isinstance(run(text, numbers), list), text
+
+
+# ---------------------------------------------------------------------------
+# Scans emit only referenced columns
+# ---------------------------------------------------------------------------
+
+
+def _wide_row(i):
+    return {
+        "a": i % 9, "b": i % 5, "c": (i * 7) % 11, "k": i % 4,
+        "Mixed": None if i % 10 == 0 else i % 3, "s": "s%d" % (i % 6), "z": i,
+    }
+
+
+def _narrow_row(i):
+    return {"x": i % 12, "k": i % 5, "y": i}
+
+
+PRUNING_DDL = [
+    "CREATE TABLE p (a INT, b INT, c INT, k INT, Mixed INT, s TEXT, z INT)",
+    "CREATE TABLE q (x INT, k INT, y INT)",
+    "CREATE INDEX pa ON p (a)",
+]
+
+
+@pytest.fixture(scope="module")
+def pruned():
+    return Engines(
+        PRUNING_DDL,
+        {
+            "p": [_wide_row(i) for i in range(ROWS)],
+            "q": [_narrow_row(i) for i in range(arrays.ARRAY_MIN_ROWS)],
+        },
+    )
+
+
+PRUNING_CASES = {
+    "count, no columns": "SELECT COUNT(*) FROM p",
+    "count, cross join of two column-less scans": "SELECT COUNT(*) FROM p CROSS JOIN q",
+    "star": "SELECT * FROM p WHERE b < 2",
+    "qualified star": "SELECT p.* FROM p JOIN q ON p.a = q.x WHERE q.y < 30",
+    "exists star": "SELECT z FROM p WHERE EXISTS (SELECT * FROM q WHERE q.y < 5)",
+    "correlated exists on an unselected column":
+        "SELECT z FROM p WHERE EXISTS (SELECT 1 FROM q WHERE q.x = p.c)",
+    "correlated scalar on an unselected column":
+        "SELECT a, (SELECT COUNT(*) FROM q WHERE q.k = p.b) AS n FROM p WHERE z < 40",
+    "init-plan": "SELECT z FROM p WHERE b = (SELECT MAX(k) FROM q)",
+    "derived table": "SELECT d.y FROM (SELECT a AS y, b FROM p WHERE c < 5) AS d WHERE d.b > 1",
+    "ambiguous name keeps first-match order": "SELECT k FROM p JOIN q ON p.a = q.x",
+    "ambiguous name in a filter": "SELECT z, y FROM p JOIN q ON p.a = q.x WHERE k > 2",
+    "mixed case": "SELECT MIXED, p.A FROM p WHERE mixed > 0 AND B < 3",
+    "order by an unselected column": "SELECT a FROM p ORDER BY c DESC, Z",
+    "left join padded with NULLs": "SELECT p.z, q.y FROM p LEFT JOIN q ON p.a = q.x AND q.y < 20",
+    "index scan, repeated IN values": "SELECT z FROM p WHERE a IN (1, 2, 1)",
+    "index range scan": "SELECT b FROM p WHERE a BETWEEN 2 AND 4 ORDER BY z",
+    "group by": "SELECT s, COUNT(*), SUM(c) FROM p GROUP BY s",
+    "union": "SELECT a FROM p WHERE b = 1 UNION SELECT x FROM q",
+}
+
+
+class TestScanPruning:
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_parity(self, pruned, case):
+        pruned.assert_parity(PRUNING_CASES[case])
+
+    def test_column_less_counts(self, pruned):
+        assert pruned.assert_parity("SELECT COUNT(*) FROM p CROSS JOIN q") == [
+            (("COUNT(*)", repr(ROWS * arrays.ARRAY_MIN_ROWS)),)
+        ]
+
+    def test_insert_select(self):
+        engines = Engines(
+            PRUNING_DDL + ["CREATE TABLE target (u INT, v TEXT)"],
+            {"p": [_wide_row(i) for i in range(ROWS)]},
+        )
+        insert = "INSERT INTO target SELECT c, s FROM p WHERE b < 3"
+        runs = []
+        for kind, modes in (("row", [("list", False)]), ("vectorized", _kernel_modes())):
+            dialect = engines.dialects[kind]
+            for _, use_numpy in modes:
+                arrays.set_numpy_enabled(use_numpy)
+                dialect.execute("DELETE FROM target")
+                dialect.execute(insert)
+                runs.append(Engines._frozen(dialect.execute("SELECT u, v FROM target")))
+        assert len(runs[0]) == sum(1 for i in range(ROWS) if i % 5 < 3)
+        assert all(run == runs[0] for run in runs)
+
+    # -- mechanism ----------------------------------------------------------------
+
+    WIDE = [chr(ord("a") + i) for i in range(16)]
+
+    def _wide_dialect(self, rows, executor="vectorized"):
+        dialect = create_dialect("postgresql", executor=executor)
+        dialect.execute("CREATE TABLE t (" + ", ".join(f"{c} INT" for c in self.WIDE) + ")")
+        dialect.database.insert_rows(
+            "t", [{c: (i * (j + 1)) % 13 for j, c in enumerate(self.WIDE)} for i in range(rows)]
+        )
+        dialect.analyze_tables()
+        return dialect
+
+    @pytest.fixture
+    def scan_keys(self, monkeypatch):
+        """The key set of every batch a sequential scan emits."""
+        seen = []
+        scan = vectorized._BATCH_HANDLERS[OpKind.SEQ_SCAN]
+
+        def recording(executor, node, analyze):
+            batches = scan(executor, node, analyze)
+            seen.extend(batch.schema() for batch in batches)
+            return batches
+
+        monkeypatch.setitem(vectorized._BATCH_HANDLERS, OpKind.SEQ_SCAN, recording)
+        return seen
+
+    @pytest.mark.parametrize("use_numpy", [False, True])
+    def test_a_sixteen_column_scan_gathers_three(self, scan_keys, use_numpy):
+        if use_numpy and not arrays.numpy_enabled():
+            pytest.skip("array kernels disabled")
+        arrays.set_numpy_enabled(use_numpy)
+        dialect = self._wide_dialect(100)
+        rows = dialect.execute("SELECT a FROM t WHERE b < 5 ORDER BY c")
+        assert rows and set(scan_keys) == {("t.a", "t.b", "t.c")}
+
+    def test_a_star_or_a_small_table_keeps_every_column(self, scan_keys):
+        self._wide_dialect(100).execute("SELECT * FROM t WHERE b < 5")
+        # ROW_PATH_THRESHOLD <= 40 < ARRAY_MIN_ROWS: batch path, no pruning.
+        self._wide_dialect(40).execute("SELECT a FROM t WHERE b < 5")
+        assert [len(keys) for keys in scan_keys] == [16, 16]
+
+    def test_threads_sharing_a_cached_plan_agree(self):
+        # The service's reader threads share one executor and one cached
+        # plan: the per-plan caches fill under concurrent first executions.
+        dialect, oracle = self._wide_dialect(100), self._wide_dialect(100, "row")
+        for engine in (dialect, oracle):
+            engine.execute("CREATE INDEX ta ON t (a)")
+        queries = [
+            "SELECT b FROM t WHERE a IN (3, 4, 3) AND c < 10",
+            "SELECT x.d, y.e FROM t AS x JOIN t AS y ON x.a = y.b WHERE x.c < 3",
+            "SELECT g, COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM t AS u WHERE u.h = t.k) GROUP BY g",
+        ]
+        expected = [oracle.execute(query) for query in queries]
+        assert all(expected)
+        failures = []
+
+        def reader(offset):
+            for round_ in range(12):
+                query = (offset + round_) % len(queries)
+                if dialect.execute(queries[query]) != expected[query]:
+                    failures.append(query)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_static_work_runs_once_per_plan(self, monkeypatch):
+        counts = {"names": 0, "bounds": 0}
+
+        def counting(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            vectorized, "_referenced_names", counting("names", vectorized._referenced_names)
+        )
+        monkeypatch.setattr(
+            vectorized, "_extract_bounds", counting("bounds", vectorized._extract_bounds)
+        )
+        dialect = self._wide_dialect(100)
+        dialect.execute("CREATE INDEX ta ON t (a)")
+        dialect.analyze_tables()
+        query = "SELECT b FROM t WHERE a = 3 AND c < 10"
+        results = [dialect.execute(query) for _ in range(3)]
+        assert results[0] and results.count(results[0]) == 3
+        assert counts == {"names": 1, "bounds": 1}
 
 
 # ---------------------------------------------------------------------------

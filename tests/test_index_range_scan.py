@@ -13,9 +13,19 @@ inserted, and SQL can store one (``CAST('nan' AS FLOAT)``).  Such an index
 keeps scanning every entry; ``TestNaN`` pins the output it had before, and
 that point and prefix lookups, removals and the uniqueness check test every
 entry too rather than bisect.
+
+Entries hold native ``(rank, value)`` tuples instead of ``_SortKey``
+objects; ``TestNativeKeys`` checks entry order and every lookup against a
+reference index built on ``sortable()`` and a linear filter, NaN (in any
+key component), infinities and ``-0.0`` included.  ``TestInListLookups``
+pins ``col IN (…)`` index scans with repeated values against stdlib
+``sqlite3``.
 """
 
 import math
+import sqlite3
+from bisect import insort
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -267,3 +277,108 @@ class TestNaN:
             index.insert((value,), row_id)
         assert not index._unordered
         assert [row for _, row in index.range_scan(1, 2)] == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# Native keys
+# ---------------------------------------------------------------------------
+
+
+def _reference_entries(keys):
+    """The index as it was before native keys: ``(sortable(key), key,
+    row_id)`` entries kept in order by ``insort``, in insertion order."""
+    entries = []
+    for row_id, key in enumerate(keys):
+        insort(entries, (sortable(key), key, row_id))
+    return entries
+
+
+_NATIVE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([0.0, -0.0, 1.0, 1.5, -2.5, math.inf, -math.inf, TestNaN.NAN]),
+    st.floats(),  # fresh NaN objects too, which equal nothing
+    st.sampled_from(["", "1", "a", "b", "True", "nan"]),
+)
+_NATIVE_KEYS = st.tuples(_NATIVE_VALUES, _NATIVE_VALUES)
+
+
+class TestNativeKeys:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(_NATIVE_KEYS, max_size=30),
+        st.lists(_NATIVE_KEYS, max_size=4),
+        _NATIVE_VALUES,
+        _NATIVE_VALUES,
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_entries_and_lookups_match_a_sortable_reference(
+        self, keys, probes, low, high, include_low, include_high
+    ):
+        index = _build(keys)
+        reference = _reference_entries(keys)
+        assert list(index.ordered_entries()) == [
+            (raw, row_id) for _, raw, row_id in reference
+        ]
+        for probe in keys[:4] + probes:
+            wrapped = sortable(probe)
+            assert index.lookup(probe) == [
+                row_id for entry, _, row_id in reference if entry == wrapped
+            ]
+            assert index.prefix_lookup(probe[:1]) == [
+                row_id for entry, _, row_id in reference if entry[:1] == wrapped[:1]
+            ]
+        assert list(index.range_scan(low, high, include_low, include_high)) == list(
+            linear_range_scan(
+                SimpleNamespace(_entries=reference), low, high, include_low, include_high
+            )
+        )
+
+    def test_a_nan_in_a_later_component_no_longer_hides_rows(self):
+        # The entries are out of order within leading value 1 once (1, NaN)
+        # is in, so a bisecting lookup used to miss (1, 0.5).
+        index = _build([(1, TestNaN.NAN), (1, 2.0), (1, 0.5), (1, 3.0)])
+        assert index.lookup((1, 0.5)) == [2]
+        assert sorted(index.prefix_lookup((1,))) == [0, 1, 2, 3]
+
+
+class TestInListLookups:
+    """``c1 IN (…)`` through an index returns each row once, however often
+    (or in however many spellings) a value repeats — as stdlib ``sqlite3``."""
+
+    LISTS = ["(1, 1, 1)", "(1, 2, 1)", "(1, 1.0)", "(1, NULL, 1)"]
+    ROWS = [(i, i % 7) for i in range(80)]
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE t0 (c0 INT, c1 INT)")
+        connection.executemany("INSERT INTO t0 VALUES (?, ?)", self.ROWS)
+        connection.execute("CREATE INDEX i1 ON t0 (c1)")
+        counts = [
+            connection.execute(f"SELECT COUNT(*) FROM t0 WHERE c1 IN {items}").fetchone()[0]
+            for items in self.LISTS
+        ]
+        connection.close()
+        assert counts == [12, 24, 12, 12]
+        return counts
+
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
+    @pytest.mark.parametrize(
+        "dbms", ["sqlite", "postgresql", "mysql", "tidb", "sqlserver", "sparksql"]
+    )
+    def test_counts_match_sqlite3(self, expected, dbms, executor):
+        dialect = create_dialect(dbms, executor=executor)
+        dialect.execute("CREATE TABLE t0 (c0 INT, c1 INT)")
+        dialect.execute(
+            "INSERT INTO t0 (c0, c1) VALUES "
+            + ", ".join(f"({c0}, {c1})" for c0, c1 in self.ROWS)
+        )
+        dialect.execute("CREATE INDEX i1 ON t0 (c1)")
+        counts = [
+            next(iter(dialect.execute(f"SELECT COUNT(*) FROM t0 WHERE c1 IN {items}")[0].values()))
+            for items in self.LISTS
+        ]
+        assert counts == expected
