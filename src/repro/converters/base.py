@@ -16,15 +16,15 @@ instantiates one converter per DBMS lazily, and memoises conversions in an
 LRU cache keyed by ``(dbms, format, source-hash)`` — repeated ingestion of
 identical raw plans parses once and returns the cached
 :class:`~repro.core.model.UnifiedPlan`.  Cached plans are shared objects:
-callers must treat them as frozen (the fingerprint caches rely on this), or
-ask for ``copy_on_hit=True``.
+callers must treat them as frozen (the fingerprint caches rely on this) and
+``copy()`` a plan before mutating it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Dict, List, NamedTuple, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Type
 
 from repro.core.caching import CacheStats, LRUCache
 from repro.core.categories import OperationCategory, PropertyCategory
@@ -194,6 +194,72 @@ def _coerce_value(value: object) -> object:
     return text
 
 
+class IndentedTree:
+    """The one reader of indentation-nested plan text (one node per line).
+
+    :meth:`add` hangs a node under the nearest earlier node of smaller
+    depth.  The first node is the root; a later node with no smaller-depth
+    node before it stays out of the tree, and so does its subtree.
+    """
+
+    def __init__(self) -> None:
+        self.root: Optional[PlanNode] = None
+        self._open: List[Tuple[int, PlanNode]] = []
+
+    def add(self, depth: int, node: PlanNode) -> None:
+        """Place *node*, read at indentation *depth*, in the tree."""
+        open_nodes = self._open
+        while open_nodes and open_nodes[-1][0] >= depth:
+            open_nodes.pop()
+        if open_nodes:
+            open_nodes[-1][1].children.append(node)
+        elif self.root is None:
+            self.root = node
+        open_nodes.append((depth, node))
+
+
+def document_tree(
+    document: Any,
+    make_node: Callable[[Any], PlanNode],
+    children_of: Callable[[Any], Iterable[Any]],
+) -> PlanNode:
+    """The one reader of nested plan documents (JSON objects, XML elements).
+
+    *make_node* builds the node of one document item and *children_of*
+    lists the item's child items.  Items are read in pre-order with an
+    explicit stack, so no document is too deep to read.
+    """
+    root: Optional[PlanNode] = None
+    stack: List[Tuple[Optional[PlanNode], Any]] = [(None, document)]
+    while stack:
+        parent, item = stack.pop()
+        node = make_node(item)
+        if parent is None:
+            root = node
+        else:
+            parent.children.append(node)
+        stack.extend((node, child) for child in reversed(list(children_of(item))))
+    return root
+
+
+def read_ascii_table(serialized: str) -> List[Dict[str, str]]:
+    """The one reader of ASCII-table plans (MySQL, SQL Server, TiDB).
+
+    Only ``|``-delimited lines count.  The first names the columns; every
+    later one with as many cells becomes a dict of column -> stripped cell.
+    """
+    lines = [line.strip() for line in serialized.splitlines() if line.strip().startswith("|")]
+    if not lines:
+        return []
+    header = [cell.strip() for cell in lines[0].strip("|").split("|")]
+    rows = []
+    for line in lines[1:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == len(header):
+            rows.append(dict(zip(header, cells)))
+    return rows
+
+
 def source_hash(serialized: str) -> str:
     """Hash a raw serialized plan for use as a conversion-cache key."""
     return hashlib.sha1(serialized.encode("utf-8")).hexdigest()
@@ -220,15 +286,11 @@ class ConverterHub:
         self,
         registry: Optional[NameRegistry] = None,
         cache_size: int = 1024,
-        copy_on_hit: bool = False,
     ) -> None:
         self._registry = registry
         self._instances: Dict[str, PlanConverter] = {}
         self._cache = LRUCache(maxsize=cache_size)
         self._lock = threading.Lock()
-        #: When true, cache hits return an independent deep copy instead of
-        #: the shared cached plan (for callers that mutate plans in place).
-        self.copy_on_hit = copy_on_hit
 
     # -- registration ----------------------------------------------------------
 
@@ -323,7 +385,7 @@ class ConverterHub:
             key = converter.cache_key(serialized, format)
         plan = self._cache.get(key)
         if plan is not None:
-            return (plan.copy() if self.copy_on_hit else plan), False
+            return plan, False
         plan = converter.convert(serialized, key[1])  # the resolved format
         # Pre-compute the fingerprint while we hold the only reference, so
         # every consumer of the shared cached plan gets O(1) identity.

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, List
 
-from repro.converters.base import PlanConverter, register_converter
+from repro.converters.base import PlanConverter, document_tree, register_converter
 from repro.core.model import PlanNode, UnifiedPlan
 from repro.errors import ConversionError
 
@@ -28,7 +28,7 @@ class MongoDBConverter(PlanConverter):
         if winning is None:
             raise ConversionError(self.dbms, "explain document has no winningPlan")
         plan = UnifiedPlan()
-        plan.root = self._node_from_stage(winning)
+        plan.root = document_tree(winning, self._node_from_stage, _input_stages)
         if "namespace" in planner:
             plan.properties.append(self.property("namespace", planner["namespace"]))
         for key, value in document.get("executionStats", {}).items():
@@ -47,8 +47,10 @@ class MongoDBConverter(PlanConverter):
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True, default=str)
             node.properties.append(self.property(key, value))
-        if "inputStage" in stage:
-            node.children.append(self._node_from_stage(stage["inputStage"]))
-        for child in stage.get("inputStages", []):
-            node.children.append(self._node_from_stage(child))
         return node
+
+
+def _input_stages(stage: Dict[str, Any]) -> List[Any]:
+    """A stage's inputs: its ``inputStage``, then its ``inputStages``."""
+    single = [stage["inputStage"]] if "inputStage" in stage else []
+    return single + list(stage.get("inputStages", []))

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
-from repro.converters.base import PlanConverter, register_converter
+from repro.converters.base import (
+    IndentedTree,
+    PlanConverter,
+    document_tree,
+    read_ascii_table,
+    register_converter,
+)
 from repro.core.model import PlanNode, UnifiedPlan
 from repro.errors import ConversionError
 
@@ -43,7 +49,11 @@ class MySQLConverter(PlanConverter):
         if "query_cost" in cost_info:
             plan.properties.append(self.property("query_cost", cost_info["query_cost"]))
         if "plan" in query_block:
-            plan.root = self._node_from_json(query_block["plan"])
+            plan.root = document_tree(
+                query_block["plan"],
+                self._node_from_json,
+                lambda data: data.get("nested_operations", []),
+            )
         return plan
 
     def _node_from_json(self, data: Dict[str, Any]) -> PlanNode:
@@ -52,15 +62,13 @@ class MySQLConverter(PlanConverter):
             if key in {"operation", "nested_operations"}:
                 continue
             node.properties.append(self.property(key, value))
-        for child in data.get("nested_operations", []):
-            node.children.append(self._node_from_json(child))
         return node
 
     # ------------------------------------------------------------------ table
 
     def _parse_table(self, serialized: str) -> UnifiedPlan:
         plan = UnifiedPlan()
-        rows = _parse_ascii_table(serialized)
+        rows = read_ascii_table(serialized)
         previous: PlanNode = None
         for row in rows:
             access_type = row.get("type", "")
@@ -98,7 +106,7 @@ class MySQLConverter(PlanConverter):
 
     def _parse_tree(self, serialized: str) -> UnifiedPlan:
         plan = UnifiedPlan()
-        stack: List[Tuple[int, PlanNode]] = []
+        tree = IndentedTree()
         for raw_line in serialized.splitlines():
             match = _TREE_LINE.match(raw_line)
             if not match:
@@ -109,13 +117,8 @@ class MySQLConverter(PlanConverter):
                 node.properties.append(self.property("cost", float(match.group("cost"))))
             if match.group("rows"):
                 node.properties.append(self.property("rows", int(match.group("rows"))))
-            while stack and stack[-1][0] >= depth:
-                stack.pop()
-            if stack:
-                stack[-1][1].children.append(node)
-            elif plan.root is None:
-                plan.root = node
-            stack.append((depth, node))
+            tree.add(depth, node)
+        plan.root = tree.root
         if plan.root is None:
             raise ConversionError(self.dbms, "no plan found in tree output")
         return plan
@@ -128,16 +131,3 @@ class MySQLConverter(PlanConverter):
                 cleaned = cleaned.split(separator)[0]
         return cleaned.strip()
 
-
-def _parse_ascii_table(serialized: str) -> List[Dict[str, str]]:
-    """Parse a MySQL-style ASCII table into a list of row dictionaries."""
-    lines = [line for line in serialized.splitlines() if line.strip().startswith("|")]
-    if not lines:
-        return []
-    header = [cell.strip() for cell in lines[0].strip().strip("|").split("|")]
-    rows = []
-    for line in lines[1:]:
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if len(cells) == len(header):
-            rows.append(dict(zip(header, cells)))
-    return rows

@@ -6,7 +6,12 @@ import json
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.converters.base import PlanConverter, register_converter
+from repro.converters.base import (
+    IndentedTree,
+    PlanConverter,
+    document_tree,
+    register_converter,
+)
 from repro.core.model import PlanNode, UnifiedPlan
 from repro.errors import ConversionError
 
@@ -50,7 +55,9 @@ class PostgreSQLConverter(PlanConverter):
         entry = document[0]
         plan = UnifiedPlan()
         if "Plan" in entry:
-            plan.root = self._node_from_json(entry["Plan"])
+            plan.root = document_tree(
+                entry["Plan"], self._node_from_json, lambda data: data.get("Plans", [])
+            )
         for key, value in entry.items():
             if key == "Plan":
                 continue
@@ -63,15 +70,14 @@ class PostgreSQLConverter(PlanConverter):
             if key in _STRUCTURAL_KEYS:
                 continue
             node.properties.append(self.property(key, value))
-        for child in data.get("Plans", []):
-            node.children.append(self._node_from_json(child))
         return node
 
     # ------------------------------------------------------------------ text
 
     def _parse_text(self, serialized: str) -> UnifiedPlan:
         plan = UnifiedPlan()
-        stack: List[Tuple[int, PlanNode]] = []
+        tree = IndentedTree()
+        node: Optional[PlanNode] = None
         relationship: Optional[str] = None
         for raw_line in serialized.splitlines():
             if not raw_line.strip():
@@ -102,19 +108,14 @@ class PostgreSQLConverter(PlanConverter):
                         self.property("Parent Relationship", relationship)
                     )
                     relationship = None
-                while stack and stack[-1][0] >= depth:
-                    stack.pop()
-                if stack:
-                    stack[-1][1].children.append(node)
-                elif plan.root is None:
-                    plan.root = node
-                stack.append((depth, node))
+                tree.add(depth, node)
                 continue
             # Otherwise it is an operation-associated property line.
             stripped = raw_line.strip()
-            if ":" in stripped and stack:
+            if ":" in stripped and node is not None:
                 key, _, value = stripped.partition(":")
-                stack[-1][1].properties.append(self.property(key.strip(), value.strip()))
+                node.properties.append(self.property(key.strip(), value.strip()))
+        plan.root = tree.root
         if plan.root is None and not plan.properties:
             raise ConversionError(self.dbms, "no plan found in text output")
         return plan

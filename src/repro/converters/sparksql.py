@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
 
-from repro.converters.base import PlanConverter, register_converter
-from repro.core.model import PlanNode, UnifiedPlan
+from repro.converters.base import IndentedTree, PlanConverter, register_converter
+from repro.core.model import UnifiedPlan
 from repro.errors import ConversionError
 
 _LINE = re.compile(r"^(?P<indent>\s*)(?:\+- )?(?:\*\(\d+\)\s+)?(?P<name>\S.*)$")
@@ -22,7 +21,7 @@ class SparkSQLConverter(PlanConverter):
 
     def _parse(self, serialized: str, format: str) -> UnifiedPlan:
         plan = UnifiedPlan()
-        stack: List[Tuple[int, PlanNode]] = []
+        tree = IndentedTree()
         for raw_line in serialized.splitlines():
             if not raw_line.strip() or raw_line.strip().startswith("=="):
                 continue
@@ -36,13 +35,8 @@ class SparkSQLConverter(PlanConverter):
             details = full_name[len(operator) :].strip()
             if details:
                 node.properties.append(self.property("details", details))
-            while stack and stack[-1][0] >= depth:
-                stack.pop()
-            if stack:
-                stack[-1][1].children.append(node)
-            elif plan.root is None:
-                plan.root = node
-            stack.append((depth, node))
+            tree.add(depth, node)
+        plan.root = tree.root
         if plan.root is None:
             raise ConversionError(self.dbms, "no physical plan found")
         return plan

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
 
-from repro.converters.base import PlanConverter, register_converter
+from repro.converters.base import IndentedTree, PlanConverter, register_converter
 from repro.core.model import PlanNode, UnifiedPlan
 from repro.errors import ConversionError
 
@@ -28,7 +27,7 @@ class SQLiteConverter(PlanConverter):
 
     def _parse(self, serialized: str, format: str) -> UnifiedPlan:
         plan = UnifiedPlan()
-        stack: List[Tuple[int, PlanNode]] = []
+        tree = IndentedTree()
         for raw_line in serialized.splitlines():
             if not raw_line.strip() or raw_line.strip() == "QUERY PLAN":
                 continue
@@ -39,17 +38,10 @@ class SQLiteConverter(PlanConverter):
             else:
                 depth = 0
                 name = raw_line.strip()
-            node = self._node_for(name)
-            while stack and stack[-1][0] >= depth:
-                stack.pop()
-            if stack:
-                stack[-1][1].children.append(node)
-            elif plan.root is None:
-                plan.root = node
-            else:
-                # Multiple top-level steps: attach to the root to keep a tree.
-                plan.root.children.append(node)
-            stack.append((depth, node))
+            # SQLite lists several top-level steps: the first is the root and
+            # every later step nests under it, as if indented one level less.
+            tree.add(depth if tree.root is not None else -1, self._node_for(name))
+        plan.root = tree.root
         if plan.root is None:
             raise ConversionError(self.dbms, "no query plan steps found")
         return plan

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
 from xml.etree import ElementTree
 
-from repro.converters.base import PlanConverter, register_converter
+from repro.converters.base import (
+    IndentedTree,
+    PlanConverter,
+    document_tree,
+    read_ascii_table,
+    register_converter,
+)
 from repro.core.model import PlanNode, UnifiedPlan
 from repro.errors import ConversionError
 
@@ -35,30 +40,17 @@ class SQLServerConverter(PlanConverter):
             root = ElementTree.fromstring(serialized)
         except ElementTree.ParseError as exc:
             raise ConversionError(self.dbms, f"invalid showplan XML: {exc}") from exc
-        rel_ops = [
-            element for element in root.iter() if element.tag.split("}")[-1] == "RelOp"
-        ]
-        plan = UnifiedPlan()
-        top_level = self._top_level_relops(root)
-        if not top_level:
+        # The first RelOp in document order is the outermost one.
+        top = next((element for element in root.iter() if _is_relop(element)), None)
+        if top is None:
             raise ConversionError(self.dbms, "no RelOp elements found")
-        plan.root = self._node_from_element(top_level[0])
+        plan = UnifiedPlan()
+        plan.root = document_tree(
+            top,
+            self._node_from_element,
+            lambda element: [child for child in element if _is_relop(child)],
+        )
         return plan
-
-    def _top_level_relops(self, root) -> List:
-        result = []
-
-        def visit(element, inside_relop: bool) -> None:
-            tag = element.tag.split("}")[-1]
-            if tag == "RelOp":
-                if not inside_relop:
-                    result.append(element)
-                inside_relop = True
-            for child in element:
-                visit(child, inside_relop)
-
-        visit(root, False)
-        return result
 
     def _node_from_element(self, element) -> PlanNode:
         node = self.make_node(element.get("PhysicalOp", "Unknown"))
@@ -66,16 +58,13 @@ class SQLServerConverter(PlanConverter):
             if key == "PhysicalOp":
                 continue
             node.properties.append(self.property(key, value))
-        for child in element:
-            if child.tag.split("}")[-1] == "RelOp":
-                node.children.append(self._node_from_element(child))
         return node
 
     # ------------------------------------------------------------------ text
 
     def _parse_text(self, serialized: str) -> UnifiedPlan:
         plan = UnifiedPlan()
-        stack: List[Tuple[int, PlanNode]] = []
+        tree = IndentedTree()
         for raw_line in serialized.splitlines():
             if not raw_line.strip():
                 continue
@@ -87,13 +76,8 @@ class SQLServerConverter(PlanConverter):
             node = self.make_node(operator)
             if details:
                 node.properties.append(self.property("Details", details))
-            while stack and stack[-1][0] >= depth:
-                stack.pop()
-            if stack:
-                stack[-1][1].children.append(node)
-            elif plan.root is None:
-                plan.root = node
-            stack.append((depth, node))
+            tree.add(depth, node)
+        plan.root = tree.root
         if plan.root is None:
             raise ConversionError(self.dbms, "no plan found in showplan text")
         return plan
@@ -101,17 +85,9 @@ class SQLServerConverter(PlanConverter):
     # ------------------------------------------------------------------ table
 
     def _parse_table(self, serialized: str) -> UnifiedPlan:
-        lines = [line for line in serialized.splitlines() if line.strip().startswith("|")]
-        if not lines:
-            raise ConversionError(self.dbms, "no showplan rows found")
-        header = [cell.strip() for cell in lines[0].strip().strip("|").split("|")]
         nodes = {}
         plan = UnifiedPlan()
-        for line in lines[1:]:
-            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-            if len(cells) != len(header):
-                continue
-            row = dict(zip(header, cells))
+        for row in read_ascii_table(serialized):
             node = self.make_node(row.get("PhysicalOp", "Unknown"))
             for key in ("LogicalOp", "EstimateRows", "TotalSubtreeCost"):
                 if row.get(key):
@@ -126,3 +102,7 @@ class SQLServerConverter(PlanConverter):
         if plan.root is None:
             raise ConversionError(self.dbms, "no plan rows parsed")
         return plan
+
+
+def _is_relop(element) -> bool:
+    return element.tag.split("}")[-1] == "RelOp"

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
-from repro.converters.base import PlanConverter, register_converter
+from repro.converters.base import (
+    IndentedTree,
+    PlanConverter,
+    document_tree,
+    read_ascii_table,
+    register_converter,
+)
 from repro.core.model import PlanNode, UnifiedPlan
 from repro.errors import ConversionError
 
@@ -32,7 +38,10 @@ class TiDBConverter(PlanConverter):
     def _parse(self, serialized: str, format: str) -> UnifiedPlan:
         if format == "json":
             return self._parse_json(serialized)
-        return self._parse_table_or_text(serialized, with_columns=(format == "table"))
+        if format == "table":
+            # The id column carries the tree; the other columns are properties.
+            return self._parse_tree((row["id"], row) for row in read_ascii_table(serialized))
+        return self._parse_tree((line, {}) for line in serialized.splitlines())
 
     def _strip_suffix(self, name: str) -> Tuple[str, str]:
         return _SUFFIX.sub("", name), name
@@ -55,7 +64,9 @@ class TiDBConverter(PlanConverter):
             document = document[0] if document else {}
         plan = UnifiedPlan()
         if document:
-            plan.root = self._node_from_json(document)
+            plan.root = document_tree(
+                document, self._node_from_json, lambda data: data.get("subOperators", [])
+            )
         return plan
 
     def _node_from_json(self, data: Dict[str, Any]) -> PlanNode:
@@ -64,32 +75,17 @@ class TiDBConverter(PlanConverter):
             if key in {"id", "subOperators"}:
                 continue
             node.properties.append(self.property(key, value))
-        for child in data.get("subOperators", []):
-            node.children.append(self._node_from_json(child))
         return node
 
     # ------------------------------------------------------------------ table / text
 
-    def _parse_table_or_text(self, serialized: str, with_columns: bool) -> UnifiedPlan:
+    def _parse_tree(self, lines: Iterable[Tuple[str, Dict[str, str]]]) -> UnifiedPlan:
+        """Nest ``(└─ / ├─ tree label, property columns)`` lines."""
         plan = UnifiedPlan()
-        stack: List[Tuple[int, PlanNode]] = []
-        for raw_line in serialized.splitlines():
-            line = raw_line
-            columns: Dict[str, str] = {}
+        tree = IndentedTree()
+        for line, columns in lines:
             if line.strip().startswith("+") or not line.strip():
                 continue
-            if with_columns and line.strip().startswith("|"):
-                cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-                if not cells or cells[0] in ("id", ""):
-                    continue
-                line = cells[0]
-                if len(cells) >= 5:
-                    columns = {
-                        "estRows": cells[1],
-                        "task": cells[2],
-                        "access object": cells[3],
-                        "operator info": cells[4],
-                    }
             match = _TREE_PREFIX.match(line)
             if not match:
                 continue
@@ -102,15 +98,10 @@ class TiDBConverter(PlanConverter):
             )
             node = self._make_tidb_node(name)
             for key, value in columns.items():
-                if value:
+                if key != "id" and value:
                     node.properties.append(self.property(key, value))
-            while stack and stack[-1][0] >= depth:
-                stack.pop()
-            if stack:
-                stack[-1][1].children.append(node)
-            elif plan.root is None:
-                plan.root = node
-            stack.append((depth, node))
+            tree.add(depth, node)
+        plan.root = tree.root
         if plan.root is None:
             raise ConversionError(self.dbms, "no plan rows found in EXPLAIN output")
         return plan

@@ -199,67 +199,70 @@ def tree_edit_distance(left: Optional[PlanNode], right: Optional[PlanNode]) -> i
     (the edit distance labels nodes exactly as the structural fingerprint
     does), pruning the recursion before any tree walk.
     """
-    memo: Dict[Tuple[int, int], int] = {}
-
-    def subtrees_identical(a: PlanNode, b: PlanNode) -> bool:
-        return _structural_node_fingerprint(
-            a, include_configuration=False
-        ) == _structural_node_fingerprint(b, include_configuration=False)
-
-    def node_size(node: Optional[PlanNode]) -> int:
-        return 0 if node is None else node.size()
-
-    def forest_distance(
-        left_forest: Tuple[PlanNode, ...], right_forest: Tuple[PlanNode, ...]
-    ) -> int:
-        key = (
-            tuple(id(node) for node in left_forest),
-            tuple(id(node) for node in right_forest),
-        )
-        if key in memo:
-            return memo[key]
-        if not left_forest and not right_forest:
-            result = 0
-        elif not left_forest:
-            result = sum(node.size() for node in right_forest)
-        elif not right_forest:
-            result = sum(node.size() for node in left_forest)
-        else:
-            first_left, *rest_left = left_forest
-            first_right, *rest_right = right_forest
-            # Option 1: match the two first trees against each other.  When
-            # their structural fingerprints coincide the pair costs nothing
-            # and the subtree recursion is skipped entirely.
-            if subtrees_identical(first_left, first_right):
-                match_cost = forest_distance(tuple(rest_left), tuple(rest_right))
-            else:
-                relabel = 0 if _node_label(first_left) == _node_label(first_right) else 1
-                match_cost = (
-                    relabel
-                    + forest_distance(tuple(first_left.children), tuple(first_right.children))
-                    + forest_distance(tuple(rest_left), tuple(rest_right))
-                )
-            # Option 2: delete the first left tree's root.
-            delete_cost = 1 + forest_distance(
-                tuple(first_left.children) + tuple(rest_left), right_forest
-            )
-            # Option 3: insert the first right tree's root.
-            insert_cost = 1 + forest_distance(
-                left_forest, tuple(first_right.children) + tuple(rest_right)
-            )
-            result = min(match_cost, delete_cost, insert_cost)
-        memo[key] = result
-        return result
-
     if left is None and right is None:
         return 0
     if left is None:
-        return node_size(right)
+        return right.size()
     if right is None:
-        return node_size(left)
-    if subtrees_identical(left, right):
+        return left.size()
+    if _subtrees_identical(left, right):
         return 0
-    return forest_distance((left,), (right,))
+    return _forest_distance((left,), (right,), {})
+
+
+def _subtrees_identical(a: PlanNode, b: PlanNode) -> bool:
+    return _structural_node_fingerprint(
+        a, include_configuration=False
+    ) == _structural_node_fingerprint(b, include_configuration=False)
+
+
+def _forest_distance(
+    left_forest: Tuple[PlanNode, ...],
+    right_forest: Tuple[PlanNode, ...],
+    memo: Dict[Tuple[tuple, tuple], int],
+) -> int:
+    """Edit distance between two ordered forests, memoised per call of
+    :func:`tree_edit_distance` on node identity."""
+    key = (
+        tuple(id(node) for node in left_forest),
+        tuple(id(node) for node in right_forest),
+    )
+    if key in memo:
+        return memo[key]
+    if not left_forest and not right_forest:
+        result = 0
+    elif not left_forest:
+        result = sum(node.size() for node in right_forest)
+    elif not right_forest:
+        result = sum(node.size() for node in left_forest)
+    else:
+        first_left, *rest_left = left_forest
+        first_right, *rest_right = right_forest
+        # Option 1: match the two first trees against each other.  When
+        # their structural fingerprints coincide the pair costs nothing
+        # and the subtree recursion is skipped entirely.
+        if _subtrees_identical(first_left, first_right):
+            match_cost = _forest_distance(tuple(rest_left), tuple(rest_right), memo)
+        else:
+            relabel = 0 if _node_label(first_left) == _node_label(first_right) else 1
+            match_cost = (
+                relabel
+                + _forest_distance(
+                    tuple(first_left.children), tuple(first_right.children), memo
+                )
+                + _forest_distance(tuple(rest_left), tuple(rest_right), memo)
+            )
+        # Option 2: delete the first left tree's root.
+        delete_cost = 1 + _forest_distance(
+            tuple(first_left.children) + tuple(rest_left), right_forest, memo
+        )
+        # Option 3: insert the first right tree's root.
+        insert_cost = 1 + _forest_distance(
+            left_forest, tuple(first_right.children) + tuple(rest_right), memo
+        )
+        result = min(match_cost, delete_cost, insert_cost)
+    memo[key] = result
+    return result
 
 
 def plan_distance(a: UnifiedPlan, b: UnifiedPlan, *, sort_children: bool = True) -> int:

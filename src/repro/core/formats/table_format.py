@@ -17,53 +17,36 @@ ASCII table:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Iterable, List, Sequence
 
-from repro.core.model import PlanNode, UnifiedPlan
+from repro.core.model import UnifiedPlan, walk_tree
 
 
-def _rows(plan: UnifiedPlan) -> List[Tuple[int, Optional[int], str, str]]:
-    rows: List[Tuple[int, Optional[int], str, str]] = []
-    counter = [0]
+def ascii_table(columns: Sequence[str], rows: Iterable[Sequence[Any]], footer: Iterable[str]) -> str:
+    """The one ASCII-table writer: padded ``|`` rows between ``+---+`` rules,
+    then the *footer* lines.  Also writes the dialects' tabular EXPLAIN."""
+    cells = [[str(cell) for cell in row] for row in rows]
+    widths = [max([len(column)] + [len(row[i]) for row in cells]) for i, column in enumerate(columns)]
+    rule = "+" + "+".join("-" * (width + 2) for width in widths) + "+"
 
-    def visit(node: PlanNode, parent_id: Optional[int]) -> None:
-        counter[0] += 1
-        node_id = counter[0]
-        properties = "; ".join(
-            f"{p.category.value}->{p.identifier}: {p.value!r}" for p in node.properties
-        )
-        rows.append((node_id, parent_id, str(node.operation), properties))
-        for child in node.children:
-            visit(child, node_id)
+    def format_row(values: Sequence[str]) -> str:
+        return "|" + "|".join(f" {value.ljust(widths[i])} " for i, value in enumerate(values)) + "|"
 
-    if plan.root is not None:
-        visit(plan.root, None)
-    return rows
+    lines = [rule, format_row(columns), rule]
+    lines.extend(format_row(row) for row in cells)
+    lines.append(rule)
+    lines.extend(footer)
+    return "\n".join(lines)
 
 
 def render(plan: UnifiedPlan) -> str:
     """Render *plan* as an ASCII table; plan properties follow as a footer."""
-    rows = _rows(plan)
-    header = ("id", "parent", "operation", "properties")
-    table_rows = [
-        (str(node_id), "" if parent is None else str(parent), operation, properties)
-        for node_id, parent, operation, properties in rows
-    ]
-    widths = [
-        max([len(header[column])] + [len(row[column]) for row in table_rows] or [0])
-        for column in range(4)
-    ]
-
-    def line(char: str = "-") -> str:
-        return "+" + "+".join(char * (width + 2) for width in widths) + "+"
-
-    def format_row(values: Tuple[str, str, str, str]) -> str:
-        cells = [f" {value.ljust(widths[i])} " for i, value in enumerate(values)]
-        return "|" + "|".join(cells) + "|"
-
-    lines = [line(), format_row(header), line()]
-    lines.extend(format_row(row) for row in table_rows)
-    lines.append(line())
-    for prop in plan.properties:
-        lines.append(f"{prop.category.value}->{prop.identifier}: {prop.value!r}")
-    return "\n".join(lines)
+    rows: List[List[Any]] = []
+    for node, _, node_id, parent_id, _, exit in walk_tree(plan.root):
+        if not exit:
+            properties = "; ".join(
+                f"{p.category.value}->{p.identifier}: {p.value!r}" for p in node.properties
+            )
+            rows.append([node_id, "" if parent_id is None else parent_id, node.operation, properties])
+    footer = (f"{p.category.value}->{p.identifier}: {p.value!r}" for p in plan.properties)
+    return ascii_table(("id", "parent", "operation", "properties"), rows, footer)

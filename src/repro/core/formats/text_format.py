@@ -26,6 +26,7 @@ from repro.core.model import (
     Property,
     PropertyValue,
     UnifiedPlan,
+    walk_tree,
 )
 from repro.errors import FormatError
 
@@ -96,24 +97,20 @@ def _parse_value(text: str) -> PropertyValue:
         return stripped
 
 
-def _render_node(node: PlanNode, depth: int, lines: List[str], with_properties: bool) -> None:
-    prefix = _INDENT * depth
-    lines.append(f"{prefix}{node.operation.category.value}->{node.operation.identifier}")
-    if with_properties:
-        for prop in node.properties:
-            lines.append(
-                f"{prefix}{_INDENT}* {prop.category.value}->{prop.identifier}: "
-                f"{_render_value(prop.value)}"
-            )
-    for child in node.children:
-        _render_node(child, depth + 1, lines, with_properties)
-
-
 def render(plan: UnifiedPlan, with_properties: bool = True) -> str:
     """Render *plan* into the indented text form."""
     lines: List[str] = []
-    if plan.root is not None:
-        _render_node(plan.root, 0, lines, with_properties)
+    for node, depth, _, _, _, exit in walk_tree(plan.root):
+        if exit:
+            continue
+        prefix = _INDENT * depth
+        lines.append(f"{prefix}{node.operation.category.value}->{node.operation.identifier}")
+        if with_properties:
+            for prop in node.properties:
+                lines.append(
+                    f"{prefix}{_INDENT}* {prop.category.value}->{prop.identifier}: "
+                    f"{_render_value(prop.value)}"
+                )
     for prop in plan.properties:
         lines.append(
             f"= {prop.category.value}->{prop.identifier}: {_render_value(prop.value)}"

@@ -168,6 +168,40 @@ def _identity_bytes(node: "PlanNode") -> bytes:
     return b"".join(lines)
 
 
+#: One event of :func:`walk_tree`: ``(node, depth, node_id, parent_id, last,
+#: exit)`` — the root is at depth 0, has no parent (``None``) and counts as
+#: last; ``node_id`` is the pre-order number, from 1 at the root.
+TreeStep = Tuple[Any, int, int, Optional[int], bool, bool]
+
+
+def walk_tree(root: Any) -> Iterator[TreeStep]:
+    """Walk any tree whose nodes list their ``children``, without recursion.
+
+    Each node yields an entry step (``exit`` false) in pre-order and an exit
+    step after its whole subtree, for writers that emit something after a
+    subtree (a DOT edge) and for post-order.  ``last``: the node is its
+    parent's last child.  A ``None`` root (a tree-less plan) yields nothing.
+    Steps are plain tuples, the cheapest to build.
+    """
+    stack: List[tuple] = [] if root is None else [(root, 0, None, True)]
+    count = 0
+    while stack:
+        item = stack.pop()
+        if len(item) == 6:
+            yield item
+            continue
+        node, depth, parent_id, last = item
+        count += 1
+        yield node, depth, count, parent_id, last, False
+        stack.append((node, depth, count, parent_id, last, True))
+        children = node.children
+        if children:
+            final = len(children) - 1
+            stack.extend(
+                [(children[i], depth + 1, count, i == final) for i in range(final, -1, -1)]
+            )
+
+
 def merkle_fingerprint(
     root: "PlanNode", key: str, node_bytes: Callable[["PlanNode"], bytes]
 ) -> str:
@@ -511,25 +545,25 @@ class PlanNode:
 
     def walk(self) -> Iterator["PlanNode"]:
         """Yield this node and all descendants in pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def walk_postorder(self) -> Iterator["PlanNode"]:
         """Yield all descendants and this node in post-order."""
-        for child in self.children:
-            yield from child.walk_postorder()
-        yield self
+        for node, _, _, _, _, exit in walk_tree(self):
+            if exit:
+                yield node
 
     def depth(self) -> int:
         """Return the height of the subtree rooted at this node (leaf = 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
+        return 1 + max(step[1] for step in walk_tree(self))
 
     def size(self) -> int:
         """Return the number of nodes in the subtree rooted at this node."""
-        return 1 + sum(child.size() for child in self.children)
+        return sum(1 for _ in self.walk())
 
     def find(self, predicate: Callable[["PlanNode"], bool]) -> List["PlanNode"]:
         """Return all nodes in the subtree satisfying *predicate*."""

@@ -22,10 +22,10 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.catalog.database import Database
-from repro.core.formats.json_emit import dumps_indented
+from repro.core.model import walk_tree
 from repro.dialects.prepared import PreparedQueryCache, reset_runtime
 from repro.engine import create_executor
 from repro.engine.executor import Executor, Row
@@ -44,16 +44,6 @@ class RawPlanNode:
     name: str
     properties: Dict[str, Any] = field(default_factory=dict)
     children: List["RawPlanNode"] = field(default_factory=list)
-
-    def walk(self) -> Iterator["RawPlanNode"]:
-        """Yield this node and its descendants in pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def size(self) -> int:
-        """Return the number of nodes in the subtree."""
-        return 1 + sum(child.size() for child in self.children)
 
 
 @dataclass
@@ -311,89 +301,51 @@ class RelationalDialect(SimulatedDBMS):
 # ---------------------------------------------------------------------------
 
 
-def render_indented_text(
-    plan: RawPlan,
-    node_renderer: Callable[[RawPlanNode], str],
-    property_renderer: Callable[[RawPlanNode], List[str]],
-    indent: str = "  ",
-    child_prefix: str = "->",
+def render_dot_plan(
+    plan: RawPlan, graph: str, attributes: Sequence[str], upward: bool = False
 ) -> str:
-    """Render a raw plan as indented text (PostgreSQL-style)."""
-    lines: List[str] = []
+    """Render a raw plan as the Graphviz digraph *graph*.
 
-    def visit(node: RawPlanNode, depth: int) -> None:
-        prefix = indent * depth
-        arrow = f"{child_prefix}" if depth > 0 else ""
-        lines.append(f"{prefix}{arrow}{node_renderer(node)}")
-        for extra in property_renderer(node):
-            lines.append(f"{prefix}{' ' * max(len(child_prefix), 2)}{extra}")
-        for child in node.children:
-            visit(child, depth + 1)
-
-    if plan.root is not None:
-        visit(plan.root, 0)
-    for key, value in plan.properties.items():
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines)
-
-
-def render_json_plan(plan: RawPlan, node_key: str = "Node Type") -> str:
-    """Render a raw plan as a generic JSON document."""
-
-    def node_to_dict(node: RawPlanNode) -> Dict[str, Any]:
-        data: Dict[str, Any] = {node_key: node.name}
-        data.update(node.properties)
-        if node.children:
-            data["Plans"] = [node_to_dict(child) for child in node.children]
-        return data
-
-    document: Dict[str, Any] = {}
-    if plan.root is not None:
-        document["Plan"] = node_to_dict(plan.root)
-    document.update(plan.properties)
-    return dumps_indented([document])
-
-
-def render_table_plan(
-    plan: RawPlan,
-    columns: Sequence[str],
-    row_builder: Callable[[RawPlanNode, int, Optional[int], int], List[str]],
-) -> str:
-    """Render a raw plan as an ASCII table (MySQL / TiDB style).
-
-    ``row_builder`` receives ``(node, node_id, parent_id, depth)`` and returns
-    one cell value per column.
+    *attributes* are the graph's attribute statements (``node [shape=box]``).
+    Nodes are numbered in pre-order; an edge runs from parent to child,
+    or from child to parent when *upward* (a data-flow drawing), and is
+    written once the child's subtree is.
     """
-    rows: List[List[str]] = []
-    counter = [0]
-
-    def visit(node: RawPlanNode, parent_id: Optional[int], depth: int) -> None:
-        counter[0] += 1
-        node_id = counter[0]
-        rows.append([str(cell) for cell in row_builder(node, node_id, parent_id, depth)])
-        for child in node.children:
-            visit(child, node_id, depth + 1)
-
-    if plan.root is not None:
-        visit(plan.root, None, 0)
-
-    widths = [
-        max([len(column)] + [len(row[i]) for row in rows]) if rows else len(column)
-        for i, column in enumerate(columns)
-    ]
-
-    def separator() -> str:
-        return "+" + "+".join("-" * (width + 2) for width in widths) + "+"
-
-    def format_row(cells: Sequence[str]) -> str:
-        return "|" + "|".join(f" {cell.ljust(widths[i])} " for i, cell in enumerate(cells)) + "|"
-
-    lines = [separator(), format_row(list(columns)), separator()]
-    lines.extend(format_row(row) for row in rows)
-    lines.append(separator())
-    for key, value in plan.properties.items():
-        lines.append(f"{key}: {value}")
+    lines = [f"digraph {graph} {{"] + [f"  {attribute};" for attribute in attributes]
+    for node, _, node_id, parent_id, _, exit in walk_tree(plan.root):
+        if not exit:
+            label = node.name.replace('"', "'")
+            lines.append(f'  n{node_id} [label="{label}"];')
+        elif parent_id is not None:
+            source, target = (node_id, parent_id) if upward else (parent_id, node_id)
+            lines.append(f"  n{source} -> n{target};")
+    lines.append("}")
     return "\n".join(lines)
+
+
+def plan_document(
+    root: RawPlanNode, name_key: str, children_key: str, hidden: Sequence[str] = ()
+) -> Dict[str, Any]:
+    """The JSON document of a raw plan tree.
+
+    Each node becomes a dict: its name under *name_key*, its properties
+    except *hidden*, then — when it has children — their dicts under
+    *children_key*.
+    """
+    documents: List[Dict[str, Any]] = []  # by pre-order id - 1
+    for node, _, _, parent_id, _, exit in walk_tree(root):
+        if exit:
+            continue
+        data: Dict[str, Any] = {name_key: node.name}
+        data.update(node.properties)
+        for key in hidden:
+            data.pop(key, None)
+        if node.children:
+            data[children_key] = []
+        if parent_id is not None:
+            documents[parent_id - 1][children_key].append(data)
+        documents.append(data)
+    return documents[0]
 
 
 def format_number(value: float, decimals: int = 2) -> str:

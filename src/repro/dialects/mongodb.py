@@ -17,7 +17,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.formats.json_emit import dumps_indented
-from repro.dialects.base import ExplainOutput, SimulatedDBMS
+from repro.dialects.base import ExplainOutput, RawPlan, RawPlanNode, SimulatedDBMS, render_dot_plan
 from repro.errors import DialectError
 from repro.storage.document_store import Document, DocumentStore, match_filter
 
@@ -331,19 +331,10 @@ class MongoDBDialect(SimulatedDBMS):
         return ExplainOutput(dbms=self.name, format=chosen, text=text, query=statement)
 
     def _graph_from_plan(self, document: Dict[str, Any]) -> str:
-        lines = ["digraph mongodb_plan {", "  node [shape=box];"]
-        counter = [0]
-
-        def visit(stage: Dict[str, Any]) -> int:
-            counter[0] += 1
-            node_id = counter[0]
-            lines.append(f'  n{node_id} [label="{stage.get("stage", "?")}"];')
-            inner = stage.get("inputStage")
-            if inner:
-                child_id = visit(inner)
-                lines.append(f"  n{node_id} -> n{child_id};")
-            return node_id
-
-        visit(document["queryPlanner"]["winningPlan"])
-        lines.append("}")
-        return "\n".join(lines)
+        stage = document["queryPlanner"]["winningPlan"]
+        root = node = RawPlanNode(stage.get("stage", "?"))
+        while stage.get("inputStage"):
+            stage = stage["inputStage"]
+            node.children.append(RawPlanNode(stage.get("stage", "?")))
+            node = node.children[0]
+        return render_dot_plan(RawPlan(root), "mongodb_plan", ["node [shape=box]"])

@@ -14,12 +14,15 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.formats.json_emit import dumps_indented
+from repro.core.formats.table_format import ascii_table
+from repro.core.model import walk_tree
 from repro.dialects.base import (
     RawPlan,
     RawPlanNode,
     RelationalDialect,
     format_number,
-    render_table_plan,
+    plan_document,
+    render_dot_plan,
 )
 from repro.errors import DialectError
 from repro.optimizer.cost import CostModel
@@ -231,87 +234,53 @@ class MySQLDialect(RelationalDialect):
         if format_name == "tree":
             return self._serialize_tree(plan)
         if format_name == "graph":
-            return self._serialize_graph(plan)
+            return render_dot_plan(
+                plan, "mysql_plan", ["rankdir=BT", "node [shape=record]"], upward=True
+            )
         raise DialectError(self.name, f"unknown format {format_name!r}")
 
+    _TABLE_COLUMNS = (
+        "id", "select_type", "table", "type", "possible_keys", "key", "rows", "filtered", "Extra"
+    )
+
+    def _table_row(self, node_id: int, node: RawPlanNode) -> List[str]:
+        key = node.properties.get("key", "")
+        extras = []
+        if "attached_condition" in node.properties:
+            extras.append("Using where")
+        if "index_condition" in node.properties:
+            extras.append("Using index condition")
+        if node.name.startswith("Sort"):
+            extras.append("Using filesort")
+        if "temporary" in node.name.lower():
+            extras.append("Using temporary")
+        return [
+            str(node_id),
+            node.properties.get("select_type", "SIMPLE"),
+            node.properties.get("table", "") or "",
+            node.properties.get("access_type", ""),
+            key or "",
+            key or "",
+            str(node.properties.get("rows", "")),
+            "100.00",
+            "; ".join(extras),
+        ]
+
     def _serialize_table(self, plan: RawPlan) -> str:
-        columns = [
-            "id",
-            "select_type",
-            "table",
-            "type",
-            "possible_keys",
-            "key",
-            "rows",
-            "filtered",
-            "Extra",
-        ]
-
-        def row_builder(node: RawPlanNode, node_id: int, parent_id, depth: int) -> List[str]:
-            select_type = node.properties.get("select_type", "SIMPLE")
-            table = node.properties.get("table", "")
-            access = node.properties.get("access_type", "")
-            key = node.properties.get("key", "")
-            rows = node.properties.get("rows", "")
-            extras = []
-            if "attached_condition" in node.properties:
-                extras.append("Using where")
-            if "index_condition" in node.properties:
-                extras.append("Using index condition")
-            if node.name.startswith("Sort"):
-                extras.append("Using filesort")
-            if "temporary" in node.name.lower():
-                extras.append("Using temporary")
-            return [
-                str(node_id),
-                select_type,
-                table or "",
-                access,
-                key or "",
-                key or "",
-                str(rows),
-                "100.00",
-                "; ".join(extras),
-            ]
-
-        # The tabular format only lists table-access rows, as real MySQL does.
-        table_plan = RawPlan(root=None, properties=dict(plan.properties))
-        table_nodes = [
+        # The tabular format only lists table-access rows, as real MySQL
+        # does, numbered from 2 below a blank first row.
+        nodes = [
             node
-            for node in (plan.root.walk() if plan.root else [])
-            if node.properties.get("table")
+            for node, _, _, _, _, exit in walk_tree(plan.root)
+            if not exit and node.properties.get("table")
         ]
-        if not table_nodes and plan.root is not None:
-            table_nodes = [plan.root]
-        pseudo_root = RawPlanNode("__root__", {}, [])
-        pseudo_root.children = [
-            RawPlanNode(node.name, dict(node.properties)) for node in table_nodes
-        ]
-        lines = render_table_plan(
-            RawPlan(root=pseudo_root, properties={}), columns, row_builder
-        ).splitlines()
-        # Drop the pseudo-root row (id 1, blank table).
-        filtered = [
-            line
-            for index, line in enumerate(lines)
-            if not (index == 3 and "__root__" in line)
-        ]
-        return "\n".join(filtered)
+        if not nodes and plan.root is not None:
+            nodes = [plan.root]
+        rows = [self._table_row(1, RawPlanNode(""))]
+        rows.extend(self._table_row(node_id, node) for node_id, node in enumerate(nodes, 2))
+        return ascii_table(self._TABLE_COLUMNS, rows, ())
 
     def _serialize_json(self, plan: RawPlan) -> str:
-        def node_to_dict(node: RawPlanNode) -> Dict[str, Any]:
-            data: Dict[str, Any] = {"operation": node.name}
-            data.update(
-                {
-                    key: value
-                    for key, value in node.properties.items()
-                    if key not in ("select_type",)
-                }
-            )
-            if node.children:
-                data["nested_operations"] = [node_to_dict(child) for child in node.children]
-            return data
-
         document = {
             "query_block": {
                 "select_id": 1,
@@ -323,39 +292,15 @@ class MySQLDialect(RelationalDialect):
             }
         }
         if plan.root is not None:
-            document["query_block"]["plan"] = node_to_dict(plan.root)
+            document["query_block"]["plan"] = plan_document(
+                plan.root, "operation", "nested_operations", hidden=("select_type",)
+            )
         return dumps_indented(document)
 
     def _serialize_tree(self, plan: RawPlan) -> str:
-        lines: List[str] = []
-
-        def visit(node: RawPlanNode, depth: int) -> None:
-            indent = "    " * depth
-            cost = node.properties.get("cost", 0.0)
-            rows = node.properties.get("rows", 0)
-            lines.append(f"{indent}-> {node.name}  (cost={cost} rows={rows})")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        if plan.root is not None:
-            visit(plan.root, 0)
-        return "\n".join(lines)
-
-    def _serialize_graph(self, plan: RawPlan) -> str:
-        lines = ["digraph mysql_plan {", "  rankdir=BT;", "  node [shape=record];"]
-        counter = [0]
-
-        def visit(node: RawPlanNode) -> int:
-            counter[0] += 1
-            node_id = counter[0]
-            label = node.name.replace('"', "'")
-            lines.append(f'  n{node_id} [label="{label}"];')
-            for child in node.children:
-                child_id = visit(child)
-                lines.append(f"  n{child_id} -> n{node_id};")
-            return node_id
-
-        if plan.root is not None:
-            visit(plan.root)
-        lines.append("}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{'    ' * depth}-> {node.name}  "
+            f"(cost={node.properties.get('cost', 0.0)} rows={node.properties.get('rows', 0)})"
+            for node, depth, _, _, _, exit in walk_tree(plan.root)
+            if not exit
+        )

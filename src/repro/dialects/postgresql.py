@@ -14,12 +14,15 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+from repro.core.formats.json_emit import dumps_indented
+from repro.core.model import walk_tree
 from repro.dialects.base import (
     RawPlan,
     RawPlanNode,
     RelationalDialect,
     format_number,
-    render_json_plan,
+    plan_document,
+    render_dot_plan,
 )
 from repro.errors import DialectError
 from repro.optimizer.cost import CostModel
@@ -301,13 +304,13 @@ class PostgreSQLDialect(RelationalDialect):
         if format_name == "table":
             return self._serialize_table(plan)
         if format_name == "json":
-            return render_json_plan(plan, node_key="Node Type")
+            return self._serialize_json(plan)
         if format_name == "xml":
             return self._serialize_xml(plan)
         if format_name == "yaml":
             return self._serialize_yaml(plan)
         if format_name == "graph":
-            return self._serialize_graph(plan)
+            return render_dot_plan(plan, "plan", ["node [shape=box]"])
         raise DialectError(self.name, f"unknown format {format_name!r}")
 
     _HEADLINE_KEYS = (
@@ -364,9 +367,14 @@ class PostgreSQLDialect(RelationalDialect):
     def _serialize_text(self, plan: RawPlan) -> str:
         lines: List[str] = []
         subquery_plans = 0
-
-        def visit(node: RawPlanNode, depth: int) -> None:
-            nonlocal subquery_plans
+        # shifts[node_id]: the levels ``InitPlan`` / ``SubPlan`` labels at
+        # and above the node push its lines down (index 0: above the root).
+        shifts = [0]
+        for node, depth, _, parent_id, _, exit in walk_tree(plan.root):
+            if exit:
+                continue
+            shift = shifts[parent_id or 0]
+            depth += shift
             relationship = node.properties.get("Parent Relationship")
             if relationship is not None:
                 # ``InitPlan 1`` / ``SubPlan 2``: a label line of its own,
@@ -374,16 +382,13 @@ class PostgreSQLDialect(RelationalDialect):
                 subquery_plans += 1
                 lines.append(f"{'  ' * depth}{relationship} {subquery_plans}")
                 depth += 1
+                shift += 1
+            shifts.append(shift)
             indent = "  " * depth
             arrow = "->  " if depth > 0 else ""
             lines.append(f"{indent}{arrow}{self._node_headline(node)}")
             for extra in self._node_property_lines(node):
                 lines.append(f"{indent}{'      ' if depth > 0 else '  '}{extra}")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        if plan.root is not None:
-            visit(plan.root, 0)
         for key, value in plan.properties.items():
             lines.append(f"{key}: {value} ms")
         return "\n".join(lines)
@@ -397,68 +402,50 @@ class PostgreSQLDialect(RelationalDialect):
         lines.append(f"({len(body)} rows)")
         return "\n".join(lines)
 
+    def _serialize_json(self, plan: RawPlan) -> str:
+        document: Dict[str, Any] = {}
+        if plan.root is not None:
+            document["Plan"] = plan_document(plan.root, "Node Type", "Plans")
+        document.update(plan.properties)
+        return dumps_indented([document])
+
     def _serialize_xml(self, plan: RawPlan) -> str:
         from xml.etree import ElementTree
-
-        def node_element(node: RawPlanNode) -> ElementTree.Element:
-            element = ElementTree.Element("Plan")
-            ElementTree.SubElement(element, "Node-Type").text = node.name
-            for key, value in node.properties.items():
-                child = ElementTree.SubElement(element, key.replace(" ", "-"))
-                child.text = str(value)
-            if node.children:
-                plans = ElementTree.SubElement(element, "Plans")
-                for child_node in node.children:
-                    plans.append(node_element(child_node))
-            return element
 
         root = ElementTree.Element(
             "explain", xmlns="http://www.postgresql.org/2009/explain"
         )
         query = ElementTree.SubElement(root, "Query")
-        if plan.root is not None:
-            query.append(node_element(plan.root))
+        # containers[node_id]: the element a node's children go in.
+        containers = [query]
+        for node, _, _, parent_id, _, exit in walk_tree(plan.root):
+            if exit:
+                continue
+            element = ElementTree.SubElement(containers[parent_id or 0], "Plan")
+            ElementTree.SubElement(element, "Node-Type").text = node.name
+            for key, value in node.properties.items():
+                child = ElementTree.SubElement(element, key.replace(" ", "-"))
+                child.text = str(value)
+            containers.append(
+                ElementTree.SubElement(element, "Plans") if node.children else None
+            )
         for key, value in plan.properties.items():
             extra = ElementTree.SubElement(query, key.replace(" ", "-"))
             extra.text = str(value)
         return ElementTree.tostring(root, encoding="unicode")
 
     def _serialize_yaml(self, plan: RawPlan) -> str:
-        lines: List[str] = []
-
-        def emit(node: RawPlanNode, depth: int) -> None:
-            pad = "  " * depth
+        lines = ["- Plan:"]
+        for node, depth, _, _, _, exit in walk_tree(plan.root):
+            if exit:
+                continue
+            pad = "  " * (depth + 1)
             lines.append(f"{pad}- Node Type: \"{node.name}\"")
             for key, value in node.properties.items():
                 rendered = f'"{value}"' if isinstance(value, str) else value
                 lines.append(f"{pad}  {key}: {rendered}")
             if node.children:
                 lines.append(f"{pad}  Plans:")
-                for child in node.children:
-                    emit(child, depth + 1)
-
-        lines.append("- Plan:")
-        if plan.root is not None:
-            emit(plan.root, 1)
         for key, value in plan.properties.items():
             lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
-
-    def _serialize_graph(self, plan: RawPlan) -> str:
-        lines = ["digraph plan {", "  node [shape=box];"]
-        counter = [0]
-
-        def visit(node: RawPlanNode) -> int:
-            counter[0] += 1
-            node_id = counter[0]
-            label = node.name.replace('"', "'")
-            lines.append(f'  n{node_id} [label="{label}"];')
-            for child in node.children:
-                child_id = visit(child)
-                lines.append(f"  n{node_id} -> n{child_id};")
-            return node_id
-
-        if plan.root is not None:
-            visit(plan.root)
-        lines.append("}")
         return "\n".join(lines)

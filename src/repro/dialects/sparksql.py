@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.dialects.base import RawPlan, RawPlanNode, RelationalDialect
+from repro.core.model import walk_tree
+from repro.dialects.base import RawPlan, RawPlanNode, RelationalDialect, render_dot_plan
 from repro.errors import DialectError
 from repro.optimizer.cost import CostModel
 from repro.optimizer.physical import OpKind, PhysicalNode
@@ -231,41 +232,16 @@ class SparkSQLDialect(RelationalDialect):
         if format_name == "text":
             return self._serialize_text(plan)
         if format_name == "graph":
-            return self._serialize_graph(plan)
+            return render_dot_plan(plan, "spark_plan", ["node [shape=box]"], upward=True)
         raise DialectError(self.name, f"unknown format {format_name!r}")
 
     def _serialize_text(self, plan: RawPlan) -> str:
         lines = ["== Physical Plan =="]
-        counter = [0]
-
-        def visit(node: RawPlanNode, depth: int) -> None:
-            counter[0] += 1
+        for node, depth, node_id, _, _, exit in walk_tree(plan.root):
+            if exit:
+                continue
             indent = "   " * depth
             prefix = "+- " if depth > 0 else ""
-            stage = f"*({counter[0]}) " if not node.name.startswith(("Exchange", "Adaptive")) else ""
+            stage = f"*({node_id}) " if not node.name.startswith(("Exchange", "Adaptive")) else ""
             lines.append(f"{indent}{prefix}{stage}{node.name}")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        if plan.root is not None:
-            visit(plan.root, 0)
-        return "\n".join(lines)
-
-    def _serialize_graph(self, plan: RawPlan) -> str:
-        lines = ["digraph spark_plan {", "  node [shape=box];"]
-        counter = [0]
-
-        def visit(node: RawPlanNode) -> int:
-            counter[0] += 1
-            node_id = counter[0]
-            label = node.name.replace('"', "'")
-            lines.append(f'  n{node_id} [label="{label}"];')
-            for child in node.children:
-                child_id = visit(child)
-                lines.append(f"  n{child_id} -> n{node_id};")
-            return node_id
-
-        if plan.root is not None:
-            visit(plan.root)
-        lines.append("}")
         return "\n".join(lines)

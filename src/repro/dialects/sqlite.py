@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.core.model import walk_tree
 from repro.dialects.base import RawPlan, RawPlanNode, RelationalDialect
 from repro.errors import DialectError
 from repro.optimizer.cost import CostModel
@@ -170,21 +171,18 @@ class SQLiteDialect(RelationalDialect):
         if format_name != "text":
             raise DialectError(self.name, f"unknown format {format_name!r}")
         lines: List[str] = []
-
-        def visit(node: RawPlanNode, prefix: str, is_last: bool, depth: int) -> None:
-            if depth == 0:
-                lines.append(f"`--{node.name}" if node.name != "QUERY PLAN" else "QUERY PLAN")
-            else:
-                connector = "`--" if is_last else "|--"
-                lines.append(f"{prefix}{connector}{node.name}")
-            child_prefix = prefix if depth == 0 and node.name == "QUERY PLAN" else prefix + (
-                "   " if is_last else "|  "
-            )
+        # prefixes[d]: what precedes the connector of a step at depth d.
+        prefixes = [""]
+        for node, depth, _, _, last, exit in walk_tree(plan.root):
+            if exit:
+                continue
+            prefix = prefixes[depth]
             if depth == 0 and node.name == "QUERY PLAN":
+                lines.append("QUERY PLAN")
                 child_prefix = ""
-            for index, child in enumerate(node.children):
-                visit(child, child_prefix, index == len(node.children) - 1, depth + 1)
-
-        if plan.root is not None:
-            visit(plan.root, "", True, 0)
+            else:
+                lines.append(f"{prefix}{'`--' if last else '|--'}{node.name}")
+                child_prefix = prefix + ("   " if last else "|  ")
+            del prefixes[depth + 1:]
+            prefixes.append(child_prefix)
         return "\n".join(lines)

@@ -11,10 +11,17 @@ Management Studio graphical plan.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 from xml.etree import ElementTree
 
-from repro.dialects.base import RawPlan, RawPlanNode, RelationalDialect, render_table_plan
+from repro.core.formats.table_format import ascii_table
+from repro.core.model import walk_tree
+from repro.dialects.base import (
+    RawPlan,
+    RawPlanNode,
+    RelationalDialect,
+    render_dot_plan,
+)
 from repro.errors import DialectError
 from repro.optimizer.cost import CostModel
 from repro.optimizer.physical import OpKind, PhysicalNode
@@ -203,7 +210,7 @@ class SQLServerDialect(RelationalDialect):
         if format_name == "xml":
             return self._serialize_xml(plan)
         if format_name == "graph":
-            return self._serialize_graph(plan)
+            return render_dot_plan(plan, "sqlserver_plan", ["node [shape=box]"])
         raise DialectError(self.name, f"unknown format {format_name!r}")
 
     def _headline(self, node: RawPlanNode) -> str:
@@ -218,43 +225,30 @@ class SQLServerDialect(RelationalDialect):
         return f"{node.name}({suffix})" if suffix else node.name
 
     def _serialize_text(self, plan: RawPlan) -> str:
-        lines: List[str] = []
-
-        def visit(node: RawPlanNode, depth: int) -> None:
-            indent = "  " * depth
-            prefix = "|--" if depth > 0 else ""
-            lines.append(f"{indent}{prefix}{self._headline(node)}")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        if plan.root is not None:
-            visit(plan.root, 0)
-        return "\n".join(lines)
+        return "\n".join(
+            f"{'  ' * depth}{'|--' if depth else ''}{self._headline(node)}"
+            for node, depth, _, _, _, exit in walk_tree(plan.root)
+            if not exit
+        )
 
     def _serialize_table(self, plan: RawPlan) -> str:
         columns = ["NodeId", "Parent", "PhysicalOp", "LogicalOp", "EstimateRows", "TotalSubtreeCost"]
-
-        def row_builder(node: RawPlanNode, node_id: int, parent_id, depth: int) -> List[str]:
-            return [
-                str(node_id),
-                "" if parent_id is None else str(parent_id),
+        rows = [
+            [
+                node_id,
+                "" if parent_id is None else parent_id,
                 node.name,
-                str(node.properties.get("LogicalOp", node.name)),
-                str(node.properties.get("EstimateRows", "")),
-                str(node.properties.get("EstimatedTotalSubtreeCost", "")),
+                node.properties.get("LogicalOp", node.name),
+                node.properties.get("EstimateRows", ""),
+                node.properties.get("EstimatedTotalSubtreeCost", ""),
             ]
-
-        return render_table_plan(plan, columns, row_builder)
+            for node, _, node_id, parent_id, _, exit in walk_tree(plan.root)
+            if not exit
+        ]
+        footer = [f"{key}: {value}" for key, value in plan.properties.items()]
+        return ascii_table(columns, rows, footer)
 
     def _serialize_xml(self, plan: RawPlan) -> str:
-        def element_for(node: RawPlanNode) -> ElementTree.Element:
-            element = ElementTree.Element("RelOp", PhysicalOp=node.name)
-            for key, value in node.properties.items():
-                element.set(key, str(value))
-            for child in node.children:
-                element.append(element_for(child))
-            return element
-
         root = ElementTree.Element(
             "ShowPlanXML",
             xmlns="http://schemas.microsoft.com/sqlserver/2004/07/showplan",
@@ -264,25 +258,14 @@ class SQLServerDialect(RelationalDialect):
         batch = ElementTree.SubElement(statements, "Batch")
         stmts = ElementTree.SubElement(batch, "Statements")
         simple = ElementTree.SubElement(stmts, "StmtSimple")
-        query_plan = ElementTree.SubElement(simple, "QueryPlan")
-        if plan.root is not None:
-            query_plan.append(element_for(plan.root))
+        # elements[node_id]: the element a node's child RelOps go in.
+        elements = [ElementTree.SubElement(simple, "QueryPlan")]
+        for node, _, _, parent_id, _, exit in walk_tree(plan.root):
+            if not exit:
+                element = ElementTree.SubElement(
+                    elements[parent_id or 0], "RelOp", PhysicalOp=node.name
+                )
+                for key, value in node.properties.items():
+                    element.set(key, str(value))
+                elements.append(element)
         return ElementTree.tostring(root, encoding="unicode")
-
-    def _serialize_graph(self, plan: RawPlan) -> str:
-        lines = ["digraph sqlserver_plan {", "  node [shape=box];"]
-        counter = [0]
-
-        def visit(node: RawPlanNode) -> int:
-            counter[0] += 1
-            node_id = counter[0]
-            lines.append(f'  n{node_id} [label="{node.name}"];')
-            for child in node.children:
-                child_id = visit(child)
-                lines.append(f"  n{node_id} -> n{child_id};")
-            return node_id
-
-        if plan.root is not None:
-            visit(plan.root)
-        lines.append("}")
-        return "\n".join(lines)

@@ -20,7 +20,15 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.formats.json_emit import dumps_indented
-from repro.dialects.base import RawPlan, RawPlanNode, RelationalDialect, format_number
+from repro.core.formats.table_format import ascii_table
+from repro.core.model import walk_tree
+from repro.dialects.base import (
+    RawPlan,
+    RawPlanNode,
+    RelationalDialect,
+    format_number,
+    plan_document,
+)
 from repro.errors import DialectError
 from repro.optimizer.cost import CostModel
 from repro.optimizer.physical import OpKind, PhysicalNode
@@ -282,67 +290,34 @@ class TiDBDialect(RelationalDialect):
             return self._serialize_json(plan)
         raise DialectError(self.name, f"unknown format {format_name!r}")
 
-    def _tree_prefix(self, depth: int, is_last: bool) -> str:
-        if depth == 0:
-            return ""
-        return "  " * (depth - 1) + ("└─" if is_last else "├─")
-
-    def _serialize_table(self, plan: RawPlan) -> str:
-        rows: List[List[str]] = []
-
-        def visit(node: RawPlanNode, depth: int, is_last: bool) -> None:
-            rows.append(
-                [
-                    self._tree_prefix(depth, is_last) + node.name,
-                    str(node.properties.get("estRows", "")),
-                    str(node.properties.get("task", "root")),
-                    str(node.properties.get("access object", "")),
-                    str(node.properties.get("operator info", "")),
-                ]
+    def _tree_lines(self, plan: RawPlan) -> List[tuple]:
+        """``(└─ / ├─ tree label, node)`` per node, in pre-order."""
+        return [
+            (
+                ("  " * (depth - 1) + ("└─" if last else "├─") if depth else "") + node.name,
+                node,
             )
-            for index, child in enumerate(node.children):
-                visit(child, depth + 1, index == len(node.children) - 1)
-
-        if plan.root is not None:
-            visit(plan.root, 0, True)
-        columns = ["id", "estRows", "task", "access object", "operator info"]
-        widths = [
-            max([len(columns[i])] + [len(row[i]) for row in rows]) if rows else len(columns[i])
-            for i in range(len(columns))
+            for node, depth, _, _, last, exit in walk_tree(plan.root)
+            if not exit
         ]
 
-        def separator() -> str:
-            return "+" + "+".join("-" * (width + 2) for width in widths) + "+"
-
-        def fmt(cells: List[str]) -> str:
-            return "|" + "|".join(
-                f" {cell.ljust(widths[i])} " for i, cell in enumerate(cells)
-            ) + "|"
-
-        lines = [separator(), fmt(columns), separator()]
-        lines.extend(fmt(row) for row in rows)
-        lines.append(separator())
-        return "\n".join(lines)
+    def _serialize_table(self, plan: RawPlan) -> str:
+        rows = [
+            [
+                label,
+                node.properties.get("estRows", ""),
+                node.properties.get("task", "root"),
+                node.properties.get("access object", ""),
+                node.properties.get("operator info", ""),
+            ]
+            for label, node in self._tree_lines(plan)
+        ]
+        columns = ["id", "estRows", "task", "access object", "operator info"]
+        return ascii_table(columns, rows, ())
 
     def _serialize_text(self, plan: RawPlan) -> str:
-        lines: List[str] = []
-
-        def visit(node: RawPlanNode, depth: int, is_last: bool) -> None:
-            lines.append(self._tree_prefix(depth, is_last) + node.name)
-            for index, child in enumerate(node.children):
-                visit(child, depth + 1, index == len(node.children) - 1)
-
-        if plan.root is not None:
-            visit(plan.root, 0, True)
-        return "\n".join(lines)
+        return "\n".join(label for label, _ in self._tree_lines(plan))
 
     def _serialize_json(self, plan: RawPlan) -> str:
-        def node_to_dict(node: RawPlanNode) -> Dict[str, Any]:
-            data: Dict[str, Any] = {"id": node.name}
-            data.update(node.properties)
-            if node.children:
-                data["subOperators"] = [node_to_dict(child) for child in node.children]
-            return data
-
-        document = node_to_dict(plan.root) if plan.root is not None else {}
+        document = {} if plan.root is None else plan_document(plan.root, "id", "subOperators")
         return dumps_indented([document])

@@ -129,6 +129,15 @@ def _subquery_of(expression: ast.Expression) -> Optional[ast.SelectStatement]:
     return None
 
 
+def _aliases_in(table_expression: ast.TableExpression) -> Set[str]:
+    """The aliases a FROM item brings into scope."""
+    return {
+        item.effective_name
+        for item in ast.join_items(table_expression)
+        if isinstance(item, (ast.TableRef, ast.SubqueryRef))
+    }
+
+
 class Planner:
     """Plans statements for one :class:`~repro.catalog.database.Database`."""
 
@@ -447,39 +456,22 @@ class Planner:
         #: join.  WHERE conjuncts on these may not be pushed below the join.
         nullable: Set[str] = set()
         has_outer = False
-
-        def subtree_aliases(table_expression: ast.TableExpression) -> Set[str]:
-            if isinstance(table_expression, ast.TableRef):
-                return {table_expression.effective_name}
-            if isinstance(table_expression, ast.SubqueryRef):
-                return {table_expression.alias}
-            if isinstance(table_expression, ast.Join):
-                return subtree_aliases(table_expression.left) | subtree_aliases(
-                    table_expression.right
-                )
-            return set()
-
-        def visit(table_expression: ast.TableExpression) -> None:
-            nonlocal has_outer
+        for table_expression in ast.join_items(core.from_clause):
             if isinstance(table_expression, ast.TableRef):
                 relations.append(
                     _Relation(alias=table_expression.effective_name, table_name=table_expression.name)
                 )
-                return
-            if isinstance(table_expression, ast.SubqueryRef):
+            elif isinstance(table_expression, ast.SubqueryRef):
                 relations.append(
                     _Relation(alias=table_expression.alias, subquery=table_expression.query)
                 )
-                return
-            if isinstance(table_expression, ast.Join):
-                visit(table_expression.left)
-                visit(table_expression.right)
+            elif isinstance(table_expression, ast.Join):
                 if table_expression.join_type in {"LEFT", "RIGHT", "FULL"}:
                     has_outer = True
                     if table_expression.join_type in {"LEFT", "FULL"}:
-                        nullable.update(subtree_aliases(table_expression.right))
+                        nullable.update(_aliases_in(table_expression.right))
                     if table_expression.join_type in {"RIGHT", "FULL"}:
-                        nullable.update(subtree_aliases(table_expression.left))
+                        nullable.update(_aliases_in(table_expression.left))
                 condition = table_expression.condition
                 if condition is None and table_expression.using_columns:
                     condition = self._using_to_condition(table_expression)
@@ -494,12 +486,10 @@ class Planner:
                         )
                     else:
                         residual.append(condition)
-                return
-            raise PlanningError(
-                f"unsupported FROM item {type(table_expression).__name__}"
-            )
-
-        visit(core.from_clause)
+            else:
+                raise PlanningError(
+                    f"unsupported FROM item {type(table_expression).__name__}"
+                )
         return relations, edges, has_outer, residual, nullable
 
     def _using_to_condition(self, join: ast.Join) -> Optional[ast.Expression]:
@@ -897,39 +887,33 @@ class Planner:
         self, star: ast.Star, core: ast.SelectCore
     ) -> Tuple[List[Optional[ast.Expression]], bool]:
         outputs: List[Optional[ast.Expression]] = []
-
-        def visit(table_expression: Optional[ast.TableExpression]) -> bool:
-            if table_expression is None:
-                return True
-            if isinstance(table_expression, ast.Join):
-                return visit(table_expression.left) and visit(table_expression.right)
+        for table_expression in ast.join_items(core.from_clause):
+            if table_expression is None or isinstance(table_expression, ast.Join):
+                continue
             if isinstance(table_expression, ast.TableRef):
                 alias = table_expression.effective_name
                 if star.table and star.table != alias:
-                    return True
+                    continue
                 if not self.database.has_table(table_expression.name):
-                    return False
+                    return outputs, False
                 for column in self.database.schema(table_expression.name).column_names():
                     outputs.append(ast.ColumnRef(column=column, table=alias))
-                return True
-            if isinstance(table_expression, ast.SubqueryRef):
+            elif isinstance(table_expression, ast.SubqueryRef):
                 alias = table_expression.alias
                 if star.table and star.table != alias:
-                    return True
+                    continue
                 cores = table_expression.query.cores()
                 if not cores:
-                    return False
+                    return outputs, False
                 for item in cores[0].items:
                     if isinstance(item.expression, ast.Star):
-                        return False
+                        return outputs, False
                     name = item.alias or print_expression(item.expression)
                     bare = name.split(".", 1)[1] if "." in name else name
                     outputs.append(ast.ColumnRef(column=bare, table=alias))
-                return True
-            return False
-
-        complete = visit(core.from_clause)
-        return outputs, complete
+            else:
+                return outputs, False
+        return outputs, True
 
     # ------------------------------------------------------------------ statistics
 
@@ -1564,14 +1548,16 @@ class Planner:
         if needed is None:
             needed = self._needed_columns_by_alias(relations)
 
-        def build(table_expression: ast.TableExpression) -> PhysicalNode:
+        # Post-order: each join pops the plans of its two inputs.
+        plans: List[PhysicalNode] = []
+        for table_expression in ast.join_items(from_clause):
             if isinstance(table_expression, (ast.TableRef, ast.SubqueryRef)):
                 alias = table_expression.effective_name
                 relation = self._relation_by_alias(relations, alias)
-                return self._plan_relation(relation, resolver, needed.get(alias, set()))
-            if isinstance(table_expression, ast.Join):
-                left = build(table_expression.left)
-                right = build(table_expression.right)
+                plans.append(self._plan_relation(relation, resolver, needed.get(alias, set())))
+            elif isinstance(table_expression, ast.Join):
+                right = plans.pop()
+                left = plans.pop()
                 condition = table_expression.condition
                 if condition is None and table_expression.using_columns:
                     condition = self._using_to_condition(table_expression)
@@ -1580,14 +1566,16 @@ class Planner:
                     if condition is not None
                     else []
                 )
-                return self._make_join(
-                    left, right, edge_list, resolver, join_type=table_expression.join_type
+                plans.append(
+                    self._make_join(
+                        left, right, edge_list, resolver, join_type=table_expression.join_type
+                    )
                 )
-            raise PlanningError(
-                f"unsupported FROM item {type(table_expression).__name__}"
-            )
-
-        return build(from_clause)
+            else:
+                raise PlanningError(
+                    f"unsupported FROM item {type(table_expression).__name__}"
+                )
+        return plans[0]
 
     # ------------------------------------------------------------------ upper operators
 

@@ -295,6 +295,7 @@ class ShardedCampaign:
                 merged.queries_generated += payload.get("queries_generated", 0)
                 merged.cert_pairs_checked += payload.get("cert_pairs_checked", 0)
                 merged.bound_queries_checked += payload.get("bound_queries_checked", 0)
+                merged.unexpected_errors += payload.get("unexpected_errors", 0)
                 merged.novelty_reward_total += payload.get("novelty_reward_total", 0.0)
                 for row in payload.get("reports", []):
                     merged.reports.append(report_from_payload(row))

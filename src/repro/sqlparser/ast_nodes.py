@@ -276,16 +276,13 @@ class SelectStatement(Statement):
     def cores(self) -> List[SelectCore]:
         """Return all SELECT blocks in the body, left-to-right."""
         result: List[SelectCore] = []
-
-        def visit(body: Union[SelectCore, SetOperation]) -> None:
+        stack = [] if self.body is None else [self.body]
+        while stack:
+            body = stack.pop()
             if isinstance(body, SelectCore):
                 result.append(body)
             else:
-                visit(body.left)
-                visit(body.right)
-
-        if self.body is not None:
-            visit(self.body)
+                stack.extend((body.right, body.left))
         return result
 
 
@@ -461,6 +458,18 @@ def conjoin(conjuncts: Sequence[Expression]) -> Optional[Expression]:
     for conjunct in conjuncts:
         result = conjunct if result is None else BinaryOp("AND", result, conjunct)
     return result
+
+
+def join_items(table_expression: Optional[TableExpression]) -> Iterator[TableExpression]:
+    """Every item of a FROM clause in post-order — each :class:`Join` right
+    after its left and then its right input — without recursion."""
+    stack = [(table_expression, False)]
+    while stack:
+        item, inputs_done = stack.pop()
+        if isinstance(item, Join) and not inputs_done:
+            stack.extend(((item, True), (item.right, False), (item.left, False)))
+        else:
+            yield item
 
 
 def base_tables(table_expression: Optional[TableExpression]) -> List[TableRef]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.testing.failures import SkipFailures
 from repro.testing.generator import RandomQueryGenerator
 
 
@@ -40,6 +41,8 @@ class BoundStatistics:
 
     queries_checked: int = 0
     violations: List[BoundViolation] = field(default_factory=list)
+    #: Statements skipped on an error that is not a ``ReproError``.
+    unexpected_errors: int = 0
 
 
 class SizeBoundChecker:
@@ -70,17 +73,15 @@ class SizeBoundChecker:
     def run(self, queries: int = 100, setup_statements: Optional[List[str]] = None) -> BoundStatistics:
         """Generate and check *queries* random SELECT queries."""
         statements = setup_statements or self.generator.schema_statements()
+        skip = SkipFailures()
         for statement in statements:
-            try:
+            with skip:
                 self.dialect.execute(statement)
-            except Exception:
-                continue
         if hasattr(self.dialect, "analyze_tables"):
             self.dialect.analyze_tables()
         for _ in range(queries):
             query = self.generator.select_query()
-            try:
+            with skip:
                 self.check_query(query)
-            except Exception:
-                continue
+        self.statistics.unexpected_errors += skip.unexpected
         return self.statistics

@@ -180,7 +180,7 @@ class FaultyDialect:
         if bucket % self.trigger_rate == 0:
             return self.logic_bugs[bucket % len(self.logic_bugs)]
         # Listing 3: index-backed IN(GREATEST(...)) look-ups are always wrong.
-        if "IN (GREATEST(" in query.upper().replace(" ", " ") and self.dialect.database.index_names():
+        if "IN (GREATEST(" in query.upper() and self.dialect.database.index_names():
             return self.logic_bugs[0]
         return None
 

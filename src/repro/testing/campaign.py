@@ -42,6 +42,7 @@ from repro.testing.bugs import (
     report_from_payload,
 )
 from repro.testing.cert import CardinalityRestrictionTester
+from repro.testing.failures import SkipFailures
 from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
 from repro.testing.qpg import NOVELTY_MODES, QPGConfig, QueryPlanGuidance
 
@@ -65,6 +66,10 @@ class CampaignResult:
     #: oracle.  Real DBMSs have no Table V bugs of the "bound" kind, so the
     #: oracle contributes no reports to a default campaign.
     bound_queries_checked: int = 0
+    #: Statements the oracles skipped, and trigger plans left uncaptured, on
+    #: an error that is not a ``ReproError`` — a defect of this program
+    #: rather than a statement the DBMS rejected.  0 for a healthy campaign.
+    unexpected_errors: int = 0
     #: The union of the per-round structural-fingerprint coverage sets,
     #: including coverage loaded from a persisted store when resuming.
     plan_fingerprints: Set[str] = field(default_factory=set)
@@ -348,6 +353,7 @@ class TestingCampaign:
         result.queries_generated += payload.get("queries_generated", 0)
         result.cert_pairs_checked += payload.get("cert_pairs_checked", 0)
         result.bound_queries_checked += payload.get("bound_queries_checked", 0)
+        result.unexpected_errors += payload.get("unexpected_errors", 0)
         result.novelty_reward_total += payload.get("novelty_reward_total", 0.0)
         for row in payload.get("reports", []):
             result.reports.append(report_from_payload(row))
@@ -355,7 +361,9 @@ class TestingCampaign:
             campaign_index.merge_payload(payload["index"])
         result.round_payloads.append((index, payload))
 
-    def _capture_trigger_plan(self, triage_hub, dialect, query: str) -> Optional[dict]:
+    def _capture_trigger_plan(
+        self, result: CampaignResult, triage_hub, dialect, query: str
+    ) -> Optional[dict]:
         """Best-effort unified-plan capture for a bug report's trigger query.
 
         Runs through *triage_hub* — a campaign-private converter hub, never
@@ -365,15 +373,15 @@ class TestingCampaign:
         """
         if triage_hub is None:
             return None
-        try:
+        # A query the dialect cannot re-explain still yields a report; it
+        # just clusters as a singleton (no plan to compare).
+        with SkipFailures() as skip:
             explain_format = triage_hub.converter(dialect.name).formats[0]
             output = dialect.explain(query, format=explain_format)
             plan = triage_hub.convert(dialect.name, output.text, explain_format)
             return plan.to_dict()
-        except Exception:
-            # A query the dialect cannot re-explain still yields a report;
-            # it just clusters as a singleton (no plan to compare).
-            return None
+        result.unexpected_errors += skip.unexpected
+        return None
 
     def _run_rounds(
         self, result, ingest_service, store, only_indexes=None, campaign_index=None
@@ -400,6 +408,7 @@ class TestingCampaign:
                 "queries": result.queries_generated,
                 "pairs": result.cert_pairs_checked,
                 "bound_queries": result.bound_queries_checked,
+                "unexpected_errors": result.unexpected_errors,
             }
             logic_bugs = bugs_for(dbms_name, "logic")
             performance_bugs = bugs_for(dbms_name, "performance")
@@ -434,6 +443,7 @@ class TestingCampaign:
             )
             statistics = qpg.run()
             result.queries_generated += statistics.queries_generated
+            result.unexpected_errors += statistics.unexpected_errors
             # Hub-level fast-path hits never reach the ingest service's
             # counters; account them here so every observed plan is either a
             # conversion or a cache hit.
@@ -451,7 +461,7 @@ class TestingCampaign:
                             severity=bug.severity,
                             trigger_query=query,
                             trigger_plan=self._capture_trigger_plan(
-                                triage_hub, dialect, query
+                                result, triage_hub, dialect, query
                             ),
                         )
                     )
@@ -468,6 +478,7 @@ class TestingCampaign:
             cert = CardinalityRestrictionTester(cert_dialect, cert_generator)
             cert_statistics = cert.run(pairs=self.cert_pairs_per_dbms)
             result.cert_pairs_checked += cert_statistics.pairs_checked
+            result.unexpected_errors += cert_statistics.unexpected_errors
             if cert_statistics.violations and performance_bugs:
                 for position, violation in enumerate(cert_statistics.violations):
                     bug = performance_bugs[min(position, len(performance_bugs) - 1)]
@@ -480,7 +491,7 @@ class TestingCampaign:
                             severity=bug.severity,
                             trigger_query=violation.restricted_query,
                             trigger_plan=self._capture_trigger_plan(
-                                triage_hub, cert_dialect, violation.restricted_query
+                                result, triage_hub, cert_dialect, violation.restricted_query
                             ),
                         )
                     )
@@ -505,6 +516,7 @@ class TestingCampaign:
             bound_checker = SizeBoundChecker(bound_dialect, bound_generator)
             bound_statistics = bound_checker.run(queries=self.bound_checks_per_dbms)
             result.bound_queries_checked += bound_statistics.queries_checked
+            result.unexpected_errors += bound_statistics.unexpected_errors
             if bound_statistics.violations and bound_bugs:
                 for position, bound_violation in enumerate(bound_statistics.violations):
                     bug = bound_bugs[min(position, len(bound_bugs) - 1)]
@@ -517,7 +529,7 @@ class TestingCampaign:
                             severity=bug.severity,
                             trigger_query=bound_violation.query,
                             trigger_plan=self._capture_trigger_plan(
-                                triage_hub, bound_dialect, bound_violation.query
+                                result, triage_hub, bound_dialect, bound_violation.query
                             ),
                         )
                     )
@@ -537,6 +549,8 @@ class TestingCampaign:
                 - round_start["pairs"],
                 "bound_queries_checked": result.bound_queries_checked
                 - round_start["bound_queries"],
+                "unexpected_errors": result.unexpected_errors
+                - round_start["unexpected_errors"],
             }
             if campaign_index is not None:
                 # The per-round index rides in the payload (JSON emits

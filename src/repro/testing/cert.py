@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.converters import converter_for
 from repro.core.categories import PropertyCategory
 from repro.core.model import UnifiedPlan
+from repro.testing.failures import SkipFailures
 from repro.testing.generator import RandomQueryGenerator
 
 
@@ -40,6 +41,8 @@ class CERTStatistics:
 
     pairs_checked: int = 0
     violations: List[CERTViolation] = field(default_factory=list)
+    #: Statements skipped on an error that is not a ``ReproError``.
+    unexpected_errors: int = 0
 
 
 def root_cardinality_estimate(plan: UnifiedPlan) -> Optional[float]:
@@ -104,19 +107,17 @@ class CardinalityRestrictionTester:
     def run(self, pairs: int = 100, setup_statements: Optional[List[str]] = None) -> CERTStatistics:
         """Generate and check *pairs* random (query, restricted query) pairs."""
         statements = setup_statements or self.generator.schema_statements()
+        skip = SkipFailures()
         for statement in statements:
-            try:
+            with skip:
                 self.dialect.execute(statement)
-            except Exception:
-                continue
         if hasattr(self.dialect, "analyze_tables"):
             self.dialect.analyze_tables()
         for _ in range(pairs):
             query = self.generator.select_query()
             table = self.generator.random.choice(self.generator.tables)
             restricted = self.generator.restricted_query(query, table)
-            try:
+            with skip:
                 self.check_pair(query, restricted)
-            except Exception:
-                continue
+        self.statistics.unexpected_errors += skip.unexpected
         return self.statistics

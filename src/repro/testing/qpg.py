@@ -53,6 +53,7 @@ from repro.core.model import UnifiedPlan
 from repro.errors import ConversionError
 from repro.pipeline import PlanIngestService, PlanSource
 from repro.similarity import PlanIndex, embed_plan
+from repro.testing.failures import SkipFailures
 from repro.testing.generator import RandomQueryGenerator
 from repro.testing.tlp import TLPResult, check_tlp
 
@@ -93,6 +94,9 @@ class QPGStatistics:
     #: under ``novelty="similarity"``; stays 0.0 in exact mode.
     novelty_reward_total: float = 0.0
     violating_queries: List[str] = field(default_factory=list)
+    #: Statements skipped on an error that is not a ``ReproError`` (see
+    #: :class:`~repro.testing.failures.SkipFailures`).
+    unexpected_errors: int = 0
 
 
 class QueryPlanGuidance:
@@ -249,13 +253,11 @@ class QueryPlanGuidance:
     def run(self, setup_statements: Optional[List[str]] = None) -> QPGStatistics:
         """Run one QPG campaign round and return its statistics."""
         statements = setup_statements or self.generator.schema_statements()
+        skip = SkipFailures()
         for statement in statements:
-            try:
+            # A rejected setup statement (e.g. a key violation) is skipped.
+            with skip:
                 self.dialect.execute(statement)
-            except Exception:
-                # A rejected setup statement (e.g. a key violation injected by
-                # a mutation) is skipped, as SQLancer does.
-                continue
         if hasattr(self.dialect, "analyze_tables"):
             self.dialect.analyze_tables()
 
@@ -263,12 +265,10 @@ class QueryPlanGuidance:
         for _ in range(self.config.queries_per_round):
             query = self.generator.select_query()
             self.statistics.queries_generated += 1
-            try:
+            with skip:
                 is_new = self.observe_plan(query)
                 self.dialect.execute(query)
-            except Exception:
-                # Queries the simulated DBMS rejects are simply skipped, as
-                # SQLancer skips statements a real DBMS rejects.
+            if skip.failed:
                 continue
             self._check_oracle(query)
             if is_new:
@@ -277,13 +277,12 @@ class QueryPlanGuidance:
                 stagnation += 1
             if stagnation >= self.config.stagnation_threshold:
                 mutation = self.generator.mutation_statement()
-                try:
+                with skip:
                     self.dialect.execute(mutation)
                     if hasattr(self.dialect, "analyze_tables"):
                         self.dialect.analyze_tables()
-                except Exception:
-                    pass
                 self.statistics.mutations_applied += 1
                 stagnation = 0
         self.statistics.unique_plans = len(self.seen_fingerprints)
+        self.statistics.unexpected_errors += skip.unexpected
         return self.statistics

@@ -12,7 +12,7 @@ import html
 from typing import List
 
 from repro.core.categories import OperationCategory
-from repro.core.model import PlanNode, UnifiedPlan
+from repro.core.model import UnifiedPlan, walk_tree
 
 #: Category → colour used by the DOT and HTML renderers.
 CATEGORY_COLOURS = {
@@ -29,19 +29,19 @@ CATEGORY_COLOURS = {
 def render_ascii(plan: UnifiedPlan, with_properties: bool = False) -> str:
     """Render a unified plan as an ASCII tree."""
     lines: List[str] = [f"[{plan.source_dbms or 'unified'}] query plan"]
-
-    def visit(node: PlanNode, prefix: str, is_last: bool) -> None:
-        connector = "`-- " if is_last else "|-- "
+    # prefixes[d]: what precedes the connector of a node at depth d.
+    prefixes = [""]
+    for node, depth, _, _, last, exit in walk_tree(plan.root):
+        if exit:
+            continue
+        prefix = prefixes[depth]
+        connector = "`-- " if last else "|-- "
         lines.append(f"{prefix}{connector}{node.operation.category.value}->{node.operation.identifier}")
         if with_properties:
             for prop in node.properties:
-                lines.append(f"{prefix}{'    ' if is_last else '|   '}  * {prop.identifier}: {prop.value}")
-        child_prefix = prefix + ("    " if is_last else "|   ")
-        for index, child in enumerate(node.children):
-            visit(child, child_prefix, index == len(node.children) - 1)
-
-    if plan.root is not None:
-        visit(plan.root, "", True)
+                lines.append(f"{prefix}{'    ' if last else '|   '}  * {prop.identifier}: {prop.value}")
+        del prefixes[depth + 1:]
+        prefixes.append(prefix + ("    " if last else "|   "))
     for prop in plan.properties:
         lines.append(f"= {prop.identifier}: {prop.value}")
     return "\n".join(lines)
@@ -54,21 +54,13 @@ def render_dot(plan: UnifiedPlan) -> str:
         "  rankdir=TB;",
         '  node [shape=box, style="rounded,filled", fontname="Helvetica"];',
     ]
-    counter = [0]
-
-    def visit(node: PlanNode) -> int:
-        counter[0] += 1
-        node_id = counter[0]
-        colour = CATEGORY_COLOURS[node.operation.category]
-        label = f"{node.operation.category.value}\\n{node.operation.identifier}"
-        lines.append(f'  n{node_id} [label="{label}", fillcolor="{colour}", fontcolor="white"];')
-        for child in node.children:
-            child_id = visit(child)
-            lines.append(f"  n{node_id} -> n{child_id};")
-        return node_id
-
-    if plan.root is not None:
-        visit(plan.root)
+    for node, _, node_id, parent_id, _, exit in walk_tree(plan.root):
+        if not exit:
+            colour = CATEGORY_COLOURS[node.operation.category]
+            label = f"{node.operation.category.value}\\n{node.operation.identifier}"
+            lines.append(f'  n{node_id} [label="{label}", fillcolor="{colour}", fontcolor="white"];')
+        elif parent_id is not None:
+            lines.append(f"  n{parent_id} -> n{node_id};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -90,7 +82,9 @@ def render_html(plan: UnifiedPlan, title: str = "Unified query plan") -> str:
         f"<h2>{html.escape(title)} — {html.escape(plan.source_dbms or 'unified')}</h2>",
     ]
 
-    def visit(node: PlanNode, depth: int) -> None:
+    for node, depth, _, _, _, exit in walk_tree(plan.root):
+        if exit:
+            continue
         colour = CATEGORY_COLOURS[node.operation.category]
         parts.append(
             f"<div class='node' style='margin-left:{24 * depth}px; border-left-color:{colour}'>"
@@ -103,11 +97,6 @@ def render_html(plan: UnifiedPlan, title: str = "Unified query plan") -> str:
                 f"{html.escape(str(prop.value))}</div>"
             )
         parts.append("</div>")
-        for child in node.children:
-            visit(child, depth + 1)
-
-    if plan.root is not None:
-        visit(plan.root, 0)
     if plan.properties:
         parts.append("<h3>Plan properties</h3><ul>")
         for prop in plan.properties:

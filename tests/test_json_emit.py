@@ -26,7 +26,7 @@ from repro.converters import converter_for
 from repro.core import formats
 from repro.core.formats import json_emit, json_format
 from repro.core.formats.json_emit import dumps_indented
-from repro.dialects import base, create_dialect, mongodb, mysql, neo4j, tidb
+from repro.dialects import create_dialect, mongodb, mysql, neo4j, postgresql, tidb
 from repro.errors import ReproError
 from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
 
@@ -171,7 +171,7 @@ def rendered(monkeypatch):
         calls.append(len(text))
         return text
 
-    for module in (base, mysql, tidb, neo4j, mongodb, json_format):
+    for module in (postgresql, mysql, tidb, neo4j, mongodb, json_format):
         monkeypatch.setattr(module, "dumps_indented", checked)
     return calls
 

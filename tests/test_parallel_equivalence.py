@@ -279,4 +279,5 @@ class TestWorkerCrashResume:
                     "queries_generated",
                     "cert_pairs_checked",
                     "bound_queries_checked",
+                    "unexpected_errors",
                 }

@@ -195,13 +195,6 @@ class TestConverterHub:
         assert hub.cache_stats.misses == 1
         assert hub.is_cached("postgresql", pg_raw, "json")
 
-    def test_copy_on_hit_returns_independent_plans(self, pg_raw):
-        hub = ConverterHub(copy_on_hit=True)
-        first = hub.convert("postgresql", pg_raw, "json")
-        second = hub.convert("postgresql", pg_raw, "json")
-        assert first is not second
-        assert plans_equal(first, second)
-
     def test_cached_plans_have_precomputed_fingerprints(self, hub, pg_raw):
         plan = hub.convert("postgresql", pg_raw, "json")
         assert plan._fp_cache  # fingerprint computed at conversion time
