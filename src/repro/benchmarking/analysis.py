@@ -82,7 +82,7 @@ def analyse_query11(scale: float = 1.0) -> Query11Analysis:
     # then never executed).  Timed on the row executor, whose scans
     # materialise every row as the studied DBMSs' do; the vectorized engine
     # hands out cached column snapshots, so a re-scan costs it ~2 %.
-    postgresql.set_executor("row")
+    postgresql.reconfigure(executor="row")
     physical = postgresql.planner.plan_statement(parse_one(query))
     init_plans = [
         init_plan

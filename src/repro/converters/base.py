@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tu
 
 from repro.core.caching import CacheStats, LRUCache
 from repro.core.categories import OperationCategory, PropertyCategory
-from repro.core.model import Operation, PlanNode, Property, UnifiedPlan
+from repro.core.model import MALFORMED_INPUT_ERRORS, Operation, PlanNode, Property, UnifiedPlan
 from repro.core.naming import NameRegistry, default_registry
 from repro.errors import ConversionError
 
@@ -42,13 +42,6 @@ _NAME_MEMO_LIMIT = 4096
 #: (an ``IntEnum``, a ``str`` subclass) may hash, compare or coerce unlike
 #: its base, and JSON lists and dicts are unhashable.
 _MEMO_VALUE_TYPES = frozenset((str, int, bool, type(None)))
-
-#: Errors a parser raises on input of the wrong shape (a JSON scalar where
-#: an object belongs, a malformed number, a tree nested past the stack):
-#: :meth:`PlanConverter.convert` reports them as a ``ConversionError``.
-_MALFORMED_INPUT_ERRORS = (
-    ValueError, TypeError, AttributeError, KeyError, IndexError, RecursionError,
-)
 
 
 class _NameMemo(NamedTuple):
@@ -92,7 +85,7 @@ class PlanConverter:
             )
         try:
             plan = self._parse(serialized, chosen)
-        except _MALFORMED_INPUT_ERRORS as exc:
+        except MALFORMED_INPUT_ERRORS as exc:
             raise ConversionError(
                 self.dbms, f"malformed {chosen} plan: {type(exc).__name__}: {exc}"
             ) from exc

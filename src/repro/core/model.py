@@ -33,10 +33,18 @@ from repro.core.categories import (
     PropertyCategory,
 )
 from repro.core.naming import intern_identifier
-from repro.errors import PlanValidationError
+from repro.errors import PlanValidationError, UnifiedPlanError
 
 #: The value domain permitted by the grammar (``value`` production).
 PropertyValue = Any  # str | int | float | bool | None
+
+#: Errors that decoding input of the wrong shape raises (a JSON scalar where
+#: an object belongs, a malformed number, a missing key, a tree nested past
+#: the stack): :meth:`UnifiedPlan.from_dict` reports them as a
+#: ``UnifiedPlanError``, :meth:`PlanConverter.convert` as a ``ConversionError``.
+MALFORMED_INPUT_ERRORS = (
+    ValueError, TypeError, AttributeError, KeyError, IndexError, RecursionError,
+)
 
 #: An ASCII letter, then words of letters / digits / ``_`` joined by single
 #: spaces.  Used with ``fullmatch`` (``$`` would admit a trailing newline).
@@ -910,14 +918,24 @@ class UnifiedPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "UnifiedPlan":
-        """Reconstruct a plan from :meth:`to_dict` output."""
-        tree = data.get("tree")
-        return cls(
-            root=None if tree is None else PlanNode.from_dict(tree),
-            properties=[Property.from_dict(p) for p in data.get("properties", [])],
-            source_dbms=data.get("source_dbms", ""),
-            query=data.get("query", ""),
-        )
+        """Reconstruct a plan from :meth:`to_dict` output.
+
+        A malformed payload (an unknown category, a missing key, a value of
+        the wrong type, a tree nested past the stack) raises a
+        :class:`UnifiedPlanError` chained to the underlying error.
+        """
+        try:
+            tree = data.get("tree")
+            return cls(
+                root=None if tree is None else PlanNode.from_dict(tree),
+                properties=[Property.from_dict(p) for p in data.get("properties", [])],
+                source_dbms=data.get("source_dbms", ""),
+                query=data.get("query", ""),
+            )
+        except MALFORMED_INPUT_ERRORS as exc:
+            raise UnifiedPlanError(
+                f"malformed plan payload: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def copy(self) -> "UnifiedPlan":
         """Return a deep copy of the plan (cached fingerprints carry over)."""

@@ -1,8 +1,15 @@
-"""The nine simulated DBMSs of the case study (Table I)."""
+"""The nine simulated DBMSs of the case study (Table I).
+
+The six relational ones share one substrate and take one
+:class:`EngineConfig` (executor, prepared cache, decorrelation, join
+optimization); :func:`create_dialect` validates it from keyword options,
+and :meth:`RelationalDialect.reconfigure` changes it on a live dialect.
+"""
 
 from typing import Dict, List, Type
 
 from repro.dialects.base import (
+    EngineConfig,
     ExplainOutput,
     RawPlan,
     RawPlanNode,
@@ -39,14 +46,17 @@ RELATIONAL_DIALECTS = ("mysql", "postgresql", "sqlite", "sqlserver", "sparksql",
 def create_dialect(name: str, **options) -> SimulatedDBMS:
     """Instantiate the simulated DBMS called *name*.
 
-    Keyword options (``prepared_cache=``, ``executor=``, ``decorrelate=``,
-    ``optimize_joins=``) are forwarded to the dialect constructor —
-    relational dialects accept all four.
+    Keyword options are the fields of :class:`EngineConfig` (``executor=``,
+    ``prepared_cache=``, ``decorrelate=``, ``optimize_joins=``), validated
+    here and handed to a relational dialect as one value; the NoSQL
+    dialects take none.
     """
     try:
         dialect_class = DIALECTS[name.lower()]
     except KeyError as exc:
         raise KeyError(f"unknown DBMS {name!r}; available: {sorted(DIALECTS)}") from exc
+    if issubclass(dialect_class, RelationalDialect):
+        return dialect_class(EngineConfig(**options))
     return dialect_class(**options)
 
 
@@ -56,6 +66,7 @@ def available_dialects() -> List[str]:
 
 
 __all__ = [
+    "EngineConfig",
     "SimulatedDBMS",
     "RelationalDialect",
     "RawPlan",

@@ -21,13 +21,13 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.catalog.database import Database
 from repro.core.model import walk_tree
 from repro.dialects.prepared import PreparedQueryCache, reset_runtime
-from repro.engine import create_executor
+from repro.engine import create_executor, executor_class
 from repro.engine.executor import Executor, Row
 from repro.errors import DialectError, ParseError, UnsupportedFormatError
 from repro.optimizer.bounds import bound_violations
@@ -107,89 +107,101 @@ class SimulatedDBMS:
         return chosen
 
 
+@dataclass(frozen=True)
+class EngineConfig:
+    """The settings of a relational dialect, validated once at construction.
+
+    Every setting is semantically invisible: result rows, oracle verdicts
+    and Table V are the same under every combination (so is row order,
+    except that ``optimize_joins`` may reorder a query without ORDER BY).
+    The executor and the prepared cache do not change plans either; the
+    two planner switches do (and so QPG's coverage).  Frozen and picklable, so
+    one value travels unchanged from a campaign through its shards, the
+    query service and its replica workers, to the dialect and its planner;
+    :meth:`RelationalDialect.reconfigure` is the one place a live dialect
+    applies a change.
+    """
+
+    #: Which executor runs plans: ``"vectorized"`` (the columnar batch
+    #: engine), ``"row"`` (the row-at-a-time interpreter, kept as the
+    #: correctness oracle) or ``"parallel"`` (morsel-driven) — identical
+    #: results, row order and ``EXPLAIN ANALYZE`` row counts
+    #: (tests/test_vectorized_equivalence.py).
+    executor: str = "vectorized"
+    #: Memoise lex→parse→plan results (:class:`PreparedQueryCache`).
+    prepared_cache: bool = True
+    #: Rewrite uncorrelated ``IN`` / ``EXISTS`` predicates into hash
+    #: semi/anti joins, or keep the per-row subquery filter (the oracle).
+    decorrelate: bool = True
+    #: Push predicates below joins and reorder joins cost-based, or plan
+    #: them as written (the oracle).
+    optimize_joins: bool = True
+
+    def __post_init__(self) -> None:
+        executor_class(self.executor)
+        for name in ("prepared_cache", "decorrelate", "optimize_joins"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
+
+
 class RelationalDialect(SimulatedDBMS):
     """Base class of the six simulated relational / SQL-speaking DBMSs."""
 
     #: Counter seed for per-plan operator identifiers (e.g. TiDB's ``_5``).
     identifier_seed: int = 3
 
-    def __init__(
-        self,
-        prepared_cache: bool = True,
-        executor: str = "vectorized",
-        decorrelate: bool = True,
-        optimize_joins: bool = True,
-    ) -> None:
+    def __init__(self, config: EngineConfig = EngineConfig()) -> None:
         self.database = Database(self.name)
-        #: Whether the planner rewrites uncorrelated ``IN`` / ``EXISTS``
-        #: predicates into hash semi/anti joins (the default) or keeps the
-        #: per-row subquery filter path (the correctness oracle).  The two
-        #: produce identical result rows and row order
-        #: (tests/test_decorrelate.py); only the plans differ.
-        #: ``optimize_joins`` likewise toggles predicate pushdown and
-        #: cost-based join reordering against the as-written plan shape
-        #: (tests/test_optimizer.py) — identical result rows (identical
-        #: order for ORDER BY queries), different plans.
+        self.config = config
         self.planner = Planner(
             self.database,
             cost_model=self.cost_model(),
-            options=self.planner_options(),
-            decorrelate=decorrelate,
-            optimize_joins=optimize_joins,
+            options=self._planner_options(self.planner_options()),
         )
-        #: Which executor implementation runs plans: ``"vectorized"`` (the
-        #: columnar batch engine, the default) or ``"row"`` (the row-at-a-
-        #: time interpreter, kept as the correctness oracle).  The two are
-        #: interchangeable — identical results, row order, and ``EXPLAIN
-        #: ANALYZE`` row counts (tests/test_vectorized_equivalence.py).
-        self.executor_kind = executor
-        self.executor = create_executor(executor, self.database, self.planner)
+        self.executor = create_executor(config.executor, self.database, self.planner)
         self._statements_executed = 0
         #: Memoised lex→parse→plan results for the campaign hot path.  A plan
         #: is keyed on the catalog epoch and the planning versions of the
         #: tables its statement names, so DDL and ``analyze_tables``
         #: invalidate everything and DML only the plans that name the written
-        #: table, all implicitly; ``prepared_cache=False`` (or
-        #: ``self.prepared.enabled = False``) turns it off with byte-for-
-        #: byte identical results — see tests/test_prepared_cache.py.
-        self.prepared = PreparedQueryCache(enabled=prepared_cache)
+        #: table, all implicitly; ``prepared_cache=False`` turns it off with
+        #: byte-for-byte identical results — see tests/test_prepared_cache.py.
+        self.prepared = PreparedQueryCache(enabled=config.prepared_cache)
 
     # -- per-dialect configuration ------------------------------------------------
 
+    def reconfigure(self, **changes: Any) -> None:
+        """Apply new :class:`EngineConfig` settings to this live dialect.
+
+        Safe at any point between statements.  Executors are stateless
+        between statements, so a new one only changes *how* the next plan
+        is interpreted.  Cached physical plans were produced under the old
+        planner switches and no catalog or table version would invalidate
+        them, so a change of ``decorrelate`` or ``optimize_joins`` drops the
+        prepared-query cache.  Unknown keys and bad values raise before
+        anything changes.
+        """
+        old, new = self.config, replace(self.config, **changes)
+        self.config = new
+        if new.executor != old.executor:
+            self.executor = create_executor(new.executor, self.database, self.planner)
+        if (new.decorrelate, new.optimize_joins) != (old.decorrelate, old.optimize_joins):
+            self.planner.options = self._planner_options(self.planner.options)
+            self.prepared.clear()
+        self.prepared.enabled = new.prepared_cache
+
     def set_executor(self, kind: str) -> None:
-        """Switch the executor implementation (``"row"`` / ``"vectorized"``).
+        """Switch the executor implementation (``reconfigure(executor=kind)``)."""
+        self.reconfigure(executor=kind)
 
-        Safe at any point: executors are stateless between statements (all
-        state lives in the database), so switching mid-stream only changes
-        *how* the next plan is interpreted, never what it returns.
-        """
-        if kind != self.executor_kind:
-            self.executor_kind = kind
-            self.executor = create_executor(kind, self.database, self.planner)
-
-    def set_decorrelate(self, enabled: bool) -> None:
-        """Toggle subquery decorrelation (plans change, results never do).
-
-        Cached physical plans were produced under the previous setting, so
-        the prepared-query cache is dropped on an actual switch — no
-        catalog or table version would invalidate them.
-        """
-        if enabled != self.planner.decorrelate:
-            self.planner.decorrelate = enabled
-            self.prepared.clear()
-
-    def set_optimize_joins(self, enabled: bool) -> None:
-        """Toggle predicate pushdown + cost-based join reordering.
-
-        ``False`` plans joins in the written FROM order with all WHERE
-        conjuncts filtered above them — the as-written correctness oracle.
-        Same toggle hygiene as :meth:`set_decorrelate`: cached physical
-        plans were produced under the previous setting, so the prepared-
-        query cache is dropped on an actual switch.
-        """
-        if enabled != self.planner.optimize_joins:
-            self.planner.optimize_joins = enabled
-            self.prepared.clear()
+    def _planner_options(self, options: PlannerOptions) -> PlannerOptions:
+        """*options* with the planner switches of :attr:`config`."""
+        return replace(
+            options,
+            decorrelate=self.config.decorrelate,
+            optimize_joins=self.config.optimize_joins,
+        )
 
     def planner_options(self) -> PlannerOptions:
         """Planner options for this dialect (overridden by subclasses)."""

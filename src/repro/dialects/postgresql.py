@@ -49,7 +49,6 @@ class PostgreSQLDialect(RelationalDialect):
             enable_merge_join=True,
             enable_nested_loop_join=True,
             prefer_hash_aggregate=True,
-            parallel_threshold_rows=self.parallel_threshold,
         )
 
     def cost_model(self) -> CostModel:

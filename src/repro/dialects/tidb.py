@@ -23,6 +23,7 @@ from repro.core.formats.json_emit import dumps_indented
 from repro.core.formats.table_format import ascii_table
 from repro.core.model import walk_tree
 from repro.dialects.base import (
+    EngineConfig,
     RawPlan,
     RawPlanNode,
     RelationalDialect,
@@ -45,8 +46,8 @@ class TiDBDialect(RelationalDialect):
     plan_formats = ("table", "text", "json")
     default_format = "table"
 
-    def __init__(self, **options) -> None:
-        super().__init__(**options)
+    def __init__(self, config: EngineConfig = EngineConfig()) -> None:
+        super().__init__(config)
         self._identifier_counter = self.identifier_seed
 
     def planner_options(self) -> PlannerOptions:

@@ -6,7 +6,8 @@ columnar :class:`~repro.engine.vectorized.VectorizedExecutor` (the fast
 path), and the morsel-driven :class:`~repro.engine.morsel.ParallelExecutor`
 (the vectorized engine with exchange-operator parallelism for scans,
 filters, and hash-join builds).  ``create_executor`` picks one by name —
-the ``executor=`` toggle the dialects and campaigns expose."""
+the ``executor`` field of :class:`~repro.dialects.base.EngineConfig`, which
+the dialects, campaigns and query service carry."""
 
 from repro.engine import arrays
 from repro.engine.arrays import (
@@ -36,15 +37,17 @@ EXECUTORS = {
 }
 
 
+def executor_class(kind: str) -> type:
+    """The executor implementation called *kind* (case-insensitive)."""
+    implementation = EXECUTORS.get(kind.lower()) if isinstance(kind, str) else None
+    if implementation is None:
+        raise ValueError(f"unknown executor {kind!r}; available: {sorted(EXECUTORS)}")
+    return implementation
+
+
 def create_executor(kind: str, database, planner=None) -> Executor:
     """Instantiate the executor implementation called *kind*."""
-    try:
-        implementation = EXECUTORS[kind.lower()]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown executor {kind!r}; available: {sorted(EXECUTORS)}"
-        ) from exc
-    return implementation(database, planner)
+    return executor_class(kind)(database, planner)
 
 
 __all__ = [
@@ -67,4 +70,5 @@ __all__ = [
     "VectorizedExecutor",
     "EXECUTORS",
     "create_executor",
+    "executor_class",
 ]

@@ -18,10 +18,11 @@ Main features:
   capped at the bound, the DP memo prunes branches whose children already
   cost more than the best complete plan, and EXPLAIN ANALYZE checks actual
   row counts against the bounds (the campaign's "Bound" oracle),
-* an ``optimize_joins=False`` as-written mode — joins planned exactly in the
-  written FROM order with every WHERE conjunct evaluated above them — kept
-  as the oracle the optimizing planner is fuzzed against: flipping the
-  toggle changes plans and coverage, never results or Table V,
+* an ``optimize_joins=False`` as-written mode (a :class:`PlannerOptions`
+  field) — joins planned exactly in the written FROM order with every WHERE
+  conjunct evaluated above them — kept as the oracle the optimizing planner
+  is fuzzed against: flipping it changes plans and coverage, never results
+  or Table V,
 * hash or sorted aggregation, DISTINCT, set operations, ORDER BY / LIMIT,
 * subqueries in FROM (planned recursively) and subqueries in WHERE
   residuals, HAVING and select lists, each planned exactly once — here,
@@ -66,9 +67,14 @@ from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.printer import print_expression
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerOptions:
-    """Tunable planner behaviour (per simulated DBMS)."""
+    """Tunable planner behaviour (per simulated DBMS).
+
+    Frozen: a planner's behaviour changes only by swapping in a whole new
+    value (``dataclasses.replace``), which is how a dialect applies its
+    :class:`~repro.dialects.base.EngineConfig`.
+    """
 
     enable_hash_join: bool = True
     enable_merge_join: bool = True
@@ -81,10 +87,23 @@ class PlannerOptions:
     dp_threshold: int = 8
     #: Prefer hashed aggregation over sorted aggregation.
     prefer_hash_aggregate: bool = True
-    #: Tables larger than this may be scanned in parallel (dialect shaping).
-    parallel_threshold_rows: int = 100_000
     #: Emit a TopN node when ORDER BY and LIMIT are both present.
     enable_top_n: bool = True
+    #: Run the optimization phase — predicate pushdown and cost-based join
+    #: reordering.  ``False`` plans joins exactly in the written FROM order
+    #: and keeps every WHERE conjunct in a filter above them: the as-written
+    #: oracle the optimizing planner is checked against
+    #: (tests/test_optimizer.py fuzzes the equivalence).  Like
+    #: ``decorrelate``, flipping it changes plans and coverage but never
+    #: result rows (up to order for queries without ORDER BY), oracle
+    #: verdicts, or Table V.
+    optimize_joins: bool = True
+    #: Rewrite uncorrelated ``IN`` / ``EXISTS`` WHERE conjuncts into hash
+    #: semi/anti joins (O(outer + inner)) instead of evaluating the subquery
+    #: once per outer row inside a filter predicate (O(outer × inner)).
+    #: Semantically invisible: ``False`` keeps the per-row path as the
+    #: correctness oracle (tests/test_decorrelate.py fuzzes the equivalence).
+    decorrelate: bool = True
 
 
 @dataclass
@@ -146,28 +165,10 @@ class Planner:
         database: Database,
         cost_model: Optional[CostModel] = None,
         options: Optional[PlannerOptions] = None,
-        decorrelate: bool = True,
-        optimize_joins: bool = True,
     ) -> None:
         self.database = database
         self.cost_model = cost_model or CostModel()
         self.options = options or PlannerOptions()
-        #: Run the optimization phase — predicate pushdown and cost-based
-        #: join reordering.  ``optimize_joins=False`` plans joins exactly in
-        #: the written FROM order and keeps every WHERE conjunct in a filter
-        #: above them: the as-written oracle the optimizing planner is
-        #: checked against (tests/test_optimizer.py fuzzes the equivalence).
-        #: Like ``decorrelate``, flipping it changes plans and coverage but
-        #: never result rows (up to order for queries without ORDER BY),
-        #: oracle verdicts, or Table V.
-        self.optimize_joins = optimize_joins
-        #: Rewrite uncorrelated ``IN`` / ``EXISTS`` WHERE conjuncts into hash
-        #: semi/anti joins (O(outer + inner)) instead of evaluating the
-        #: subquery once per outer row inside a filter predicate
-        #: (O(outer × inner)).  Semantically invisible: ``decorrelate=False``
-        #: keeps the per-row path as the correctness oracle
-        #: (tests/test_decorrelate.py fuzzes the equivalence).
-        self.decorrelate = decorrelate
         #: Nesting depth of predicate-subquery planning.  Inside a subquery
         #: the executor merges the outer row into every evaluation context,
         #: so a column the subquery's own scope cannot resolve may still be
@@ -334,7 +335,7 @@ class Planner:
         resolver = self._statistics_resolver(relations)
 
         # Classify WHERE conjuncts.
-        use_syntactic = outer_joins or not self.optimize_joins
+        use_syntactic = outer_joins or not self.options.optimize_joins
         where_conjuncts = ast.split_conjuncts(core.where)
         # Join conditions that are not two-relation edges (a single-table or
         # three-way ON condition).  The syntactic join path applies them at
@@ -351,13 +352,13 @@ class Planner:
             aliases = self._referenced_aliases(conjunct, alias_names)
             if self._contains_subquery(conjunct):
                 target = (
-                    self._decorrelation_target(conjunct) if self.decorrelate else None
+                    self._decorrelation_target(conjunct) if self.options.decorrelate else None
                 )
                 if target is not None:
                     semi_targets.append(target)
                 else:
                     complex_conjuncts.append(conjunct)
-            elif not self.optimize_joins:
+            elif not self.options.optimize_joins:
                 # As-written mode: no pushdown — every plain conjunct is
                 # evaluated in one filter above the syntactic join tree.
                 complex_conjuncts.append(conjunct)
@@ -1660,7 +1661,7 @@ class Planner:
             for query in queries:
                 plan = self.plan_subquery(query)
                 plan.info["subquery"] = query
-                once = self.decorrelate and self._subquery_is_uncorrelated(query)
+                once = self.options.decorrelate and self._subquery_is_uncorrelated(query)
                 attached[INIT_PLANS if once else SUBPLANS].append(plan)
         finally:
             self._exposed.names = enclosing

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.engine import arrays
 from repro.pipeline.coverage import CoverageStore
@@ -90,8 +90,10 @@ def _run_shard(config: Dict[str, object]) -> CampaignResult:
 class ShardedCampaign:
     """Run a testing campaign's rounds across a pool of worker processes.
 
-    Constructor arguments mirror :class:`TestingCampaign` (they are passed
-    through to the per-shard campaigns) plus the sharding knobs:
+    Takes the sharding knobs plus any :class:`TestingCampaign` keyword
+    arguments, which are validated here by building the campaign once
+    (:attr:`campaign`) and shipped unchanged to every shard except for
+    ``persist_to``:
 
     ``shards``
         How many partitions the round index space splits into.
@@ -108,7 +110,10 @@ class ShardedCampaign:
 
     ``persist_to=`` makes every shard durable under ``<root>/shard-NN``
     and the merged parent store under ``<root>/merged``; re-running the
-    same configuration resumes each shard from its round marks.
+    same configuration resumes each shard from its round marks.  In
+    similarity mode the parent folds the per-round index payloads into a
+    merged sidecar index, just as it folds coverage payloads into the
+    merged store.
     """
 
     #: Not a pytest test class despite the name.
@@ -116,45 +121,17 @@ class ShardedCampaign:
 
     def __init__(
         self,
-        dbms_names: Optional[List[str]] = None,
-        seed: int = 1,
-        queries_per_dbms: int = 150,
-        cert_pairs_per_dbms: int = 60,
-        bound_checks_per_dbms: int = 20,
         shards: int = 2,
-        persist_to: Optional[str] = None,
-        max_rounds: Optional[int] = None,
-        prepared_cache: bool = True,
-        executor: str = "vectorized",
-        decorrelate: bool = True,
-        optimize_joins: bool = True,
-        novelty: str = "exact",
-        novelty_threshold: float = 0.05,
-        capture_trigger_plans: bool = True,
         parallel: bool = True,
         max_workers: Optional[int] = None,
+        **campaign: Any,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        self.dbms_names = dbms_names or ["mysql", "postgresql", "tidb"]
-        self.seed = seed
-        self.queries_per_dbms = queries_per_dbms
-        self.cert_pairs_per_dbms = cert_pairs_per_dbms
-        self.bound_checks_per_dbms = bound_checks_per_dbms
+        #: The serial campaign the shards partition; never run itself.
+        self.campaign = TestingCampaign(**campaign)
+        self._campaign_arguments = campaign
         self.shards = shards
-        self.persist_to = persist_to
-        self.max_rounds = max_rounds
-        self.prepared_cache = prepared_cache
-        self.executor = executor
-        self.decorrelate = decorrelate
-        self.optimize_joins = optimize_joins
-        #: Novelty mode / threshold / trigger-plan capture, passed through
-        #: to every shard's campaign.  In similarity mode the parent folds
-        #: the per-round index payloads into a merged sidecar index, just
-        #: as it folds coverage payloads into the merged store.
-        self.novelty = novelty
-        self.novelty_threshold = novelty_threshold
-        self.capture_trigger_plans = capture_trigger_plans
         self.parallel = parallel
         self.max_workers = max_workers
         #: Whether the last :meth:`run` actually used a process pool (False
@@ -166,48 +143,31 @@ class ShardedCampaign:
 
     def shard_dir(self, shard: int) -> Optional[str]:
         """The durable store directory for *shard* (None when in-memory)."""
-        if self.persist_to is None:
+        if self.campaign.persist_to is None:
             return None
-        return os.path.join(self.persist_to, f"shard-{shard:02d}")
+        return os.path.join(self.campaign.persist_to, f"shard-{shard:02d}")
 
     def merged_dir(self) -> Optional[str]:
         """Where the merged parent store persists (None when in-memory)."""
-        if self.persist_to is None:
+        if self.campaign.persist_to is None:
             return None
-        return os.path.join(self.persist_to, "merged")
+        return os.path.join(self.campaign.persist_to, "merged")
 
     def _shard_configs(self) -> List[Dict[str, object]]:
-        partitions = shard_round_indexes(len(self.dbms_names), self.shards)
+        # The full dbms_names list goes to every shard, not the shard's
+        # subset: round labels and seeds derive from list positions, which
+        # must match the serial campaign's exactly.
+        partitions = shard_round_indexes(len(self.campaign.dbms_names), self.shards)
         numpy_on = arrays.numpy_available() and arrays.numpy_enabled()
-        configs: List[Dict[str, object]] = []
-        for shard, indexes in enumerate(partitions):
-            configs.append(
-                {
-                    "shard": shard,
-                    "indexes": indexes,
-                    "numpy_enabled": numpy_on,
-                    "campaign": {
-                        # The full dbms_names list, not the shard's subset:
-                        # round labels and seeds derive from list positions,
-                        # which must match the serial campaign's exactly.
-                        "dbms_names": list(self.dbms_names),
-                        "seed": self.seed,
-                        "queries_per_dbms": self.queries_per_dbms,
-                        "cert_pairs_per_dbms": self.cert_pairs_per_dbms,
-                        "bound_checks_per_dbms": self.bound_checks_per_dbms,
-                        "persist_to": self.shard_dir(shard),
-                        "max_rounds": self.max_rounds,
-                        "prepared_cache": self.prepared_cache,
-                        "executor": self.executor,
-                        "decorrelate": self.decorrelate,
-                        "optimize_joins": self.optimize_joins,
-                        "novelty": self.novelty,
-                        "novelty_threshold": self.novelty_threshold,
-                        "capture_trigger_plans": self.capture_trigger_plans,
-                    },
-                }
-            )
-        return configs
+        return [
+            {
+                "shard": shard,
+                "indexes": indexes,
+                "numpy_enabled": numpy_on,
+                "campaign": dict(self._campaign_arguments, persist_to=self.shard_dir(shard)),
+            }
+            for shard, indexes in enumerate(partitions)
+        ]
 
     def _run_shards(self, configs: List[Dict[str, object]]) -> List[CampaignResult]:
         self.pool_active = False
@@ -265,7 +225,7 @@ class ShardedCampaign:
         merged = CampaignResult()
         store = self._merged_store()
         merged_index = None
-        if self.novelty == "similarity":
+        if self.campaign.novelty == "similarity":
             from repro.similarity import PlanIndex
 
             # The merged sidecar index lives next to the merged store;
@@ -307,7 +267,7 @@ class ShardedCampaign:
             merged.unique_plans = len(merged.plan_fingerprints)
             merged.reports = fold_reports(merged.reports)
             order = {
-                name: position for position, name in enumerate(self.dbms_names)
+                name: position for position, name in enumerate(self.campaign.dbms_names)
             }
             merged.reports.sort(
                 key=lambda report: (

@@ -254,7 +254,7 @@ class ShardedLog:
     def __del__(self) -> None:  # best-effort; close() is the real API
         try:
             self._close_handles()
-        except Exception:
+        except Exception:  # noqa: BLE001 - a finalizer, may run at interpreter shutdown
             pass
 
     # -- appends ---------------------------------------------------------------

@@ -8,7 +8,8 @@ worker keeps a **replica cache**: per ``(tenant, dbms)`` it holds a database
 rebuilt from :meth:`repro.catalog.database.Database.to_payload` at a known
 version.  The dispatch protocol is two-trip on a version miss:
 
-1. the service sends ``(tenant, dbms, version, sql)`` without the catalog;
+1. the service sends ``(tenant, dbms, version, sql)`` and the session
+   dialect's :class:`~repro.dialects.base.EngineConfig`, without the catalog;
    a worker whose replica matches the version executes immediately;
 2. a worker without a matching replica answers ``need_catalog``; the
    service — still holding the database's read gate, so the capture is
@@ -40,14 +41,14 @@ def _install_replica(dialect, payload: Dict[str, Any]):
     database = Database.from_payload(payload)
     dialect.database = database
     dialect.planner.database = database
-    dialect.executor = create_executor(dialect.executor_kind, database, dialect.planner)
+    dialect.executor = create_executor(dialect.config.executor, database, dialect.planner)
     dialect.prepared.clear()
     return dialect
 
 
 def _replica_main(task_queue, result_queue) -> None:
     """Worker process loop: execute read-only statements against replicas."""
-    from repro.dialects import create_dialect
+    from repro.dialects import DIALECTS
 
     replicas: Dict[Tuple[str, str], Tuple[int, Any]] = {}
     while True:
@@ -66,7 +67,7 @@ def _replica_main(task_queue, result_queue) -> None:
                 dialect = (
                     cached[1]
                     if cached is not None
-                    else create_dialect(task["dbms"], **task.get("options", {}))
+                    else DIALECTS[task["dbms"]](task["config"])
                 )
                 _install_replica(dialect, payload)
                 replicas[key] = (task["version"], dialect)

@@ -438,6 +438,7 @@ class QueryService:
             "dbms": session.dialect.name,
             "version": database.version,
             "sql": sql,
+            "config": session.dialect.config,
         }
         assert self._process_pool is not None
         result = self._process_pool.run(task)

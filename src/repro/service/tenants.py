@@ -17,11 +17,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from repro.dialects import create_dialect
+from repro.dialects import EngineConfig, create_dialect
 from repro.dialects.base import SimulatedDBMS
-
-#: Dialect constructor options the service accepts at session open.
-DIALECT_OPTION_KEYS = ("prepared_cache", "executor", "decorrelate", "optimize_joins")
 
 
 class TenantCatalog:
@@ -43,20 +40,19 @@ class TenantCatalog:
     def dialect(self, dbms_name: str, options: Optional[Dict[str, object]] = None) -> SimulatedDBMS:
         """Return (creating on first use) this tenant's *dbms_name* dialect.
 
-        *options* configures the dialect at creation; later calls for an
-        existing dialect ignore them (the first opener owns the
-        configuration, as with a real server's instance settings).
+        *options* are :class:`EngineConfig` fields, validated on every
+        call (an unknown key or a bad value raises), and configure the
+        dialect at creation; later calls for an existing dialect ignore
+        them (the first opener owns the configuration, as with a real
+        server's instance settings).
         """
+        options = options or {}
+        EngineConfig(**options)  # the door: rejects a bad setting even for an open dialect
         key = dbms_name.lower()
         with self._lock:
             dialect = self._dialects.get(key)
             if dialect is None:
-                clean = {
-                    name: value
-                    for name, value in (options or {}).items()
-                    if name in DIALECT_OPTION_KEYS
-                }
-                dialect = create_dialect(key, **clean)
+                dialect = create_dialect(key, **options)
                 self._dialects[key] = dialect
             return dialect
 

@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.compare import plan_distance, structural_fingerprint
 from repro.core.model import UnifiedPlan
+from repro.errors import ReproError
 from repro.similarity.embedding import embed_plan
 from repro.similarity.index import cosine_distance
 
@@ -67,7 +68,7 @@ def _trigger_plan(report: object) -> Optional[UnifiedPlan]:
         return None
     try:
         return UnifiedPlan.from_dict(payload)
-    except Exception:
+    except ReproError:
         return None
 
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.dialects import create_dialect
+from repro.dialects import EngineConfig, create_dialect
 from repro.pipeline import PlanIngestService
 from repro.testing.bound import SizeBoundChecker
 from repro.testing.bugs import (
@@ -168,29 +168,18 @@ class TestingCampaign:
         self.queries_per_dbms = queries_per_dbms
         self.cert_pairs_per_dbms = cert_pairs_per_dbms
         self.bound_checks_per_dbms = bound_checks_per_dbms
-        #: Whether the dialects' prepared-query caches are enabled.  The
-        #: cache is semantically invisible — a campaign run with it off
-        #: produces byte-identical coverage sets and Table V reports (see
-        #: tests/test_prepared_cache.py) — so this exists for benchmarking
-        #: and for the equivalence tests themselves.
-        self.prepared_cache = prepared_cache
-        #: Which executor interprets plans (``"vectorized"`` / ``"row"``).
-        #: Like the prepared cache, the choice is semantically invisible:
-        #: row-executor campaigns produce byte-identical coverage sets and
-        #: Table V reports (tests/test_vectorized_equivalence.py).
-        self.executor = executor
-        #: Whether the planners decorrelate uncorrelated IN/EXISTS
-        #: predicates into hash semi/anti joins.  Result rows (and therefore
-        #: oracle verdicts and Table V) are independent of the setting; the
-        #: *plans* — and thus QPG's coverage universe — are not: with
-        #: decorrelation on, semi/anti-join operators appear in coverage.
-        self.decorrelate = decorrelate
-        #: Whether the planners push predicates below joins and reorder
-        #: multi-way joins cost-based (the PR-8 optimizer).  Like
-        #: ``decorrelate``, the toggle may change *plans* — and thus QPG's
-        #: coverage universe — but never result rows, oracle verdicts, or
-        #: Table V (tests/test_optimizer.py pins the equivalence).
-        self.optimize_joins = optimize_joins
+        #: The dialects' settings, validated here.  Every one is
+        #: semantically invisible in Table V and the query/pair counts; the
+        #: executor and the prepared cache also leave coverage byte-identical,
+        #: while ``decorrelate`` and ``optimize_joins`` change plans and so
+        #: QPG's coverage universe (tests/test_engine_config.py pins all of
+        #: it).
+        self.engine_config = EngineConfig(
+            executor=executor,
+            prepared_cache=prepared_cache,
+            decorrelate=decorrelate,
+            optimize_joins=optimize_joins,
+        )
         #: QPG novelty mode — ``"exact"`` (byte-identical to the
         #: pre-similarity campaigns) or ``"similarity"``
         #: (distance-to-nearest-covered-plan rewards; see
@@ -219,10 +208,10 @@ class TestingCampaign:
         self.max_rounds = max_rounds
         #: Optional hook replacing how per-round dialects are built: called
         #: as ``dialect_factory(dbms_name, options)`` where ``options``
-        #: carries the campaign's dialect settings (prepared_cache, executor,
-        #: decorrelate, optimize_joins).  The service-equivalence tests use
-        #: it to route rounds through a loopback query service; the returned
-        #: object only needs the dialect surface the oracles touch.
+        #: carries the fields of :attr:`engine_config` as a plain dict.  The
+        #: service-equivalence tests use it to route rounds through a
+        #: loopback query service; the returned object only needs the
+        #: dialect surface the oracles touch.
         self.dialect_factory = dialect_factory
         if max_rounds is not None and persist_to is None:
             # Without a durable store the completion marks die with the
@@ -250,26 +239,10 @@ class TestingCampaign:
         return label
 
     def _create_dialect(self, dbms_name: str):
+        options = asdict(self.engine_config)
         if self.dialect_factory is not None:
-            return self.dialect_factory(
-                dbms_name,
-                {
-                    "prepared_cache": self.prepared_cache,
-                    "executor": self.executor,
-                    "decorrelate": self.decorrelate,
-                    "optimize_joins": self.optimize_joins,
-                },
-            )
-        dialect = create_dialect(dbms_name)
-        if not self.prepared_cache and hasattr(dialect, "prepared"):
-            dialect.prepared.enabled = False
-        if hasattr(dialect, "set_executor"):
-            dialect.set_executor(self.executor)
-        if hasattr(dialect, "set_decorrelate"):
-            dialect.set_decorrelate(self.decorrelate)
-        if hasattr(dialect, "set_optimize_joins"):
-            dialect.set_optimize_joins(self.optimize_joins)
-        return dialect
+            return self.dialect_factory(dbms_name, options)
+        return create_dialect(dbms_name, **options)
 
     def run(
         self,

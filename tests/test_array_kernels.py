@@ -521,7 +521,7 @@ class TestHashJoinProbeParity:
         dialects = []
         for kind in ("row", "vectorized", "parallel"):
             dialect = create_dialect("postgresql")
-            dialect.set_executor(kind)
+            dialect.reconfigure(executor=kind)
             dialect.execute("CREATE TABLE lt (k INT, v INT)")
             dialect.execute("CREATE TABLE rt (k INT, w INT)")
             dialect.database.insert_rows("lt", left_rows)
@@ -626,7 +626,7 @@ class TestHashJoinProbeParity:
         dialects = []
         for kind in ("row", "vectorized", "parallel"):
             dialect = create_dialect("postgresql")
-            dialect.set_executor(kind)
+            dialect.reconfigure(executor=kind)
             dialect.execute("CREATE TABLE lt (k INT, v INT)")
             dialect.execute("CREATE TABLE rt (k REAL, w INT)")
             dialect.database.insert_rows("lt", left)

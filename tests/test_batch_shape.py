@@ -24,7 +24,7 @@ QUERY = (
 
 def _dialect(executor):
     dialect = create_dialect("postgresql")
-    dialect.set_executor(executor)
+    dialect.reconfigure(executor=executor)
     dialect.execute("CREATE TABLE fact (a INT, b INT)")
     dialect.execute("CREATE TABLE dim (k INT, v INT)")
     dialect.database.insert_rows(

@@ -65,7 +65,7 @@ class Engines:
         self.dialects = {}
         for kind in ("row", "vectorized"):
             dialect = create_dialect("postgresql")
-            dialect.set_executor(kind)
+            dialect.reconfigure(executor=kind)
             for statement in ddl:
                 dialect.execute(statement)
             for name, rows in tables.items():

@@ -5,9 +5,9 @@ semi/anti joins.  The undecorrelated per-row path stays behind
 ``decorrelate=False`` as the correctness oracle: both settings must produce
 identical result rows, row order, and rejections for every query, and — for
 queries the rewrite does not touch — identical serialized plans and unified
-fingerprints.  At campaign level, executor and prepared-cache choices remain
-byte-identical *within* a decorrelate setting, while flipping decorrelation
-changes only the plans (coverage), never the results (Table V).
+fingerprints.  The campaign-level contract — flipping decorrelation changes
+only the plans (coverage), never the results (Table V) — is checked by the
+engine-configuration matrix in tests/test_engine_config.py.
 
 The NOT IN + inner-NULL trap is covered explicitly: under three-valued
 logic, any NULL in the inner relation makes ``x NOT IN (…)`` unsatisfiable,
@@ -36,7 +36,6 @@ from repro.optimizer.physical import ATTACHED_KEYS, INIT_PLANS, SUBPLANS, OpKind
 from repro.optimizer.planner import Planner
 from repro.service import QueryService, ServiceClient, ServiceDialect
 from repro.sqlparser.parser import parse_one, parse_sql
-from repro.testing.campaign import TestingCampaign
 from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
 
 
@@ -57,10 +56,10 @@ def _paired_dialects(seed, executor):
     """Two PostgreSQL dialects over identical generated databases: the
     decorrelating default and the per-row oracle."""
     on_dialect = create_dialect("postgresql")
-    on_dialect.set_executor(executor)
-    assert on_dialect.planner.decorrelate
+    on_dialect.reconfigure(executor=executor)
+    assert on_dialect.planner.options.decorrelate
     off_dialect = create_dialect("postgresql", decorrelate=False)
-    off_dialect.set_executor(executor)
+    off_dialect.reconfigure(executor=executor)
     generator = RandomQueryGenerator(seed=seed, config=GeneratorConfig(max_tables=2))
     for statement in generator.schema_statements():
         assert _run(on_dialect, statement) == _run(off_dialect, statement)
@@ -133,7 +132,7 @@ class TestSemiAntiSemantics:
     @pytest.fixture(params=[True, False], ids=["decorrelate", "per-row"])
     def dialect(self, request, executor):
         dialect = create_dialect("postgresql", decorrelate=request.param)
-        dialect.set_executor(executor)
+        dialect.reconfigure(executor=executor)
         dialect.execute("CREATE TABLE t (a INT, b INT)")
         dialect.execute("CREATE TABLE s (x INT)")
         dialect.execute(
@@ -316,13 +315,13 @@ class TestPlanShapes:
             )
             assert [row["a"] for row in rows] == [1]
 
-    def test_set_decorrelate_clears_cached_plans(self):
+    def test_reconfigure_decorrelate_clears_cached_plans(self):
         dialect = create_dialect("postgresql")
         dialect.execute("CREATE TABLE t (a INT)")
         dialect.execute("CREATE TABLE s (x INT)")
         query = "SELECT a FROM t WHERE a IN (SELECT x FROM s)"
         dialect.execute(query)
-        dialect.set_decorrelate(False)
+        dialect.reconfigure(decorrelate=False)
         plan = dialect.planner.plan_statement(parse_sql(query)[0])
         assert not plan.find(OpKind.SEMI_JOIN)
         # The cached decorrelated plan must not be served after the switch.
@@ -351,7 +350,7 @@ class TestAnalyzeParity:
         dialects = []
         for executor in ("row", "vectorized"):
             dialect = create_dialect("postgresql")
-            dialect.set_executor(executor)
+            dialect.reconfigure(executor=executor)
             dialect.execute("CREATE TABLE t (a INT)")
             dialect.execute("CREATE TABLE s (x INT)")
             dialect.execute("INSERT INTO t (a) VALUES (1), (2), (3)")
@@ -431,68 +430,6 @@ class TestOperatorUniverse:
             plan = hub.convert("postgresql", output.text, "json", use_cache=False)
             fingerprints[decorrelate] = structural_fingerprint(plan)
         assert fingerprints[True] != fingerprints[False]
-
-
-class TestCampaignEquivalence:
-    """Coverage/Table V identical across executor × cache within a
-    decorrelate setting; Table V identical across decorrelate settings."""
-
-    CONFIG = dict(
-        dbms_names=["postgresql", "mysql"],
-        queries_per_dbms=20,
-        cert_pairs_per_dbms=6,
-        seed=5,
-    )
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return TestingCampaign(**self.CONFIG).run()
-
-    @pytest.fixture(scope="class")
-    def per_row_baseline(self):
-        return TestingCampaign(**self.CONFIG, decorrelate=False).run()
-
-    @pytest.mark.parametrize(
-        "options",
-        [
-            {"executor": "row"},
-            {"prepared_cache": False},
-            {"executor": "row", "prepared_cache": False},
-        ],
-        ids=["row", "cache-off", "row-cache-off"],
-    )
-    def test_decorrelated_campaigns_byte_identical(self, baseline, options):
-        result = TestingCampaign(**self.CONFIG, **options).run()
-        assert result.plan_fingerprints == baseline.plan_fingerprints
-        assert result.unique_plans == baseline.unique_plans
-        assert result.table5_rows() == baseline.table5_rows()
-        assert result.queries_generated == baseline.queries_generated
-        assert result.cert_pairs_checked == baseline.cert_pairs_checked
-
-    @pytest.mark.parametrize(
-        "options",
-        [
-            {"executor": "row"},
-            {"prepared_cache": False},
-        ],
-        ids=["row", "cache-off"],
-    )
-    def test_per_row_campaigns_byte_identical(self, per_row_baseline, options):
-        result = TestingCampaign(
-            **self.CONFIG, decorrelate=False, **options
-        ).run()
-        assert result.plan_fingerprints == per_row_baseline.plan_fingerprints
-        assert result.table5_rows() == per_row_baseline.table5_rows()
-        assert result.queries_generated == per_row_baseline.queries_generated
-
-    def test_decorrelation_changes_plans_never_results(
-        self, baseline, per_row_baseline
-    ):
-        # Same queries, same oracle verdicts, same Table V — different plans.
-        assert baseline.table5_rows() == per_row_baseline.table5_rows()
-        assert baseline.queries_generated == per_row_baseline.queries_generated
-        assert baseline.cert_pairs_checked == per_row_baseline.cert_pairs_checked
-        assert baseline.plan_fingerprints != per_row_baseline.plan_fingerprints
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +687,7 @@ class TestInitPlanCounts:
     @pytest.mark.parametrize("executor", ["row", "vectorized", "parallel"])
     @pytest.mark.parametrize("number", [11, 22])
     def test_tpch_init_plan_nodes_loop_once(self, tpch_dialect, executor, number):
-        tpch_dialect.set_executor(executor)
+        tpch_dialect.reconfigure(executor=executor)
         plan = tpch_dialect.planner.plan_statement(parse_one(tpch.QUERIES[number]))
         init_plans = _attached(plan, INIT_PLANS)
         assert len(init_plans) == 1
@@ -768,7 +705,7 @@ class TestInitPlanCounts:
     def test_analyze_counts_match_across_executors(self, tpch_dialect, number):
         counts = {}
         for executor in ("row", "vectorized"):
-            tpch_dialect.set_executor(executor)
+            tpch_dialect.reconfigure(executor=executor)
             plan = tpch_dialect.planner.plan_statement(parse_one(tpch.QUERIES[number]))
             tpch_dialect.executor.execute(plan, analyze=True)
             counts[executor] = [
@@ -778,14 +715,14 @@ class TestInitPlanCounts:
         assert counts["row"] == counts["vectorized"]
 
     def test_bound_oracle_silent_on_every_timed_tpch_query(self, tpch_dialect):
-        tpch_dialect.set_executor("vectorized")
+        tpch_dialect.reconfigure(executor="vectorized")
         for number, sql in tpch.QUERIES.items():
             if number == 15:  # ROADMAP item 1(b): does not execute yet
                 continue
             assert not tpch_dialect.explain(sql, analyze=True).bound_violations, number
 
     def test_cached_plan_executes_without_planning(self, tpch_dialect, monkeypatch):
-        tpch_dialect.set_executor("vectorized")
+        tpch_dialect.reconfigure(executor="vectorized")
         queries = [
             tpch.QUERIES[11],
             tpch.QUERIES[22],

@@ -108,7 +108,7 @@ class TestMorselExchange:
 
 def _build_dialect(executor, rows=4000):
     dialect = create_dialect("postgresql")
-    dialect.set_executor(executor)
+    dialect.reconfigure(executor=executor)
     dialect.execute("CREATE TABLE big (a INT, b INT, c REAL)")
     dialect.database.insert_rows(
         "big",
@@ -174,7 +174,7 @@ class TestParallelExecutorParity:
         dialects = []
         for generator, executor in zip(generators, ("vectorized", "parallel")):
             dialect = create_dialect("postgresql")
-            dialect.set_executor(executor)
+            dialect.reconfigure(executor=executor)
             for statement in generator.schema_statements():
                 dialect.execute(statement)
             dialects.append(dialect)

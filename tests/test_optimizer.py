@@ -16,8 +16,9 @@ contract.  This file pins:
   re-orient ``a.x = b.x``, or both executors silently match nothing),
 * the bound algebra, runtime violation judging, and the Bound campaign
   oracle (silent on correct engines, loud under injected faults),
-* toggle hygiene: ``set_optimize_joins`` drops the prepared-query cache,
-  and fuzzing ``optimize_joins`` x executor x cache never changes results.
+* toggle hygiene: ``reconfigure(optimize_joins=...)`` drops the
+  prepared-query cache, and fuzzing ``optimize_joins`` x executor x cache
+  never changes results (tests/test_engine_config.py checks the campaign).
 """
 
 import json
@@ -381,13 +382,13 @@ class TestBoundOracle:
 class TestToggleHygiene:
     """optimize_joins is pure plan policy: results and Table V never move."""
 
-    def test_set_optimize_joins_clears_cached_plans(self):
+    def test_reconfigure_optimize_joins_clears_cached_plans(self):
         dialect = create_dialect("postgresql")
         dialect.execute("CREATE TABLE t (a INT)")
         dialect.execute("CREATE TABLE s (x INT)")
         query = "SELECT COUNT(*) FROM t, s WHERE t.a = s.x"
         dialect.execute(query)
-        dialect.set_optimize_joins(False)
+        dialect.reconfigure(optimize_joins=False)
         plan = _plan(dialect, query)
         assert plan.find(OpKind.FILTER), "as-written plan filters above the join"
         # The cached optimized plan must not be served after the switch.
@@ -407,7 +408,7 @@ class TestToggleHygiene:
         dialect.execute(query)
         before = len(dialect.prepared)
         assert before > 0
-        dialect.set_optimize_joins(True)  # already True: must not clear
+        dialect.reconfigure(optimize_joins=True)  # already True: must not clear
         assert len(dialect.prepared) == before
 
     def test_fuzz_corpus_across_toggle_executor_and_cache(self):
@@ -478,16 +479,3 @@ class TestToggleHygiene:
                 assert row_node.kind is vec_node.kind
                 assert row_node.runtime.actual_rows == vec_node.runtime.actual_rows
                 assert row_node.runtime.loops == vec_node.runtime.loops
-
-    def test_campaign_table5_identical_across_toggle(self):
-        tables = {}
-        for optimize_joins in (True, False):
-            campaign = TestingCampaign(
-                dbms_names=["postgresql", "mysql"],
-                queries_per_dbms=6,
-                cert_pairs_per_dbms=2,
-                bound_checks_per_dbms=4,
-                optimize_joins=optimize_joins,
-            )
-            tables[optimize_joins] = campaign.run().table5_rows()
-        assert tables[True] == tables[False]

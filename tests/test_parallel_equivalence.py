@@ -12,7 +12,8 @@ Two layers of parallelism, one determinism contract:
 * **Operator level** — ``executor="parallel"``
   (:class:`~repro.engine.morsel.ParallelExecutor`) fans morsels across
   exchange workers; the serial vectorized engine is its oracle (see also
-  tests/test_morsel_exchange.py for the exchange machinery itself).
+  tests/test_morsel_exchange.py for the exchange machinery itself, and
+  tests/test_engine_config.py for serial campaigns under every executor).
 
 The full (shards × cache × numpy) matrix and the kill-a-worker case are
 marked ``slow`` — run them with ``--runslow`` — so tier-1 stays fast; the
@@ -167,14 +168,6 @@ class TestShardedEquivalence:
 
 
 class TestParallelExecutorCampaign:
-    def test_campaign_with_parallel_executor_identical(self):
-        # The morsel-driven engine drops into the campaign via the same
-        # executor= toggle as row/vectorized; coverage and Table V are
-        # executor-independent.
-        serial = _serial()
-        morsel = _serial(executor="parallel")
-        _assert_identical(serial, morsel)
-
     def test_sharded_campaign_with_parallel_executor(self):
         # Both levels of parallelism composed: process-sharded rounds, each
         # worker running the morsel-driven engine.

@@ -33,7 +33,7 @@ def prepared_cache(request):
 @pytest.fixture
 def dialect(executor, prepared_cache):
     dialect = create_dialect("postgresql", prepared_cache=prepared_cache)
-    dialect.set_executor(executor)
+    dialect.reconfigure(executor=executor)
     dialect.execute("CREATE TABLE t (a INT, b INT)")
     dialect.execute(
         "INSERT INTO t (a, b) VALUES (3, 1), (1, 3), (2, 2), (4, NULL)"
@@ -172,7 +172,7 @@ class TestNegativeLimit:
         # SQLite is the dialect whose documented behaviour the engine
         # follows; its planner has no TOP-N so this exercises plain LIMIT.
         dialect = create_dialect("sqlite")
-        dialect.set_executor(executor)
+        dialect.reconfigure(executor=executor)
         dialect.execute("CREATE TABLE t (a INT)")
         dialect.execute("INSERT INTO t (a) VALUES (1), (2), (3)")
         assert len(dialect.execute("SELECT a FROM t LIMIT -1")) == 3

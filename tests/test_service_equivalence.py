@@ -13,7 +13,7 @@ import pytest
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Column, DataType, TableSchema
-from repro.dialects import create_dialect
+from repro.dialects import EngineConfig, create_dialect
 from repro.service import QueryService, ServiceClient, ServiceDialect
 from repro.testing.campaign import TestingCampaign
 
@@ -147,6 +147,34 @@ class TestProcessDispatch:
         assert via_process == via_threads
         assert after_write != via_process
         assert sum(row["n"] for row in after_write) == 81
+
+    def test_replicas_run_under_the_session_config(self, monkeypatch):
+        # Under optimize_joins=False the join below is planned as written;
+        # a replica built with the default config once planned it with the
+        # optimizer and (hitting a join-orientation bug) counted 0, not 90.
+        statements = [
+            "CREATE TABLE l (lk INT, v INT)",
+            "CREATE TABLE o (ok INT)",
+            "INSERT INTO l VALUES " + ", ".join(f"({i % 20}, {i})" for i in range(90)),
+            "INSERT INTO o VALUES " + ", ".join(f"({i})" for i in range(20)),
+        ]
+        query = "SELECT COUNT(*) AS n FROM l, o WHERE ok = lk"
+        options = {"optimize_joins": False}
+        rows, tasks = {}, []
+        for dispatch in ("thread", "process"):
+            with QueryService(read_dispatch=dispatch, process_workers=1) as service:
+                pool = service._process_pool
+                if pool is not None:
+                    run = pool.run
+                    monkeypatch.setattr(pool, "run", lambda task: tasks.append(task) or run(task))
+                with ServiceClient(service.address) as client:
+                    session = client.open_session("postgresql", tenant="cfg", options=options)
+                    for statement in statements:
+                        session.execute(statement)
+                    rows[dispatch] = session.execute(query)
+        assert rows["process"] == rows["thread"] == [{"n": 90}]
+        assert tasks
+        assert all(task["config"] == EngineConfig(**options) for task in tasks)
 
 
 class TestCampaignThroughService:

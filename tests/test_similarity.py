@@ -20,10 +20,12 @@ from repro.core import (
     OperationCategory,
     PlanBuilder,
     PropertyCategory,
+    UnifiedPlan,
     plan_distance,
     structural_fingerprint,
 )
 from repro.engine import arrays
+from repro.errors import UnifiedPlanError
 from repro.parallel import ShardedCampaign
 from repro.similarity import (
     DEFAULT_CLUSTER_THRESHOLD,
@@ -305,6 +307,14 @@ def _report(bug_id, plan=None, dbms="mysql"):
     )
 
 
+def _nested(depth):
+    """A plan-node payload *depth* scans deep."""
+    node = {"operation": {"category": "Producer", "identifier": "Full Table Scan"}}
+    for _ in range(depth):
+        node = {"operation": dict(node["operation"]), "children": [node]}
+    return node
+
+
 class TestClusterReports:
     def test_identical_plans_cluster_together(self):
         plan = build_plan()
@@ -334,6 +344,32 @@ class TestClusterReports:
         )
         sizes = sorted(len(cluster) for cluster in clusters)
         assert sizes == [1, 2]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda tree: tree["operation"].update(category="Bogus"),
+            lambda tree: tree.update(children=5),
+            lambda tree: tree.update(properties=5),
+            lambda tree: tree.update(operation=None),
+            lambda tree: tree["operation"].pop("identifier"),
+            lambda tree: tree.update(children=[_nested(5000)]),
+        ],
+        ids=["unknown-category", "children-type", "properties-type",
+             "operation-none", "missing-identifier", "too-deep"],
+    )
+    def test_malformed_trigger_plan_is_typed_and_skipped(self, damage):
+        plan = build_plan()
+        payload = plan.to_dict()
+        damage(payload["tree"])
+        with pytest.raises(UnifiedPlanError) as caught:
+            UnifiedPlan.from_dict(payload)
+        assert caught.value.__cause__ is not None
+        broken = _report("broken", plan)
+        broken.trigger_plan = payload
+        clusters = cluster_reports([_report("1", plan), broken, _report("2", plan)])
+        assert sorted(len(cluster) for cluster in clusters) == [1, 2]
+        assert [cluster.members for cluster in clusters if len(cluster) == 1] == [[broken]]
 
     def test_exemplar_is_edit_distance_medoid(self):
         hub = build_plan(scans=2)  # between scans=1 and scans=3

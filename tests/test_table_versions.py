@@ -327,13 +327,13 @@ class TestWriteInvalidatesOnlyWhatItTouched:
 
     def test_toggles_still_drop_the_cache(self):
         dialect = _dialect()
-        for toggle in (dialect.set_decorrelate, dialect.set_optimize_joins):
+        for switch in ("decorrelate", "optimize_joins"):
             dialect.execute(NAMING_A["in"])
             assert _outcome(dialect, NAMING_A["in"]) == HIT
-            toggle(False)
+            dialect.reconfigure(**{switch: False})
             assert len(dialect.prepared) == 0
             assert _outcome(dialect, NAMING_A["in"]) == MISS
-            toggle(True)
+            dialect.reconfigure(**{switch: True})
             assert len(dialect.prepared) == 0
 
     def test_multi_statement_script_sees_its_own_writes(self):

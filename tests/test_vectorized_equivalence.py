@@ -3,10 +3,10 @@
 The row executor is the correctness oracle: the vectorized executor must be
 observationally identical — same result rows, same row order, same
 ``EXPLAIN ANALYZE`` runtime row counts, same unified-plan fingerprints, and
-(at campaign level) byte-identical coverage sets and Table V reports.  This
-module fuzzes that equivalence over the generator corpus, interleaving QPG-
-style database mutations so the executors are exercised against evolving
-schemas, data, and indexes.
+(at campaign level, tests/test_engine_config.py) byte-identical coverage
+sets and Table V reports.  This module fuzzes that equivalence over the
+generator corpus, interleaving QPG-style database mutations so the
+executors are exercised against evolving schemas, data, and indexes.
 
 Since PR 6 the vectorized executor has two column representations — plain
 lists and NumPy-backed :class:`~repro.engine.arrays.ArrayColumn` — so the
@@ -34,7 +34,6 @@ from repro.engine.expressions import (
 from repro.engine.vectorized import RowBatch, batches_from_rows, rows_from_batches
 from repro.sqlparser.parser import parse_sql
 from repro.storage.table import HeapTable
-from repro.testing.campaign import TestingCampaign
 from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
 
 
@@ -67,11 +66,7 @@ def _fuzz_dialects(seed, prepared_cache=True):
     all over identical generated databases."""
 
     def build(kind):
-        dialect = create_dialect("postgresql")
-        dialect.set_executor(kind)
-        if not prepared_cache:
-            dialect.prepared.enabled = False
-        return dialect
+        return create_dialect("postgresql", executor=kind, prepared_cache=prepared_cache)
 
     row_dialect = build("row")
     vec_dialects = [
@@ -160,38 +155,6 @@ class TestGeneratorCorpusFuzz:
         vec_plan = hub.convert("postgresql", vec_output.text, "json", use_cache=False)
         assert row_plan.fingerprint() == vec_plan.fingerprint()
         assert structural_fingerprint(row_plan) == structural_fingerprint(vec_plan)
-
-
-class TestCampaignEquivalence:
-    """Row-path and cache-off campaigns stay byte-identical to the default."""
-
-    CONFIG = dict(
-        dbms_names=["postgresql", "mysql"],
-        queries_per_dbms=25,
-        cert_pairs_per_dbms=8,
-        seed=3,
-    )
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return TestingCampaign(**self.CONFIG).run()
-
-    @pytest.mark.parametrize(
-        "options",
-        [
-            {"executor": "row"},
-            {"executor": "row", "prepared_cache": False},
-            {"prepared_cache": False},
-        ],
-        ids=["row", "row-cache-off", "vectorized-cache-off"],
-    )
-    def test_coverage_and_reports_identical(self, baseline, options):
-        result = TestingCampaign(**self.CONFIG, **options).run()
-        assert result.plan_fingerprints == baseline.plan_fingerprints
-        assert result.unique_plans == baseline.unique_plans
-        assert result.table5_rows() == baseline.table5_rows()
-        assert result.queries_generated == baseline.queries_generated
-        assert result.cert_pairs_checked == baseline.cert_pairs_checked
 
 
 class TestBatchExpressionSemantics:
@@ -364,7 +327,7 @@ class TestEdgeCaseParity:
 
     def _pair(self):
         row_dialect = create_dialect("postgresql")
-        row_dialect.set_executor("row")
+        row_dialect.reconfigure(executor="row")
         vec_dialect = create_dialect("postgresql")
         for statement in (
             "CREATE TABLE t (a INT, b INT)",
@@ -412,7 +375,7 @@ class TestArrayPathParity:
         dialects = []
         for kind in ["row"] + ["vectorized"] * len(_kernel_modes()):
             dialect = create_dialect("postgresql")
-            dialect.set_executor(kind)
+            dialect.reconfigure(executor=kind)
             dialect.execute("CREATE TABLE t (a INT, b INT, c REAL)")
             dialect.database.insert_rows(
                 "t", [fill(i) for i in range(self.ROWS)]
@@ -567,4 +530,4 @@ class TestExecutorFactory:
         assert dialect.executor is vectorized
         dialect.set_executor("row")
         assert type(dialect.executor) is Executor
-        assert dialect.executor_kind == "row"
+        assert dialect.config.executor == "row"
