@@ -27,7 +27,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Type
 
 from repro.core.caching import CacheStats, LRUCache
-from repro.core.categories import OperationCategory, PropertyCategory
+from repro.core.categories import PropertyCategory
 from repro.core.model import MALFORMED_INPUT_ERRORS, Operation, PlanNode, Property, UnifiedPlan
 from repro.core.naming import NameRegistry, default_registry
 from repro.errors import ConversionError
@@ -239,7 +239,9 @@ def read_ascii_table(serialized: str) -> List[Dict[str, str]]:
     """The one reader of ASCII-table plans (MySQL, SQL Server, TiDB).
 
     Only ``|``-delimited lines count.  The first names the columns; every
-    later one with as many cells becomes a dict of column -> stripped cell.
+    later one with as many cells becomes a dict of column -> cell.  A cell
+    loses its padding (one space on the left, all on the right), not its
+    indentation: TiDB's ``id`` column nests operators by it.
     """
     lines = [line.strip() for line in serialized.splitlines() if line.strip().startswith("|")]
     if not lines:
@@ -247,7 +249,10 @@ def read_ascii_table(serialized: str) -> List[Dict[str, str]]:
     header = [cell.strip() for cell in lines[0].strip("|").split("|")]
     rows = []
     for line in lines[1:]:
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        cells = [
+            (cell[1:] if cell.startswith(" ") else cell).rstrip()
+            for cell in line.strip("|").split("|")
+        ]
         if len(cells) == len(header):
             rows.append(dict(zip(header, cells)))
     return rows
@@ -411,18 +416,6 @@ class ConverterHub:
     def cache_stats(self) -> CacheStats:
         """Live hit/miss/eviction counters of the conversion cache."""
         return self._cache.stats
-
-    def cache_snapshot(self) -> CacheStats:
-        """An independent copy of the current cache counters."""
-        return self._cache.stats.snapshot()
-
-    def cached_conversions(self) -> int:
-        """Number of conversions currently held in the cache."""
-        return len(self._cache)
-
-    def clear_cache(self, reset_stats: bool = False) -> None:
-        """Drop all cached conversions (and optionally the counters)."""
-        self._cache.clear(reset_stats=reset_stats)
 
 
 #: Lazily created hub shared by ``converter_for`` and the pipeline defaults.

@@ -125,10 +125,6 @@ class PlanBuilder:
 
     # -- finalization ---------------------------------------------------------------
 
-    def current_node(self) -> Optional[PlanNode]:
-        """Return the node the cursor points at (``None`` before ``operation``)."""
-        return self._stack[-1] if self._stack else None
-
     def build(self) -> UnifiedPlan:
         """Return the constructed plan.
 

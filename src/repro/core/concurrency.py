@@ -105,12 +105,6 @@ class ReadWriteGate:
         with self._condition:
             return self._active_readers
 
-    @property
-    def write_held(self) -> bool:
-        """Whether a writer currently holds the gate."""
-        with self._condition:
-            return self._writer_active
-
 
 class AtomicCounter:
     """An exact counter safe to increment from many threads."""

@@ -39,8 +39,8 @@ from repro.errors import PlanValidationError, UnifiedPlanError
 PropertyValue = Any  # str | int | float | bool | None
 
 #: Errors that decoding input of the wrong shape raises (a JSON scalar where
-#: an object belongs, a malformed number, a missing key, a tree nested past
-#: the stack): :meth:`UnifiedPlan.from_dict` reports them as a
+#: an object belongs, a malformed number, a missing key, a document nested
+#: past the parser's stack): :meth:`UnifiedPlan.from_dict` reports them as a
 #: ``UnifiedPlanError``, :meth:`PlanConverter.convert` as a ``ConversionError``.
 MALFORMED_INPUT_ERRORS = (
     ValueError, TypeError, AttributeError, KeyError, IndexError, RecursionError,
@@ -208,6 +208,38 @@ def walk_tree(root: Any) -> Iterator[TreeStep]:
             stack.extend(
                 [(children[i], depth + 1, count, i == final) for i in range(final, -1, -1)]
             )
+
+
+def fold_tree(
+    root: Any, children_of: Callable[[Any], Any], build: Callable[[Any, List[Any]], Any]
+) -> Any:
+    """Fold a tree bottom-up without recursion.
+
+    ``build(item, results)`` runs for each item after its children, with
+    their results in child order.  Unlike :func:`walk_tree`, *children_of*
+    reads an item's children, so dict payloads fold as well as nodes.
+    """
+    results: List[Any] = []
+    stack: List[Tuple[Any, Any]] = [(root, None)]
+    while stack:
+        item, children = stack.pop()
+        if children is None:
+            children = children_of(item)
+            if children:
+                stack.append((item, children))
+                stack.extend([(child, None) for child in reversed(children)])
+                continue
+            results.append(build(item, []))
+        else:
+            split = len(results) - len(children)
+            value = build(item, results[split:])
+            del results[split:]
+            results.append(value)
+    return results[0]
+
+
+def _node_children(node: "PlanNode") -> List["PlanNode"]:
+    return node.children
 
 
 def merkle_fingerprint(
@@ -621,14 +653,17 @@ class PlanNode:
         comparisons.  The canonical copy has the same :meth:`fingerprint` as
         the original (unless children were re-ordered).
         """
-        children = [child.canonicalize(sort_children) for child in self.children]
-        if sort_children:
-            children.sort(key=lambda child: child.fingerprint())
-        return PlanNode(
-            operation=self.operation,
-            properties=canonical_properties(self.properties),
-            children=children,
-        )
+
+        def build(node: "PlanNode", children: List["PlanNode"]) -> "PlanNode":
+            if sort_children:
+                children.sort(key=lambda child: child.fingerprint())
+            return PlanNode(
+                operation=node.operation,
+                properties=canonical_properties(node.properties),
+                children=children,
+            )
+
+        return fold_tree(self, _node_children, build)
 
     def is_canonical(self) -> bool:
         """Whether every node's properties are already canonically ordered."""
@@ -647,29 +682,33 @@ class PlanNode:
 
     def to_dict(self) -> Dict[str, Any]:
         """Return a JSON-compatible dictionary form of the subtree."""
-        return {
-            "operation": self.operation.to_dict(),
-            "properties": [prop.to_dict() for prop in self.properties],
-            "children": [child.to_dict() for child in self.children],
-        }
+        return fold_tree(self, _node_children, lambda node, children: {
+            "operation": node.operation.to_dict(),
+            "properties": [prop.to_dict() for prop in node.properties],
+            "children": children,
+        })
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PlanNode":
         """Reconstruct a subtree from :meth:`to_dict` output."""
-        return cls(
-            operation=Operation.from_dict(data["operation"]),
-            properties=[Property.from_dict(p) for p in data.get("properties", [])],
-            children=[cls.from_dict(c) for c in data.get("children", [])],
+        return fold_tree(
+            data,
+            lambda item: item.get("children", []),
+            lambda item, children: cls(
+                operation=Operation.from_dict(item["operation"]),
+                properties=[Property.from_dict(p) for p in item.get("properties", [])],
+                children=children,
+            ),
         )
 
     def copy(self) -> "PlanNode":
         """Return a deep copy of the subtree (cached fingerprints carry over)."""
-        return PlanNode(
-            operation=self.operation,
-            properties=list(self.properties),
-            children=[child.copy() for child in self.children],
-            _fp_cache=dict(self._fp_cache),
-        )
+        return fold_tree(self, _node_children, lambda node, children: PlanNode(
+            operation=node.operation,
+            properties=list(node.properties),
+            children=children,
+            _fp_cache=dict(node._fp_cache),
+        ))
 
     def __str__(self) -> str:
         return f"PlanNode({self.operation}, {len(self.properties)} props, {len(self.children)} children)"
@@ -921,8 +960,8 @@ class UnifiedPlan:
         """Reconstruct a plan from :meth:`to_dict` output.
 
         A malformed payload (an unknown category, a missing key, a value of
-        the wrong type, a tree nested past the stack) raises a
-        :class:`UnifiedPlanError` chained to the underlying error.
+        the wrong type) raises a :class:`UnifiedPlanError` chained to the
+        underlying error; a payload of any depth reads without recursion.
         """
         try:
             tree = data.get("tree")
@@ -952,12 +991,6 @@ class UnifiedPlan:
             f"UnifiedPlan(source={self.source_dbms or 'n/a'}, "
             f"operations={self.node_count()}, plan_properties={len(self.properties)})"
         )
-
-
-def iter_operation_identifiers(plan: UnifiedPlan) -> Iterator[Tuple[str, str]]:
-    """Yield ``(category_name, identifier)`` pairs for every operation in *plan*."""
-    for operation in plan.operations():
-        yield operation.category.value, operation.identifier
 
 
 def merge_property_lists(

@@ -378,13 +378,6 @@ class NameRegistry:
             return len(mappings)
         return sum(1 for m in mappings if m.category is category)
 
-    def property_count(self, dbms: str, category: Optional[PropertyCategory] = None) -> int:
-        """Count registered properties for *dbms*, optionally per category."""
-        mappings = self.properties_for(dbms)
-        if category is None:
-            return len(mappings)
-        return sum(1 for m in mappings if m.category is category)
-
 
 #: The process-wide default registry.  :mod:`repro.study.catalogues` populates
 #: it with the full case-study mappings on import.

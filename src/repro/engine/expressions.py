@@ -14,7 +14,7 @@ TLP test oracle depends on this behaviour to partition queries by
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.engine import arrays
 from repro.errors import ExecutionError
@@ -38,10 +38,6 @@ class EvaluationContext:
     ) -> None:
         self.row = row or {}
         self.subquery_executor = subquery_executor
-
-    def with_row(self, row: Row) -> "EvaluationContext":
-        """Return a context bound to *row* but sharing the subquery hook."""
-        return EvaluationContext(row=row, subquery_executor=self.subquery_executor)
 
 
 def resolve_column(row: Row, reference: ast.ColumnRef) -> object:

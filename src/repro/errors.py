@@ -112,35 +112,3 @@ class DialectError(ReproError):
 
 class UnsupportedFormatError(DialectError):
     """The requested explain format is not offered by this DBMS."""
-
-
-# ---------------------------------------------------------------------------
-# Testing-application errors
-# ---------------------------------------------------------------------------
-
-
-class OracleError(ReproError):
-    """A test oracle could not evaluate a test case."""
-
-
-class BugDetected(ReproError):
-    """Raised (or recorded) when an oracle detects a logic/performance bug.
-
-    This is primarily used as a structured record; testing campaigns catch it
-    and turn it into a :class:`repro.testing.report.BugReport`.
-    """
-
-    def __init__(self, message: str, oracle: str, dbms: str, query: str = "") -> None:
-        super().__init__(message)
-        self.oracle = oracle
-        self.dbms = dbms
-        self.query = query
-
-
-# ---------------------------------------------------------------------------
-# Benchmarking errors
-# ---------------------------------------------------------------------------
-
-
-class BenchmarkError(ReproError):
-    """A benchmark workload could not be generated or executed."""

@@ -169,15 +169,6 @@ class PhysicalNode:
         """Return every node of the given kind in this subtree."""
         return [node for node in self.walk() if node.kind is kind]
 
-    def leaf_tables(self) -> List[str]:
-        """Return the base-table names read by this subtree (pre-order)."""
-        tables: List[str] = []
-        for node in self.walk():
-            table_name = node.info.get("table")
-            if table_name and node.kind in PRODUCER_KINDS:
-                tables.append(table_name)
-        return tables
-
     # -- description -----------------------------------------------------------------
 
     def describe(self, indent: int = 0) -> str:

@@ -83,8 +83,3 @@ class TenantRegistry:
                 catalog = TenantCatalog(key)
                 self._tenants[key] = catalog
             return catalog
-
-    def tenant_names(self) -> List[str]:
-        """Every tenant with a catalog."""
-        with self._lock:
-            return sorted(self._tenants)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import StorageError
 
@@ -44,15 +44,6 @@ class DocumentStore:
         if name not in self._collections:
             self._collections[name] = DocumentCollection(name)
         return self._collections[name]
-
-    def has_collection(self, name: str) -> bool:
-        return name in self._collections
-
-    def collection_names(self) -> List[str]:
-        return sorted(self._collections)
-
-    def drop_collection(self, name: str) -> None:
-        self._collections.pop(name, None)
 
 
 def match_filter(document: Document, criteria: Dict[str, Any]) -> bool:

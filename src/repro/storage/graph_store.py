@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -76,20 +76,6 @@ class GraphStore:
         if rel_type is None:
             return list(self._relationships.values())
         return [rel for rel in self._relationships.values() if rel.rel_type == rel_type]
-
-    def outgoing(self, node_id: int, rel_type: Optional[str] = None) -> List[Relationship]:
-        return [
-            rel
-            for rel in self._relationships.values()
-            if rel.start == node_id and (rel_type is None or rel.rel_type == rel_type)
-        ]
-
-    def incoming(self, node_id: int, rel_type: Optional[str] = None) -> List[Relationship]:
-        return [
-            rel
-            for rel in self._relationships.values()
-            if rel.end == node_id and (rel_type is None or rel.rel_type == rel_type)
-        ]
 
     def has_index(self, label: str, property_name: str) -> bool:
         return (label, property_name) in self.indexes

@@ -287,12 +287,6 @@ class HeapTable:
             self._snapshot = snapshot
         return snapshot
 
-    def column_values(self, column: str) -> List[object]:
-        """Return every value of *column* (in insertion order)."""
-        if not self.schema.has_column(column):
-            raise StorageError(f"unknown column {column!r} for table {self.schema.name!r}")
-        return [row[self.schema.column(column).name] for row in self._rows.values()]
-
     def __len__(self) -> int:
         return len(self._rows)
 

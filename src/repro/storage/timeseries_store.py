@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass
@@ -31,9 +31,6 @@ class TimeSeriesStore:
             added += 1
         bucket.sort(key=lambda point: point.timestamp)
         return added
-
-    def measurements(self) -> List[str]:
-        return sorted(self._measurements)
 
     def points(self, measurement: str) -> List[Point]:
         return list(self._measurements.get(measurement, []))

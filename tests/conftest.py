@@ -19,6 +19,9 @@ The corpus-building helpers that used to be duplicated per test file
 * ``dialect_format_example_texts`` / ``dialect_format_example_plans`` —
   one raw example plan text, and its conversion, per ``(dbms, native
   format)`` pair (all 17).
+
+Every test may toggle the numpy kernels: an autouse fixture restores the
+ambient state after each one.
 """
 
 import json
@@ -27,6 +30,7 @@ import pytest
 
 from repro.converters import ConverterHub, converter_for
 from repro.dialects import create_dialect
+from repro.engine import arrays
 from repro.pipeline import PlanSource
 from repro.storage.timeseries_store import Point
 
@@ -135,6 +139,13 @@ def build_dialect_example_plan(name, format_name=None):
     return converter_for(name).convert(
         build_dialect_example_text(name, format_name), format=format_name
     )
+
+
+@pytest.fixture(autouse=True)
+def _restore_kernel_state():
+    saved = arrays.numpy_enabled()
+    yield
+    arrays.set_numpy_enabled(saved)
 
 
 @pytest.fixture

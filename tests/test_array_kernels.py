@@ -17,19 +17,13 @@ from repro.catalog.schema import Column, DataType, TableSchema
 from repro.engine import arrays
 from repro.engine.expressions import _arithmetic, _compare, _to_bool
 from repro.storage.table import HeapTable
+from statement_matrix import Matrix, kernel_cells
 
 np = pytest.importorskip("numpy")
 
 pytestmark = pytest.mark.skipif(
     not arrays.numpy_enabled(), reason="array kernels disabled in this job"
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_state():
-    saved = arrays.numpy_enabled()
-    yield
-    arrays.set_numpy_enabled(saved)
 
 
 def _column(values):
@@ -515,33 +509,27 @@ class TestHashJoinProbeParity:
 
     ROWS = 2 * arrays.ARRAY_MIN_ROWS
 
-    def _dialects(self, left_rows, right_rows):
-        from repro.dialects import create_dialect
-
-        dialects = []
-        for kind in ("row", "vectorized", "parallel"):
-            dialect = create_dialect("postgresql")
-            dialect.reconfigure(executor=kind)
-            dialect.execute("CREATE TABLE lt (k INT, v INT)")
-            dialect.execute("CREATE TABLE rt (k INT, w INT)")
+    @staticmethod
+    def _matrix(left_rows, right_rows, right_key="INT"):
+        def load(dialect):
             dialect.database.insert_rows("lt", left_rows)
             dialect.database.insert_rows("rt", right_rows)
             dialect.analyze_tables()
-            dialects.append((kind, dialect))
-        return dialects
 
-    def _run(self, dialect, query):
-        try:
-            return ("ok", dialect.execute(query))
-        except Exception as error:  # noqa: BLE001
-            return ("error", type(error).__name__)
+        ddl = ["CREATE TABLE lt (k INT, v INT)", f"CREATE TABLE rt (k {right_key}, w INT)"]
+        return Matrix(kernel_cells("row", "vectorized", "parallel"), ddl, load)
 
-    def _assert_parity(self, dialects, query):
-        (_, oracle), *rest = dialects
-        expected = self._run(oracle, query)
-        for kind, dialect in rest:
-            assert self._run(dialect, query) == expected, (kind, query)
-        return expected
+    @staticmethod
+    def _join_rows(matrix, join="JOIN"):
+        """The oracle's rows of the join, once every engine agreed on them."""
+        query = f"SELECT lt.v, rt.w FROM lt {join} rt ON lt.k = rt.k ORDER BY lt.v, rt.w"
+        assert matrix.check(query)["error"] is None
+        return matrix.dialects[0].execute(query)
+
+    @staticmethod
+    def _snapshot(matrix, table):
+        arrays.set_numpy_enabled(True)
+        return matrix.dialects[0].database.table(table).column_batch()
 
     def test_null_keys_never_match(self):
         left = [
@@ -550,17 +538,12 @@ class TestHashJoinProbeParity:
         right = [
             {"k": i % 7 if i % 3 else None, "w": i} for i in range(self.ROWS)
         ]
-        dialects = self._dialects(left, right)
+        matrix = self._matrix(left, right)
         # The snapshot columns really are typed arrays with validity bitmaps.
-        snapshot = dialects[1][1].database.table("lt").column_batch()
+        snapshot = self._snapshot(matrix, "lt")
         assert isinstance(snapshot.columns["k"], arrays.ArrayColumn)
         assert snapshot.columns["k"].has_nulls()
-        status, rows = self._assert_parity(
-            dialects,
-            "SELECT lt.v, rt.w FROM lt JOIN rt ON lt.k = rt.k "
-            "ORDER BY lt.v, rt.w",
-        )
-        assert status == "ok"
+        rows = self._join_rows(matrix)
         # No NULL key on either side ever joins.
         null_left = {row["v"] for row in left if row["k"] is None}
         assert not null_left.intersection(row["lt.v"] for row in rows)
@@ -571,13 +554,7 @@ class TestHashJoinProbeParity:
             for i in range(self.ROWS)
         ]
         right = [{"k": i % 9, "w": i} for i in range(self.ROWS)]
-        dialects = self._dialects(left, right)
-        status, rows = self._assert_parity(
-            dialects,
-            "SELECT lt.v, rt.w FROM lt LEFT JOIN rt ON lt.k = rt.k "
-            "ORDER BY lt.v, rt.w",
-        )
-        assert status == "ok"
+        rows = self._join_rows(self._matrix(left, right), "LEFT JOIN")
         # Each NULL-key left row appears exactly once, padded with NULL.
         for row in left:
             if row["k"] is None:
@@ -600,18 +577,10 @@ class TestHashJoinProbeParity:
             {"k": boundary + 1, "w": 20_002},
             {"k": -boundary, "w": 20_003},
         ]
-        dialects = self._dialects(left, right)
-        db = dialects[1][1].database
-        snapshot_left = db.table("lt").column_batch()
-        snapshot_right = db.table("rt").column_batch()
-        assert isinstance(snapshot_left.columns["k"], arrays.ArrayColumn)
-        assert not isinstance(snapshot_right.columns["k"], arrays.ArrayColumn)
-        status, rows = self._assert_parity(
-            dialects,
-            "SELECT lt.v, rt.w FROM lt JOIN rt ON lt.k = rt.k "
-            "ORDER BY lt.v, rt.w",
-        )
-        assert status == "ok"
+        matrix = self._matrix(left, right)
+        assert isinstance(self._snapshot(matrix, "lt").columns["k"], arrays.ArrayColumn)
+        assert not isinstance(self._snapshot(matrix, "rt").columns["k"], arrays.ArrayColumn)
+        rows = self._join_rows(matrix)
         boundary_matches = [r for r in rows if r["lt.v"] == 10_001]
         assert [r["rt.w"] for r in boundary_matches] == [20_001]
         assert [r["rt.w"] for r in rows if r["lt.v"] == 10_002] == [20_003]
@@ -621,24 +590,7 @@ class TestHashJoinProbeParity:
         # both executors (the row oracle's _hash_key contract).
         left = [{"k": i % 10, "v": i} for i in range(self.ROWS)]
         right_rows = [{"k": float(i % 10), "w": i} for i in range(self.ROWS)]
-        from repro.dialects import create_dialect
-
-        dialects = []
-        for kind in ("row", "vectorized", "parallel"):
-            dialect = create_dialect("postgresql")
-            dialect.reconfigure(executor=kind)
-            dialect.execute("CREATE TABLE lt (k INT, v INT)")
-            dialect.execute("CREATE TABLE rt (k REAL, w INT)")
-            dialect.database.insert_rows("lt", left)
-            dialect.database.insert_rows("rt", right_rows)
-            dialect.analyze_tables()
-            dialects.append((kind, dialect))
-        status, rows = self._assert_parity(
-            dialects,
-            "SELECT lt.v, rt.w FROM lt JOIN rt ON lt.k = rt.k "
-            "ORDER BY lt.v, rt.w",
-        )
-        assert status == "ok"
+        rows = self._join_rows(self._matrix(left, right_rows, right_key="REAL"))
         from collections import Counter
 
         left_counts = Counter(row["k"] for row in left)
@@ -652,9 +604,8 @@ class TestHashJoinProbeParity:
         # planner actually picks a hash join for this shape.
         left = [{"k": i % 11, "v": i} for i in range(self.ROWS)]
         right = [{"k": i % 7, "w": i} for i in range(self.ROWS)]
-        dialects = self._dialects(left, right)
-        for kind, dialect in dialects[1:]:
-            plan = dialect.explain(
-                "SELECT lt.v, rt.w FROM lt JOIN rt ON lt.k = rt.k"
-            ).text
-            assert "Hash Join" in plan, (kind, plan)
+        matrix = self._matrix(left, right)
+        for cell, plan in zip(matrix.cells, matrix.each(
+            lambda dialect: dialect.explain("SELECT lt.v, rt.w FROM lt JOIN rt ON lt.k = rt.k").text
+        )):
+            assert "Hash Join" in plan, (cell, plan)

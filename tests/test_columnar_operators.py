@@ -9,8 +9,10 @@ span several batches, and UNION ALL of different arities makes them
 non-uniform — and once uncapped (the serial default: one batch per uniform
 run), and compares result rows *by repr* (``1`` is not ``1.0``, float sums are
 bit-identical, NaN equals NaN) plus ``EXPLAIN ANALYZE`` ``actual_rows`` and
-``loops`` node for node.  The numpy mode drops out cleanly when numpy is
-absent or disabled; the list mode always runs.
+``loops`` node for node — the statement matrix's builder, normaliser and
+observables (tests/statement_matrix.py), with the batch size as a local
+extra axis.  The numpy mode drops out cleanly when numpy is not
+importable; the list mode always runs.
 
 Every join is written with qualified columns whose left operand names the
 left input: an unqualified equality written the other way round matches
@@ -29,12 +31,12 @@ import pytest
 
 from repro.benchmarking import tpch
 from repro.dialects import create_dialect
-from repro.dialects.prepared import reset_runtime
 from repro.engine import arrays, expressions, vectorized
 from repro.engine.expressions import BatchContext, compile_expression_batch
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError
 from repro.optimizer.physical import OpKind
 from repro.sqlparser.parser import parse_sql
+from statement_matrix import Matrix, kernel_cells
 
 ROWS = 3 * arrays.ARRAY_MIN_ROWS
 BATCH_SIZE = 50
@@ -43,73 +45,32 @@ BATCH_SIZES = (BATCH_SIZE, None)
 NAN = float("nan")
 
 
-@pytest.fixture(autouse=True)
-def _restore_kernel_state():
-    saved = arrays.numpy_enabled()
-    yield
-    arrays.set_numpy_enabled(saved)
-
-
-def _kernel_modes():
-    modes = [("list", False)]
-    if arrays.numpy_enabled():
-        modes.append(("numpy", True))
-    return modes
-
-
-class Engines:
-    """One row-oracle dialect and one vectorized dialect (toggled between
-    the list and numpy column representations) over identical tables."""
+class Engines(Matrix):
+    """The row oracle and the list and numpy vectorized engines over
+    identical tables, loaded through the storage API."""
 
     def __init__(self, ddl, tables, load=None):
-        self.dialects = {}
-        for kind in ("row", "vectorized"):
-            dialect = create_dialect("postgresql")
-            dialect.reconfigure(executor=kind)
-            for statement in ddl:
-                dialect.execute(statement)
+        def fill(dialect):
             for name, rows in tables.items():
                 dialect.database.insert_rows(name, rows)
             if load is not None:
                 load(dialect)
             dialect.analyze_tables()
-            self.dialects[kind] = dialect
 
-    @staticmethod
-    def _frozen(rows):
-        return [tuple((key, repr(value)) for key, value in row.items()) for row in rows]
-
-    def _observe(self, kind, query):
-        """Rows by repr, and (kind, actual_rows, loops) per plan node."""
-        dialect = self.dialects[kind]
-        try:
-            rows = dialect.execute(query)
-            plan = dialect.planner.plan_statement(parse_sql(query)[0])
-            analyzed = dialect.executor.execute(reset_runtime(plan), analyze=True)
-        except ReproError as exc:
-            return ["error", type(exc).__name__], None, None
-        assert self._frozen(analyzed) == self._frozen(rows), query
-        counts = [
-            (node.kind, node.runtime.executed, node.runtime.actual_rows, node.runtime.loops)
-            for node in plan.walk()
-        ]
-        return self._frozen(rows), counts, plan
+        super().__init__(kernel_cells("row", "vectorized"), ddl, fill)
 
     def assert_parity(self, query, operator=None):
-        """All engines agree on *query*; returns the row oracle's rows.
-        *operator* names a plan node kind the statement must contain."""
-        expected_rows, expected_counts, plan = self._observe("row", query)
+        """All engines agree on *query* at every batch size; returns the
+        frozen rows (or ``["error", type name]``).  *operator* names a plan
+        node kind the statement must contain."""
         if operator is not None:
+            plan = self.dialects[0].planner.plan_statement(parse_sql(query)[0])
             assert any(node.kind is operator for node in plan.walk()), query
-        executor = self.dialects["vectorized"].executor
         for batch_size in BATCH_SIZES:
-            executor.batch_size = batch_size
-            for label, use_numpy in _kernel_modes():
-                arrays.set_numpy_enabled(use_numpy)
-                rows, counts, _ = self._observe("vectorized", query)
-                assert rows == expected_rows, (label, batch_size, query)
-                assert counts == expected_counts, (label, batch_size, query)
-        return expected_rows
+            for dialect in self.dialects[1:]:
+                dialect.executor.batch_size = batch_size
+            observed = self.check(query, plan=True)
+        return observed["rows"] if observed["error"] is None else ["error", observed["error"]]
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +441,9 @@ class TestScanPruning:
             PRUNING_DDL + ["CREATE TABLE target (u INT, v TEXT)"],
             {"p": [_wide_row(i) for i in range(ROWS)]},
         )
-        insert = "INSERT INTO target SELECT c, s FROM p WHERE b < 3"
-        runs = []
-        for kind, modes in (("row", [("list", False)]), ("vectorized", _kernel_modes())):
-            dialect = engines.dialects[kind]
-            for _, use_numpy in modes:
-                arrays.set_numpy_enabled(use_numpy)
-                dialect.execute("DELETE FROM target")
-                dialect.execute(insert)
-                runs.append(Engines._frozen(dialect.execute("SELECT u, v FROM target")))
-        assert len(runs[0]) == sum(1 for i in range(ROWS) if i % 5 < 3)
-        assert all(run == runs[0] for run in runs)
+        engines.check("INSERT INTO target SELECT c, s FROM p WHERE b < 3")
+        rows = engines.check("SELECT u, v FROM target")["rows"]
+        assert len(rows) == sum(1 for i in range(ROWS) if i % 5 < 3)
 
     # -- mechanism ----------------------------------------------------------------
 

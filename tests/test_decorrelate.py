@@ -5,9 +5,11 @@ semi/anti joins.  The undecorrelated per-row path stays behind
 ``decorrelate=False`` as the correctness oracle: both settings must produce
 identical result rows, row order, and rejections for every query, and — for
 queries the rewrite does not touch — identical serialized plans and unified
-fingerprints.  The campaign-level contract — flipping decorrelation changes
-only the plans (coverage), never the results (Table V) — is checked by the
-engine-configuration matrix in tests/test_engine_config.py.
+fingerprints; the statement matrix (tests/test_statement_matrix.py) checks
+both over the generator corpus.  The campaign-level contract — flipping
+decorrelation changes only the plans (coverage), never the results (Table
+V) — is checked by the engine-configuration matrix in
+tests/test_engine_config.py.
 
 The NOT IN + inner-NULL trap is covered explicitly: under three-valued
 logic, any NULL in the inner relation makes ``x NOT IN (…)`` unsatisfiable,
@@ -15,8 +17,9 @@ so the anti join must return nothing.
 
 PR 16 adds init-plans: a provably uncorrelated subquery the rewrite leaves
 in a filter or a select list is planned once and evaluated at most once per
-statement.  The same oracle judges it (``TestInitPlanFuzz``), and the
-"once" is asserted by counting, not by timing (``TestInitPlanCounts``).
+statement.  The same oracle judges it over a pairwise cover of the engine
+settings (``TestInitPlanFuzz``), and the "once" is asserted by counting,
+not by timing (``TestInitPlanCounts``).
 """
 
 import json
@@ -36,90 +39,7 @@ from repro.optimizer.physical import ATTACHED_KEYS, INIT_PLANS, SUBPLANS, OpKind
 from repro.optimizer.planner import Planner
 from repro.service import QueryService, ServiceClient, ServiceDialect
 from repro.sqlparser.parser import parse_one, parse_sql
-from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
-
-
-def _run(dialect, statement):
-    """Execute through the dialect, normalising failures for comparison."""
-    try:
-        return ("ok", dialect.execute(statement))
-    except Exception as exc:
-        return ("error", type(exc).__name__)
-
-
-def _contains_subquery_text(query):
-    upper = query.upper()
-    return " IN (SELECT" in upper or "EXISTS (SELECT" in upper
-
-
-def _paired_dialects(seed, executor):
-    """Two PostgreSQL dialects over identical generated databases: the
-    decorrelating default and the per-row oracle."""
-    on_dialect = create_dialect("postgresql")
-    on_dialect.reconfigure(executor=executor)
-    assert on_dialect.planner.options.decorrelate
-    off_dialect = create_dialect("postgresql", decorrelate=False)
-    off_dialect.reconfigure(executor=executor)
-    generator = RandomQueryGenerator(seed=seed, config=GeneratorConfig(max_tables=2))
-    for statement in generator.schema_statements():
-        assert _run(on_dialect, statement) == _run(off_dialect, statement)
-    on_dialect.analyze_tables()
-    off_dialect.analyze_tables()
-    return on_dialect, off_dialect, generator
-
-
-class TestGeneratorCorpusFuzz:
-    """Every generated query through both planner modes, in lockstep."""
-
-    SEEDS = (1, 2, 3, 5)
-    QUERIES_PER_SEED = 50
-    MUTATE_EVERY = 15
-
-    @pytest.mark.parametrize("executor", ["row", "vectorized"])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_results_identical(self, seed, executor):
-        on_dialect, off_dialect, generator = _paired_dialects(seed, executor)
-        hub = ConverterHub()
-        compared = 0
-        subquery_queries = 0
-        for position in range(self.QUERIES_PER_SEED):
-            query = generator.select_query()
-            on_result = _run(on_dialect, query)
-            off_result = _run(off_dialect, query)
-            # Identical rows in identical order — or the same rejection.
-            assert on_result == off_result, query
-            if on_result[0] == "ok":
-                compared += 1
-                if _contains_subquery_text(query):
-                    subquery_queries += 1
-                elif position % 7 == 0:
-                    # Queries the rewrite does not touch keep byte-identical
-                    # plans and unified fingerprints.
-                    on_plan = on_dialect.explain(query, format="json")
-                    off_plan = off_dialect.explain(query, format="json")
-                    assert on_plan.text == off_plan.text, query
-                    converted = hub.convert(
-                        "postgresql", on_plan.text, "json", use_cache=False
-                    )
-                    reference = hub.convert(
-                        "postgresql", off_plan.text, "json", use_cache=False
-                    )
-                    assert converted.fingerprint() == reference.fingerprint()
-            if position and position % self.MUTATE_EVERY == 0:
-                mutation = generator.mutation_statement()
-                assert _run(on_dialect, mutation) == _run(off_dialect, mutation)
-                on_dialect.analyze_tables()
-                off_dialect.analyze_tables()
-        # The corpus must exercise the engine and the new shapes.
-        assert compared >= self.QUERIES_PER_SEED // 3
-
-    def test_generator_emits_subquery_shapes(self):
-        generator = RandomQueryGenerator(seed=1, config=GeneratorConfig(max_tables=2))
-        generator.schema_statements()
-        queries = [generator.select_query() for _ in range(300)]
-        assert any(" IN (SELECT" in query for query in queries)
-        assert any("NOT IN (SELECT" in query for query in queries)
-        assert any("EXISTS (SELECT" in query for query in queries)
+from statement_matrix import AXES, Matrix, attempt, cells, freeze, kernel_cells, uncovered_pairs
 
 
 class TestSemiAntiSemantics:
@@ -264,56 +184,34 @@ class TestPlanShapes:
         )
         assert not plan.find(OpKind.SEMI_JOIN)
 
-    def test_nested_derived_table_results_identical(self):
-        for decorrelate in (True, False):
-            dialect = create_dialect("postgresql", decorrelate=decorrelate)
-            dialect.execute("CREATE TABLE t (a INT, b INT)")
-            dialect.execute("CREATE TABLE u (x INT, b INT)")
-            dialect.execute("INSERT INTO t (a, b) VALUES (1, 10)")
-            dialect.execute("INSERT INTO u (x, b) VALUES (1, 99)")
-            rows = dialect.execute(
-                "SELECT a FROM t WHERE a IN "
-                "(SELECT x FROM (SELECT x FROM u) AS d2 WHERE b > 5)"
-            )
-            assert [row["a"] for row in rows] == [1], decorrelate
-
-    def test_correlated_group_by_still_plans_and_executes(self):
-        # GROUP BY inside a predicate subquery may reference outer columns;
-        # the plan-time unknown-column validation must not reject it.
-        for decorrelate in (True, False):
-            dialect = create_dialect("postgresql", decorrelate=decorrelate)
-            dialect.execute("CREATE TABLE t (a INT)")
-            dialect.execute("CREATE TABLE s (x INT)")
-            dialect.execute("INSERT INTO t (a) VALUES (1), (2)")
-            dialect.execute("INSERT INTO s (x) VALUES (5)")
-            rows = dialect.execute(
-                "SELECT a FROM t WHERE EXISTS (SELECT x FROM s GROUP BY x, a)"
-            )
-            assert [row["a"] for row in rows] == [1, 2], decorrelate
-
-    def test_large_integer_keys_stay_exact(self):
-        # 2**53 and 2**53 + 1 collide as floats; the semi-join key set must
-        # follow _compare's exact == like the per-row oracle.
-        for decorrelate in (True, False):
-            dialect = create_dialect("postgresql", decorrelate=decorrelate)
-            dialect.execute("CREATE TABLE t (a INT)")
-            dialect.execute("CREATE TABLE s (x INT)")
-            dialect.execute("INSERT INTO t (a) VALUES (9007199254740993)")
-            dialect.execute("INSERT INTO s (x) VALUES (9007199254740992)")
-            rows = dialect.execute("SELECT a FROM t WHERE a IN (SELECT x FROM s)")
-            assert rows == [], decorrelate
-
-    def test_correlated_results_still_identical(self):
-        for decorrelate in (True, False):
-            dialect = create_dialect("postgresql", decorrelate=decorrelate)
-            dialect.execute("CREATE TABLE t (a INT, b INT)")
-            dialect.execute("CREATE TABLE s (x INT, y INT)")
-            dialect.execute("INSERT INTO t (a, b) VALUES (1, 1), (2, 9)")
-            dialect.execute("INSERT INTO s (x, y) VALUES (1, 1), (2, 2)")
-            rows = dialect.execute(
-                "SELECT a FROM t WHERE a IN (SELECT x FROM s WHERE s.y = t.b)"
-            )
-            assert [row["a"] for row in rows] == [1]
+    @pytest.mark.parametrize(
+        "tables, rows, query, expected",
+        [
+            # ``b`` is visible only inside the derived table's source: it
+            # correlates to the outer t.b, whose row passes ``b > 5``.
+            ("t (a INT, b INT)", ["t (a, b) VALUES (1, 10)", "u (x, b) VALUES (1, 99)"],
+             "SELECT a FROM t WHERE a IN (SELECT x FROM (SELECT x FROM u) AS d2 WHERE b > 5)",
+             [1]),
+            # GROUP BY inside a predicate subquery may reference outer
+            # columns; the plan-time unknown-column validation must not
+            # reject it.
+            ("t (a INT)", ["t (a) VALUES (1), (2)", "s (x) VALUES (5)"],
+             "SELECT a FROM t WHERE EXISTS (SELECT x FROM s GROUP BY x, a)", [1, 2]),
+            # 2**53 and 2**53 + 1 collide as floats; the semi-join key set
+            # must follow _compare's exact == like the per-row oracle.
+            ("t (a INT)", ["t (a) VALUES (9007199254740993)", "s (x) VALUES (9007199254740992)"],
+             "SELECT a FROM t WHERE a IN (SELECT x FROM s)", []),
+            ("t (a INT, b INT)", ["t (a, b) VALUES (1, 1), (2, 9)", "s (x, y) VALUES (1, 1), (2, 2)"],
+             "SELECT a FROM t WHERE a IN (SELECT x FROM s WHERE s.y = t.b)", [1]),
+        ],
+        ids=["nested-derived-table", "correlated-group-by", "large-integer-keys", "correlated"],
+    )
+    def test_results_identical_with_and_without_decorrelation(self, tables, rows, query, expected):
+        setup = [f"CREATE TABLE {tables}", "CREATE TABLE s (x INT, y INT)",
+                 "CREATE TABLE u (x INT, b INT)"] + [f"INSERT INTO {row}" for row in rows]
+        matrix = Matrix(cells(("vectorized", True, True, True, True),
+                              ("vectorized", True, False, True, True)), setup)
+        assert matrix.check(query)["rows"] == freeze([{"a": a} for a in expected])
 
     def test_reconfigure_decorrelate_clears_cached_plans(self):
         dialect = create_dialect("postgresql")
@@ -347,26 +245,12 @@ class TestAnalyzeParity:
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_runtime_counts_match(self, query):
-        dialects = []
-        for executor in ("row", "vectorized"):
-            dialect = create_dialect("postgresql")
-            dialect.reconfigure(executor=executor)
-            dialect.execute("CREATE TABLE t (a INT)")
-            dialect.execute("CREATE TABLE s (x INT)")
-            dialect.execute("INSERT INTO t (a) VALUES (1), (2), (3)")
-            dialect.execute("INSERT INTO s (x) VALUES (1), (3)")
-            dialects.append(dialect)
-        row_dialect, vec_dialect = dialects
-        statement = parse_sql(query)[0]
-        row_plan = row_dialect.planner.plan_statement(statement)
-        vec_plan = vec_dialect.planner.plan_statement(statement)
-        row_rows = row_dialect.executor.execute(reset_runtime(row_plan), analyze=True)
-        vec_rows = vec_dialect.executor.execute(reset_runtime(vec_plan), analyze=True)
-        assert row_rows == vec_rows
-        for row_node, vec_node in zip(row_plan.walk(), vec_plan.walk()):
-            assert row_node.kind is vec_node.kind
-            assert row_node.runtime.actual_rows == vec_node.runtime.actual_rows
-            assert row_node.runtime.loops == vec_node.runtime.loops
+        Matrix(kernel_cells("row", "vectorized"), [
+            "CREATE TABLE t (a INT)",
+            "CREATE TABLE s (x INT)",
+            "INSERT INTO t (a) VALUES (1), (2), (3)",
+            "INSERT INTO s (x) VALUES (1), (3)",
+        ]).check(query, plan=True)
 
 
 class TestOperatorUniverse:
@@ -548,45 +432,35 @@ class _SubqueryShapes:
 
 
 class TestInitPlanFuzz:
-    """decorrelate × executor × cache: one answer per query."""
+    """decorrelate x executor x cache x kernels: one answer per query."""
 
     SEEDS = (11, 12)
     QUERIES_PER_SEED = 30
     MUTATE_EVERY = 10
+    #: A pairwise cover of the 2 x 3 x 2 x 2 space.  The first cell is the
+    #: behaviour before init-plans: per-row, row executor, nothing cached.
+    CELLS = cells(
+        ("row", False, False, True, False),
+        ("row", True, True, True, True),
+        ("vectorized", True, False, True, True),
+        ("vectorized", False, True, True, False),
+        ("parallel", True, True, True, False),
+        ("parallel", False, False, True, True),
+    )
+
+    def test_cells_cover_every_pair_of_values(self):
+        axes = ("executor", "prepared_cache", "decorrelate", "numpy")
+        assert uncovered_pairs(self.CELLS, {axis: AXES[axis] for axis in axes}) == set()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_configuration_agrees(self, seed):
         shapes = _SubqueryShapes(seed)
-        dialects = {
-            (decorrelate, executor, cache): create_dialect(
-                "postgresql",
-                decorrelate=decorrelate,
-                executor=executor,
-                prepared_cache=cache,
-            )
-            for decorrelate in (False, True)
-            for executor in ("row", "vectorized", "parallel")
-            for cache in (False, True)
-        }
-        # The pre-PR behaviour: per-row, row executor, nothing cached.
-        oracle = dialects[(False, "row", False)]
-        for statement in shapes.setup_statements():
-            for dialect in dialects.values():
-                dialect.execute(statement)
+        matrix = Matrix(self.CELLS, shapes.setup_statements())
         answered = 0
         for position in range(1, self.QUERIES_PER_SEED + 1):
-            query = shapes.query()
-            expected = _run(oracle, query)
-            answered += expected[0] == "ok"
-            for key, dialect in dialects.items():
-                assert _run(dialect, query) == expected, (key, query)
-                if dialect.prepared.enabled:
-                    # The repeat executes the cached plan tree.
-                    assert _run(dialect, query) == expected, (key, query)
+            answered += matrix.check(shapes.query(), repeat=True)["error"] is None
             if position % self.MUTATE_EVERY == 0:
-                mutation = shapes.mutation()
-                for dialect in dialects.values():
-                    dialect.execute(mutation)
+                matrix.check(shapes.mutation())
         assert answered >= self.QUERIES_PER_SEED * 3 // 4
 
     def test_shapes_cover_both_classes(self):
@@ -770,7 +644,9 @@ class TestInitPlanCounts:
         for statement in ("CREATE TABLE t (a INT)", "CREATE TABLE s (x INT)",
                           "INSERT INTO s (x) VALUES (1)", "INSERT INTO t (a) VALUES (1)"):
             oracle.execute(statement)
-        assert _run(dialect, query) == _run(oracle, query) == ("error", "ExecutionError")
+        outcome = attempt(lambda: dialect.execute(query))
+        assert outcome == attempt(lambda: oracle.execute(query))
+        assert outcome[:2] == ("error", "ExecutionError")
 
     @pytest.mark.parametrize("executor", ["row", "vectorized"])
     def test_memo_does_not_outlive_the_call(self, executor):

@@ -1,8 +1,9 @@
 """Plan walks, writers and renderers are iterative, and leave no cycles.
 
-Every tree walk goes through an explicit stack (``walk_tree`` or
-``PlanNode.walk``), so a unified plan of any depth walks, renders and
-serializes without ``RecursionError``.  No nested function in ``src/repro``
+Every tree walk goes through an explicit stack (``walk_tree``, ``fold_tree``
+or ``PlanNode.walk``), so a unified plan of any depth walks, renders,
+copies, canonicalizes, and serializes to and from dicts without
+``RecursionError``.  No nested function in ``src/repro``
 calls itself: each such closure referenced itself through its cell, a
 reference cycle per call that only the cyclic collector could free.
 """
@@ -89,13 +90,37 @@ DEEP_CALLS = {
     "render_html": lambda plan: render_html(plan).count("<div class='node'"),
     "text": lambda plan: formats.serialize(plan, "text").count("\n") + 1,
     "table": lambda plan: formats.serialize(plan, "table").count("\n") - 3,
+    "copy": lambda plan: plan.copy().root.size(),
+    "to_dict": lambda plan: _payload_depth(plan.to_dict()["tree"]),
+    "from_dict": lambda plan: UnifiedPlan.from_dict(plan.to_dict()).root.size(),
+    "canonicalize": lambda plan: plan.canonicalize(sort_children=True).root.size(),
 }
+
+
+def _payload_depth(payload):
+    depth = 0
+    while payload is not None:
+        depth += 1
+        payload = payload["children"][0] if payload["children"] else None
+    return depth
 
 
 @pytest.mark.parametrize("name", sorted(DEEP_CALLS))
 def test_deep_plans_walk_and_render(name, deep_plan):
     expected = DEPTH - 1 if name == "render_dot" else DEPTH
     assert DEEP_CALLS[name](deep_plan) == expected
+
+
+def test_deep_copies_keep_fingerprints_and_their_caches(deep_plan):
+    fingerprint = deep_plan.fingerprint()
+    copied = deep_plan.copy()
+    assert all(
+        copy._fp_cache == node._fp_cache and copy is not node
+        for copy, node in zip(copied.root.walk(), deep_plan.root.walk())
+    )
+    assert copied.fingerprint() == fingerprint
+    assert UnifiedPlan.from_dict(deep_plan.to_dict()).fingerprint() == fingerprint
+    assert deep_plan.canonicalize().fingerprint() == fingerprint
 
 
 def test_walk_tree_events():

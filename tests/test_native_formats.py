@@ -8,6 +8,11 @@ schemas plus the 22 TPC-H queries at scale 0.1 for each relational dialect,
 and the shared example plans (``tests/conftest.py``) for MongoDB, Neo4j and
 InfluxDB.  The digests were captured before the writers were merged; a
 mismatch means a dialect's native output changed.
+
+The read direction is pinned for TiDB, whose table, text and JSON plans
+nest operators three ways: one golden conversion of a table plan three
+levels deep, and one structure for all three formats over a generator
+corpus.
 """
 
 import hashlib
@@ -16,6 +21,8 @@ import json
 import pytest
 
 from repro.benchmarking import tpch
+from repro.converters import converter_for
+from repro.core.compare import structural_fingerprint
 from repro.dialects import DIALECTS, RELATIONAL_DIALECTS, create_dialect
 from repro.errors import ReproError
 from repro.storage.timeseries_store import Point
@@ -127,3 +134,55 @@ def test_every_dialect_format_pair_is_pinned(digests):
 @pytest.mark.parametrize("pair", sorted(GOLDEN))
 def test_native_output_is_byte_identical(pair, digests):
     assert digests[pair] == GOLDEN[pair]
+
+
+#: A TiDB table plan three levels deep, as the dialect writes it.
+TIDB_TABLE_PLAN = """\
++------------------------+---------+-----------+-------------------+---------------+
+| id                     | estRows | task      | access object     | operator info |
++------------------------+---------+-----------+-------------------+---------------+
+| Projection_8           | 5.1     | root      |                   | b             |
+| └─IndexLookUp_4        | 5.1     | root      |                   |               |
+|   ├─IndexRangeScan_5   | 5.1     | cop[tikv] | table:t, index:ia | (a < 5)       |
+|   └─Selection_7        | 5.1     | cop[tikv] |                   | (b > 2)       |
+|     └─TableRowIDScan_6 | 5.1     | cop[tikv] | table:t           |               |
++------------------------+---------+-----------+-------------------+---------------+"""
+
+
+def _shape(node):
+    return (node.operation.identifier, [_shape(child) for child in node.children])
+
+
+def test_tidb_table_plan_converts_to_its_golden_tree():
+    plan = converter_for("tidb").convert(TIDB_TABLE_PLAN, format="table")
+    assert _shape(plan.root) == (
+        "Project",
+        [("Collect", [("Index Only Scan", []), ("Selection", [("Id Scan", [])])])],
+    )
+    scan = plan.root.children[0].children[0]
+    assert scan.property_value("Operator Info") == "(a < 5)"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tidb_formats_convert_to_one_structure(seed):
+    generator = RandomQueryGenerator(seed)
+    dialect = create_dialect("tidb")
+    for statement in generator.schema_statements():
+        dialect.execute(statement)
+    dialect.analyze_tables()
+    converter = converter_for("tidb")
+    compared = 0
+    for _ in range(60):
+        query = generator.select_query()
+        try:
+            texts = {name: dialect.explain(query, format=name).text
+                     for name in ("table", "text", "json")}
+        except ReproError:
+            continue
+        fingerprints = {
+            name: structural_fingerprint(converter.convert(text, format=name))
+            for name, text in texts.items()
+        }
+        assert len(set(fingerprints.values())) == 1, (query, fingerprints)
+        compared += 1
+    assert compared >= 40

@@ -17,8 +17,9 @@ contract.  This file pins:
 * the bound algebra, runtime violation judging, and the Bound campaign
   oracle (silent on correct engines, loud under injected faults),
 * toggle hygiene: ``reconfigure(optimize_joins=...)`` drops the
-  prepared-query cache, and fuzzing ``optimize_joins`` x executor x cache
-  never changes results (tests/test_engine_config.py checks the campaign).
+  prepared-query cache.  That the toggle never changes the row multiset is
+  fuzzed by the statement matrix (tests/test_statement_matrix.py), and
+  tests/test_engine_config.py checks the campaign.
 """
 
 import json
@@ -34,6 +35,7 @@ from repro.testing import SizeBoundChecker
 from repro.testing.bugs import FaultyDialect, KnownBug, bugs_for
 from repro.testing.campaign import TestingCampaign
 from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
+from statement_matrix import Matrix, cells
 
 
 def _plan(dialect, query):
@@ -47,15 +49,19 @@ def _scan_by_alias(plan, alias):
     raise AssertionError(f"no SeqScan for alias {alias!r} in\n{plan.describe()}")
 
 
-def _chain_dialect(tables=3, rows=5, optimize_joins=True, executor=None):
-    options = {"optimize_joins": optimize_joins}
-    if executor is not None:
-        options["executor"] = executor
-    dialect = create_dialect("postgresql", **options)
+def _chain_setup(tables, rows):
+    statements = []
     for table in range(1, tables + 1):
-        dialect.execute(f"CREATE TABLE t{table} (k INT, v INT)")
         values = ", ".join(f"({value}, {value * table})" for value in range(rows))
-        dialect.execute(f"INSERT INTO t{table} (k, v) VALUES {values}")
+        statements += [f"CREATE TABLE t{table} (k INT, v INT)",
+                       f"INSERT INTO t{table} (k, v) VALUES {values}"]
+    return statements
+
+
+def _chain_dialect(tables=3, rows=5, optimize_joins=True, executor="vectorized"):
+    dialect = create_dialect("postgresql", optimize_joins=optimize_joins, executor=executor)
+    for statement in _chain_setup(tables, rows):
+        dialect.execute(statement)
     dialect.analyze_tables()
     return dialect
 
@@ -411,71 +417,10 @@ class TestToggleHygiene:
         dialect.reconfigure(optimize_joins=True)  # already True: must not clear
         assert len(dialect.prepared) == before
 
-    def test_fuzz_corpus_across_toggle_executor_and_cache(self):
-        """Identical rows across every optimize_joins x executor x cache cell.
-
-        Within one toggle setting, every executor/cache combination must
-        agree byte-for-byte including row order; across toggles, join
-        reordering may permute unordered output, so multisets must agree.
-        """
-        generator = RandomQueryGenerator(seed=3, config=GeneratorConfig(max_tables=2))
-        statements = generator.schema_statements()
-        queries = [generator.select_query() for _ in range(20)]
-        cells = {}
-        for optimize_joins in (True, False):
-            for executor in ("row", "vectorized", "parallel"):
-                for cache in (True, False):
-                    dialect = create_dialect(
-                        "postgresql",
-                        optimize_joins=optimize_joins,
-                        executor=executor,
-                        prepared_cache=cache,
-                    )
-                    for statement in statements:
-                        try:
-                            dialect.execute(statement)
-                        except Exception:
-                            continue
-                    dialect.analyze_tables()
-                    cells[(optimize_joins, executor, cache)] = dialect
-        for query in queries:
-            outcomes = {}
-            for key, dialect in cells.items():
-                try:
-                    outcomes[key] = ("ok", dialect.execute(query))
-                except Exception as error:
-                    outcomes[key] = ("error", type(error).__name__)
-            for optimize_joins in (True, False):
-                setting = [
-                    outcome
-                    for key, outcome in outcomes.items()
-                    if key[0] is optimize_joins
-                ]
-                first = setting[0]
-                assert all(outcome == first for outcome in setting), query
-            optimized, as_written = (
-                outcomes[(True, "row", True)],
-                outcomes[(False, "row", True)],
-            )
-            assert optimized[0] == as_written[0], query
-            if optimized[0] == "ok":
-                assert sorted(repr(row) for row in optimized[1]) == sorted(
-                    repr(row) for row in as_written[1]
-                ), query
-
     def test_analyze_counts_agree_between_executors_per_setting(self):
-        query = TestJoinOrdering.CHAIN_QUERY
-        for optimize_joins in (True, False):
-            plans = []
-            for executor in ("row", "vectorized"):
-                dialect = _chain_dialect(
-                    tables=3, rows=5, optimize_joins=optimize_joins, executor=executor
-                )
-                plan = _plan(dialect, query)
-                dialect.executor.execute(reset_runtime(plan), analyze=True)
-                plans.append(plan)
-            row_plan, vec_plan = plans
-            for row_node, vec_node in zip(row_plan.walk(), vec_plan.walk()):
-                assert row_node.kind is vec_node.kind
-                assert row_node.runtime.actual_rows == vec_node.runtime.actual_rows
-                assert row_node.runtime.loops == vec_node.runtime.loops
+        matrix = Matrix(cells(*(
+            (executor, True, True, optimize_joins, True)
+            for optimize_joins in (True, False) for executor in ("row", "vectorized")
+        )), _chain_setup(3, 5))
+        matrix.analyze()
+        matrix.check(TestJoinOrdering.CHAIN_QUERY, plan=True)

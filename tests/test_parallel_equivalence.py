@@ -58,14 +58,6 @@ def _assert_identical(serial, merged):
     assert merged.cert_pairs_checked == serial.cert_pairs_checked
 
 
-@pytest.fixture
-def restore_numpy():
-    """Restore the array-kernel toggle after a test flips it."""
-    before = arrays.numpy_enabled()
-    yield
-    arrays.set_numpy_enabled(before)
-
-
 class TestShardPartitioning:
     def test_round_robin_covers_every_index_once(self):
         for total in range(0, 9):
@@ -185,7 +177,7 @@ class TestShardedEquivalenceMatrix:
     @pytest.mark.parametrize("use_numpy", [False, True])
     @pytest.mark.parametrize("prepared_cache", [True, False])
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matrix(self, shards, prepared_cache, use_numpy, restore_numpy):
+    def test_matrix(self, shards, prepared_cache, use_numpy):
         if use_numpy and not arrays.numpy_available():
             pytest.skip("numpy not installed")
         arrays.set_numpy_enabled(use_numpy)

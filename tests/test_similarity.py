@@ -60,15 +60,6 @@ def build_plan(dbms="postgresql", query="SELECT 1", scans=1):
     )
 
 
-@pytest.fixture
-def numpy_toggle():
-    """Restore the array-kernel toggle after tests that flip it."""
-    enabled = arrays.numpy_enabled()
-    yield
-    if arrays.numpy_available():
-        arrays.set_numpy_enabled(enabled)
-
-
 # ---------------------------------------------------------------- embedding
 
 
@@ -220,7 +211,7 @@ class TestPlanIndex:
     @pytest.mark.skipif(
         not arrays.numpy_available(), reason="requires numpy to compare paths"
     )
-    def test_numpy_and_list_paths_bit_identical(self, numpy_toggle):
+    def test_numpy_and_list_paths_bit_identical(self):
         # Above the dense threshold, numpy answers queries; the pure-list
         # fallback must return the *same bits*, not merely close floats.
         index = PlanIndex()
@@ -307,11 +298,12 @@ def _report(bug_id, plan=None, dbms="mysql"):
     )
 
 
-def _nested(depth):
-    """A plan-node payload *depth* scans deep."""
-    node = {"operation": {"category": "Producer", "identifier": "Full Table Scan"}}
+def _nested(depth, category="Producer"):
+    """A plan-node payload *depth* scans deep; the innermost is of *category*."""
+    scan = {"category": "Producer", "identifier": "Full Table Scan"}
+    node = {"operation": dict(scan, category=category)}
     for _ in range(depth):
-        node = {"operation": dict(node["operation"]), "children": [node]}
+        node = {"operation": dict(scan), "children": [node]}
     return node
 
 
@@ -353,10 +345,10 @@ class TestClusterReports:
             lambda tree: tree.update(properties=5),
             lambda tree: tree.update(operation=None),
             lambda tree: tree["operation"].pop("identifier"),
-            lambda tree: tree.update(children=[_nested(5000)]),
+            lambda tree: tree.update(children=[_nested(5000, category="Bogus")]),
         ],
         ids=["unknown-category", "children-type", "properties-type",
-             "operation-none", "missing-identifier", "too-deep"],
+             "operation-none", "missing-identifier", "deep-unknown-category"],
     )
     def test_malformed_trigger_plan_is_typed_and_skipped(self, damage):
         plan = build_plan()

@@ -50,15 +50,6 @@ _OPERATIONS = st.one_of(
 )
 
 
-@pytest.fixture(scope="module", autouse=True)
-def numpy_toggle():
-    """Every operation sets the switch itself; put it back afterwards."""
-    enabled = arrays.numpy_enabled()
-    yield
-    if arrays.numpy_available():
-        arrays.set_numpy_enabled(enabled)
-
-
 def expected_query(model, probe, k):
     ranked = sorted(
         (cosine_distance(vector, probe), fingerprint)

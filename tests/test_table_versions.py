@@ -14,9 +14,9 @@ identity (no timings):
   bypasses the ``Database`` still yields a fresh snapshot; a statement that
   fails half-way still invalidates.
 * **Invisible** — random interleavings of writes, ``analyze``, DDL, reads
-  and EXPLAIN run in lockstep on a cached and an uncached dialect agree on
-  rows, row order, rejections and EXPLAIN text after every step, for both
-  executors with the array kernels on and off.
+  and EXPLAIN run in lockstep (tests/statement_matrix.py) on the row, list
+  and numpy engines, each with the cache on and off, agree on rows, row
+  order, rejections and their messages and EXPLAIN text after every step.
 """
 
 import random
@@ -24,19 +24,12 @@ import random
 import pytest
 
 from repro.dialects import create_dialect
-from repro.engine import arrays
 from repro.service import QueryService, ServiceClient, TenantRegistry
 from repro.dialects.prepared import ParsedScript
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser.parser import parse_script
 from repro.testing.generator import RandomQueryGenerator
-
-
-@pytest.fixture(autouse=True)
-def _restore_numpy_state():
-    saved = arrays.numpy_enabled()
-    yield
-    arrays.set_numpy_enabled(saved)
+from statement_matrix import Matrix, attempt, cells, kernel_cells, observe_rows
 
 
 def _dialect(**options):
@@ -379,29 +372,22 @@ WRITES = (
 )
 
 
-def _attempt(call):
-    """``("ok", value)`` or ``("error", type name, message)``."""
-    try:
-        return ("ok", call())
-    except Exception as exc:  # noqa: BLE001 - rejections are compared, not hidden
-        return ("error", type(exc).__name__, str(exc))
+#: fa crosses both the row-path and the typed-array thresholds.
+FUZZ_SETUP = [
+    "CREATE TABLE fa (k INT PRIMARY KEY, v INT)",
+    "CREATE TABLE fb (k INT, v INT)",
+    "CREATE TABLE fc (k INT, v INT)",
+] + [
+    f"INSERT INTO {name} VALUES " + ", ".join(f"({i}, {i % 7})" for i in range(rows))
+    for name, rows in (("fa", 96), ("fb", 40), ("fc", 12))
+]
 
 
-def _fuzz_dialect(executor, prepared_cache):
-    dialect = create_dialect("postgresql", executor=executor, prepared_cache=prepared_cache)
-    dialect.execute("CREATE TABLE fa (k INT PRIMARY KEY, v INT)")
-    dialect.execute("CREATE TABLE fb (k INT, v INT)")
-    dialect.execute("CREATE TABLE fc (k INT, v INT)")
-    # fa crosses both the row-path and the typed-array thresholds.
-    for name, rows in (("fa", 96), ("fb", 40), ("fc", 12)):
-        dialect.execute(
-            f"INSERT INTO {name} VALUES " + ", ".join(f"({i}, {i % 7})" for i in range(rows))
-        )
-    return dialect
-
-
-def _kernel_modes():
-    return [False, True] if arrays.numpy_available() else [False]
+#: Every engine (row, list and numpy vectorized) with the cache on and off.
+LOCKSTEP_CELLS = [
+    cell for cache in (True, False)
+    for cell in kernel_cells("row", "vectorized", prepared_cache=cache)
+]
 
 
 class TestCachedUncachedLockstep:
@@ -426,61 +412,60 @@ class TestCachedUncachedLockstep:
 
     def _apply(self, dialect, kind, payload):
         if kind == "execute":
-            return _attempt(lambda: dialect.execute(payload))
+            return observe_rows(lambda: dialect.execute(payload))
         if kind == "analyze":
-            return _attempt(lambda: dialect.database.analyze(payload))
-        return _attempt(lambda: dialect.explain(payload, format="json").text)
+            return observe_rows(lambda: dialect.database.analyze(payload) or [])
+        return {"explain": attempt(lambda: dialect.explain(payload, format="json").text)}
 
-    @pytest.mark.parametrize("use_numpy", _kernel_modes())
-    @pytest.mark.parametrize("executor", ["row", "vectorized"])
     @pytest.mark.parametrize("seed", [17])
-    def test_interleavings_agree_after_every_step(self, seed, executor, use_numpy):
-        arrays.set_numpy_enabled(use_numpy)
-        cached = _fuzz_dialect(executor, True)
-        uncached = _fuzz_dialect(executor, False)
+    def test_interleavings_agree_after_every_step(self, seed):
+        matrix = Matrix(LOCKSTEP_CELLS, FUZZ_SETUP)
         rng = random.Random(seed)
         kinds = set()
         for serial in range(self.STEPS):
             kind, payload = self._step(rng, serial)
-            expected = self._apply(uncached, kind, payload)
-            assert self._apply(cached, kind, payload) == expected, (serial, kind, payload)
-            kinds.add((kind, expected[0]))
+            observed = matrix.each(lambda dialect: self._apply(dialect, kind, payload))
+            matrix.agree(payload, observed)
+            first = observed[0]
+            status = first["explain"][0] if kind == "explain" else ("error" if first["error"] else "ok")
+            kinds.add((kind, status))
             # The estimates, costs and bound-capped rows of a fixed probe
             # per table: a stale plan anywhere shows up at the next step.
             for table in TABLES:
                 probe = f"SELECT k FROM {table} WHERE v IN (SELECT v FROM fc) ORDER BY k"
-                assert (
-                    cached.explain(probe, format="json").text
-                    == uncached.explain(probe, format="json").text
-                ), (serial, kind, payload, table)
-        assert len(uncached.prepared) == 0
+                matrix.agree(probe, matrix.each(
+                    lambda dialect: {"explain": dialect.explain(probe, format="json").text}
+                ))
         # The run exercised what it claims: every kind of step, successes
-        # and rejections, and a cache that actually served plans.
+        # and rejections, and caches that actually served plans.
         assert {("execute", "ok"), ("execute", "error"), ("explain", "ok"), ("analyze", "ok")} <= kinds
-        stats = cached.prepared.plan_stats
-        assert stats.hits > stats.misses
+        for cell, dialect in zip(matrix.cells, matrix.dialects):
+            stats = dialect.prepared.plan_stats
+            if cell.config.prepared_cache:
+                assert stats.hits > stats.misses, cell
+            else:
+                assert len(dialect.prepared) == 0, cell
 
     def test_proven_bounds_hold_after_every_write(self):
         # The size bounds come from actual row counts, which a write moves
         # even when it fails half-way and no auto-analyze follows.
-        cached = _fuzz_dialect("vectorized", True)
-        uncached = _fuzz_dialect("vectorized", False)
+        matrix = Matrix(cells(("vectorized", True, True, True, True),
+                              ("vectorized", False, True, True, True)), FUZZ_SETUP)
         rng = random.Random(5)
         outcomes = set()
         for serial in range(80):
             t, u, w = rng.sample(TABLES, 3)
             fill = dict(t=t, u=u, w=w, n=rng.randrange(8), k=2000 + 2 * serial)
             write = rng.choice(WRITES).format(**fill)
-            expected = _attempt(lambda: uncached.execute(write))
-            assert _attempt(lambda: cached.execute(write)) == expected, write
-            outcomes.add(expected[0])
+            outcomes.add(matrix.check(write)["error"] is None)
             reads = [f"SELECT k FROM {table}" for table in TABLES]
             reads.append(rng.choice(READS[:-1]).format(**fill))
             for read in reads:
-                for dialect in (cached, uncached):
-                    output = dialect.explain(read, format="json", analyze=True)
-                    assert output.bound_violations == (), (serial, write, read)
-        assert outcomes == {"ok", "error"}
+                for violations in matrix.each(
+                    lambda dialect: dialect.explain(read, format="json", analyze=True).bound_violations
+                ):
+                    assert violations == (), (serial, write, read)
+        assert outcomes == {True, False}
 
 
 class TestServicePinnedReader:

@@ -4,24 +4,23 @@ The row executor is the correctness oracle: the vectorized executor must be
 observationally identical — same result rows, same row order, same
 ``EXPLAIN ANALYZE`` runtime row counts, same unified-plan fingerprints, and
 (at campaign level, tests/test_engine_config.py) byte-identical coverage
-sets and Table V reports.  This module fuzzes that equivalence over the
-generator corpus, interleaving QPG-style database mutations so the
-executors are exercised against evolving schemas, data, and indexes.
+sets and Table V reports.  The statement matrix
+(tests/test_statement_matrix.py) fuzzes that equivalence over the
+generator corpus with QPG-style mutations in between; this module keeps
+the batch building blocks and the hand-picked traps the corpus cannot
+reach.
 
 Since PR 6 the vectorized executor has two column representations — plain
-lists and NumPy-backed :class:`~repro.engine.arrays.ArrayColumn` — so the
-fuzz matrix is (row, list-vectorized, numpy-vectorized) × (prepared cache
-on, off); the numpy axis drops out when numpy is not importable.
+lists and NumPy-backed :class:`~repro.engine.arrays.ArrayColumn` — a
+kernel axis of the statement matrix (tests/statement_matrix.py) that drops
+out when numpy is not importable.
 """
 
 import pytest
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Column, DataType, TableSchema
-from repro.converters import ConverterHub
-from repro.core.compare import structural_fingerprint
 from repro.dialects import create_dialect
-from repro.dialects.prepared import reset_runtime
 from repro.engine import Executor, VectorizedExecutor, arrays, create_executor
 from repro.engine.expressions import (
     BatchContext,
@@ -34,127 +33,7 @@ from repro.engine.expressions import (
 from repro.engine.vectorized import RowBatch, batches_from_rows, rows_from_batches
 from repro.sqlparser.parser import parse_sql
 from repro.storage.table import HeapTable
-from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
-
-
-def _run(dialect, statement):
-    """Execute through the dialect, normalising failures for comparison."""
-    try:
-        return ("ok", dialect.execute(statement))
-    except Exception as exc:
-        return ("error", type(exc).__name__)
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_state():
-    """Tests toggle the numpy kernels; always restore the ambient state."""
-    saved = arrays.numpy_enabled()
-    yield
-    arrays.set_numpy_enabled(saved)
-
-
-def _kernel_modes():
-    """The vectorized column representations available in this job."""
-    modes = [("list", False)]
-    if arrays.numpy_available():
-        modes.append(("numpy", True))
-    return modes
-
-
-def _fuzz_dialects(seed, prepared_cache=True):
-    """A row-oracle dialect plus one vectorized dialect per kernel mode,
-    all over identical generated databases."""
-
-    def build(kind):
-        return create_dialect("postgresql", executor=kind, prepared_cache=prepared_cache)
-
-    row_dialect = build("row")
-    vec_dialects = [
-        (label, build("vectorized"), use_numpy)
-        for label, use_numpy in _kernel_modes()
-    ]
-    generator = RandomQueryGenerator(seed=seed, config=GeneratorConfig(max_tables=2))
-    for statement in generator.schema_statements():
-        expected = _run(row_dialect, statement)
-        for label, dialect, use_numpy in vec_dialects:
-            arrays.set_numpy_enabled(use_numpy)
-            assert _run(dialect, statement) == expected, (label, statement)
-    row_dialect.analyze_tables()
-    for _, dialect, _ in vec_dialects:
-        dialect.analyze_tables()
-    return row_dialect, vec_dialects, generator
-
-
-class TestGeneratorCorpusFuzz:
-    """Every generated query through every engine, states kept in lockstep."""
-
-    SEEDS = (1, 2, 3, 4, 5, 7)
-    QUERIES_PER_SEED = 60
-    MUTATE_EVERY = 15
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize(
-        "prepared_cache", (True, False), ids=["cache-on", "cache-off"]
-    )
-    def test_results_and_plans_identical(self, seed, prepared_cache):
-        row_dialect, vec_dialects, generator = _fuzz_dialects(seed, prepared_cache)
-        hub = ConverterHub()
-        compared = 0
-        for position in range(self.QUERIES_PER_SEED):
-            query = generator.select_query()
-            row_result = _run(row_dialect, query)
-            for label, vec_dialect, use_numpy in vec_dialects:
-                arrays.set_numpy_enabled(use_numpy)
-                # Identical rows in identical order — or the same rejection.
-                assert _run(vec_dialect, query) == row_result, (label, query)
-                if row_result[0] == "ok" and position % 5 == 0:
-                    self._compare_analyze(row_dialect, vec_dialect, query)
-                    self._compare_fingerprints(row_dialect, vec_dialect, hub, query)
-            if row_result[0] == "ok":
-                compared += 1
-            if position and position % self.MUTATE_EVERY == 0:
-                mutation = generator.mutation_statement()
-                expected = _run(row_dialect, mutation)
-                row_dialect.analyze_tables()
-                for label, vec_dialect, use_numpy in vec_dialects:
-                    arrays.set_numpy_enabled(use_numpy)
-                    assert _run(vec_dialect, mutation) == expected, (label, mutation)
-                    vec_dialect.analyze_tables()
-        # The corpus must actually exercise the engine, not only rejects.
-        assert compared >= self.QUERIES_PER_SEED // 3
-
-    def _compare_analyze(self, row_dialect, vec_dialect, query):
-        """EXPLAIN ANALYZE runtime row counts must match node for node."""
-        statement = parse_sql(query)[0]
-        row_plan = row_dialect.planner.plan_statement(statement)
-        vec_plan = vec_dialect.planner.plan_statement(statement)
-        row_rows = row_dialect.executor.execute(reset_runtime(row_plan), analyze=True)
-        vec_rows = vec_dialect.executor.execute(reset_runtime(vec_plan), analyze=True)
-        assert row_rows == vec_rows, query
-        row_nodes = list(row_plan.walk())
-        vec_nodes = list(vec_plan.walk())
-        assert len(row_nodes) == len(vec_nodes), query
-        for row_node, vec_node in zip(row_nodes, vec_nodes):
-            assert row_node.kind is vec_node.kind
-            assert row_node.runtime.executed == vec_node.runtime.executed, query
-            assert row_node.runtime.actual_rows == vec_node.runtime.actual_rows, (
-                query,
-                row_node.kind,
-            )
-            assert row_node.runtime.loops == vec_node.runtime.loops, (
-                query,
-                row_node.kind,
-            )
-
-    def _compare_fingerprints(self, row_dialect, vec_dialect, hub, query):
-        """Serialized plans — and their unified fingerprints — must agree."""
-        row_output = row_dialect.explain(query, format="json")
-        vec_output = vec_dialect.explain(query, format="json")
-        assert row_output.text == vec_output.text, query
-        row_plan = hub.convert("postgresql", row_output.text, "json", use_cache=False)
-        vec_plan = hub.convert("postgresql", vec_output.text, "json", use_cache=False)
-        assert row_plan.fingerprint() == vec_plan.fingerprint()
-        assert structural_fingerprint(row_plan) == structural_fingerprint(vec_plan)
+from statement_matrix import Matrix, kernel_cells
 
 
 class TestBatchExpressionSemantics:
@@ -325,18 +204,6 @@ class TestColumnarSnapshots:
 class TestEdgeCaseParity:
     """Hand-picked divergence candidates the generator corpus cannot reach."""
 
-    def _pair(self):
-        row_dialect = create_dialect("postgresql")
-        row_dialect.reconfigure(executor="row")
-        vec_dialect = create_dialect("postgresql")
-        for statement in (
-            "CREATE TABLE t (a INT, b INT)",
-            "INSERT INTO t (a, b) VALUES (1, 10), (2, 20), (3, 30), (4, NULL)",
-        ):
-            row_dialect.execute(statement)
-            vec_dialect.execute(statement)
-        return row_dialect, vec_dialect
-
     @pytest.mark.parametrize(
         "query",
         [
@@ -351,8 +218,10 @@ class TestEdgeCaseParity:
         ],
     )
     def test_query_parity(self, query):
-        row_dialect, vec_dialect = self._pair()
-        assert _run(row_dialect, query) == _run(vec_dialect, query)
+        Matrix(kernel_cells("row", "vectorized"), [
+            "CREATE TABLE t (a INT, b INT)",
+            "INSERT INTO t (a, b) VALUES (1, 10), (2, 20), (3, 30), (4, NULL)",
+        ]).check(query)
 
 
 class TestArrayPathParity:
@@ -360,65 +229,28 @@ class TestArrayPathParity:
 
     Tables here exceed both ``ROW_PATH_THRESHOLD`` (statement routing) and
     ``ARRAY_MIN_ROWS`` (snapshot upgrade), so with numpy enabled these
-    queries genuinely run on :class:`ArrayColumn` kernels — the traps the
-    ISSUE calls out (NULL comparisons, NaN values, mixed-type columns,
-    integers beyond 2**53) must be decided by the fallback rule, never by
-    silent numpy coercion.
+    queries genuinely run on :class:`ArrayColumn` kernels — the numeric
+    traps (NULL comparisons, NaN values, mixed-type columns, integers
+    beyond 2**53) must be decided by the fallback rule, never by
+    silent numpy coercion.  Rows compare by ``repr``, so NaN equals NaN.
     """
 
     ROWS = 3 * arrays.ARRAY_MIN_ROWS
 
-    def _engines(self, fill):
-        """A row dialect and per-kernel-mode vectorized dialects, loaded
-        with *fill(i)* rows via the storage API (bypassing literal parsing
-        so NaN / huge ints / mixed types reach the columns verbatim)."""
-        dialects = []
-        for kind in ["row"] + ["vectorized"] * len(_kernel_modes()):
-            dialect = create_dialect("postgresql")
-            dialect.reconfigure(executor=kind)
-            dialect.execute("CREATE TABLE t (a INT, b INT, c REAL)")
-            dialect.database.insert_rows(
-                "t", [fill(i) for i in range(self.ROWS)]
-            )
-            dialect.analyze_tables()
-            dialects.append(dialect)
-        row_dialect = dialects[0]
-        modes = [
-            (label, dialect, use_numpy)
-            for (label, use_numpy), dialect in zip(_kernel_modes(), dialects[1:])
-        ]
-        return row_dialect, modes
-
-    @staticmethod
-    def _normalise(outcome):
-        """Make NaN comparable: ``nan != nan`` would fail dict equality even
-        when both engines produced it in the same cell."""
-        status, payload = outcome
-        if status != "ok":
-            return outcome
-        return (
-            status,
-            [
-                {
-                    key: "NaN"
-                    if isinstance(value, float) and value != value
-                    else value
-                    for key, value in row.items()
-                }
-                for row in payload
-            ],
-        )
-
     def _assert_parity(self, fill, queries):
-        row_dialect, modes = self._engines(fill)
+        """Row, list and numpy engines over *fill(i)* rows, loaded via the
+        storage API (bypassing literal parsing so NaN / huge ints / mixed
+        types reach the columns verbatim)."""
+
+        def load(dialect):
+            dialect.database.insert_rows("t", [fill(i) for i in range(self.ROWS)])
+            dialect.analyze_tables()
+
+        matrix = Matrix(
+            kernel_cells("row", "vectorized"), ["CREATE TABLE t (a INT, b INT, c REAL)"], load
+        )
         for query in queries:
-            expected = self._normalise(_run(row_dialect, query))
-            for label, dialect, use_numpy in modes:
-                arrays.set_numpy_enabled(use_numpy)
-                assert self._normalise(_run(dialect, query)) == expected, (
-                    label,
-                    query,
-                )
+            matrix.check(query)
 
     def test_null_in_comparisons(self):
         def fill(i):
