@@ -235,26 +235,28 @@ def document_tree(
     return root
 
 
-def read_ascii_table(serialized: str) -> List[Dict[str, str]]:
+def read_ascii_table(serialized: str, indented: Tuple[str, ...] = ()) -> List[Dict[str, str]]:
     """The one reader of ASCII-table plans (MySQL, SQL Server, TiDB).
 
     Only ``|``-delimited lines count.  The first names the columns; every
-    later one with as many cells becomes a dict of column -> cell.  A cell
-    loses its padding (one space on the left, all on the right), not its
-    indentation: TiDB's ``id`` column nests operators by it.
+    later one with as many cells becomes a dict of column -> stripped cell.
+    A column named in *indented* keeps its indentation and loses only one
+    space of padding on the left: TiDB's ``id`` column nests operators by it.
     """
     lines = [line.strip() for line in serialized.splitlines() if line.strip().startswith("|")]
     if not lines:
         return []
     header = [cell.strip() for cell in lines[0].strip("|").split("|")]
+    kept = [(position, column) for position, column in enumerate(header) if column in indented]
     rows = []
     for line in lines[1:]:
-        cells = [
-            (cell[1:] if cell.startswith(" ") else cell).rstrip()
-            for cell in line.strip("|").split("|")
-        ]
+        cells = line.strip("|").split("|")
         if len(cells) == len(header):
-            rows.append(dict(zip(header, cells)))
+            row = dict(zip(header, [cell.strip() for cell in cells]))
+            for position, column in kept:
+                cell = cells[position]
+                row[column] = (cell[1:] if cell.startswith(" ") else cell).rstrip()
+            rows.append(row)
     return rows
 
 

@@ -40,7 +40,8 @@ class TiDBConverter(PlanConverter):
             return self._parse_json(serialized)
         if format == "table":
             # The id column carries the tree; the other columns are properties.
-            return self._parse_tree((row["id"], row) for row in read_ascii_table(serialized))
+            rows = read_ascii_table(serialized, indented=("id",))
+            return self._parse_tree((row["id"], row) for row in rows)
         return self._parse_tree((line, {}) for line in serialized.splitlines())
 
     def _strip_suffix(self, name: str) -> Tuple[str, str]:

@@ -10,7 +10,8 @@ the campaign-level one.
   type name and message.
 * :data:`INVARIANT_UNDER` declares the observables each axis leaves
   unchanged; :meth:`Matrix.agree` compares every cell with every earlier
-  one on those invariant under every axis the two differ in.
+  one on those invariant under every axis the two differ in, and names
+  every disagreement it finds.
 
 A new setting or oracle is a new axis with declared invariants, never a new
 copy of the lockstep loop.
@@ -36,9 +37,9 @@ AXES = {
     "numpy": (True, False) if arrays.numpy_available() else (False,),
 }
 
-#: Read off one execution: ordered rows, the multiset of rows as column ->
-#: value mappings, the error type name and its message (``None`` where they
-#: do not apply).
+#: Read off one execution: ordered rows, the multiset of rows (each row's
+#: columns in order), the error type name and its message (``None`` where
+#: they do not apply).
 EXECUTION = ("rows", "row_multiset", "error", "message")
 #: Read off the plan: EXPLAIN (FORMAT JSON) text, ``EXPLAIN ANALYZE`` rows
 #: plus (kind, executed, actual_rows, loops) per node, and the unified
@@ -49,8 +50,7 @@ OBSERVABLES = EXECUTION + PLAN
 #: The observables each axis leaves unchanged.  The executor, the prepared
 #: cache and the kernels are invisible everywhere; decorrelation changes
 #: plans but never row order or rejections; join optimisation may also
-#: reorder rows a query does not order, and the columns ``SELECT *`` lists
-#: follow the join order it picks.
+#: reorder rows a query does not order, but not the columns of a row.
 INVARIANT_UNDER = {
     "executor": set(OBSERVABLES),
     "prepared_cache": set(OBSERVABLES),
@@ -138,8 +138,7 @@ def observe_rows(call):
     status, *payload = attempt(call)
     if status == "ok":
         rows = freeze(payload[0])
-        multiset = sorted(tuple(sorted(row)) for row in rows)
-        return {"rows": rows, "row_multiset": multiset, "error": None, "message": None}
+        return {"rows": rows, "row_multiset": sorted(rows), "error": None, "message": None}
     return {"rows": None, "row_multiset": None, "error": payload[0], "message": payload[1]}
 
 
@@ -184,35 +183,47 @@ class Matrix:
     def analyze(self):
         self.each(lambda dialect: dialect.analyze_tables())
 
-    def agree(self, statement, observed):
-        """Assert every cell agrees with every earlier cell on *observed*
-        (one observable dict per cell) wherever the axes they differ in
-        leave an observable unchanged."""
+    def mismatches(self, statement, observed):
+        """``(observable, cell index, earlier cell index, changed axes)`` for
+        every observable on which a cell disagrees with an earlier one while
+        the axes the two differ in leave it unchanged (*observed* holds one
+        observable dict per cell)."""
+        found = []
         for index, (cell, mine) in enumerate(zip(self.cells, observed)):
-            for other, theirs in zip(self.cells[:index], observed):
+            for earlier, (other, theirs) in enumerate(zip(self.cells[:index], observed)):
                 axes = [axis for axis in AXES if cell.value(axis) != other.value(axis)]
                 names = invariant(axes, statement) & set(mine)
-                for name in (name for name in OBSERVABLES if name in names):
-                    assert mine[name] == theirs.get(name), (
-                        f"{name} of {statement!r}: {cell} differs from {other} "
-                        f"(changed: {axes})"
-                    )
+                found.extend(
+                    (name, index, earlier, axes) for name in OBSERVABLES
+                    if name in names and mine[name] != theirs.get(name)
+                )
+        return found
+
+    def agree(self, statement, observed):
+        """Assert :meth:`mismatches` finds none, naming every one it finds."""
+        found = self.mismatches(statement, observed)
+        assert not found, "\n".join(
+            f"{name} of {statement!r}: {self.cells[index]} differs from "
+            f"{self.cells[earlier]} (changed: {axes})"
+            for name, index, earlier, axes in found
+        )
+
+    @staticmethod
+    def observe(dialect, statement, plan=False, repeat=False):
+        """The observables of *statement* in *dialect*: *plan* adds the plan
+        observables of a statement that ran, *repeat* runs it again when
+        the cache is on (the repeat executes the cached plan tree)."""
+        observation = observe_rows(lambda: dialect.execute(statement))
+        if repeat and dialect.prepared.enabled:
+            assert observe_rows(lambda: dialect.execute(statement)) == observation, statement
+        if plan and observation["error"] is None:
+            observation.update(observe_plan(dialect, statement))
+            assert observation["analyze"][0] == observation["rows"], statement
+        return observation
 
     def check(self, statement, plan=False, repeat=False):
-        """Execute *statement* in every cell and compare; *plan* adds the
-        plan observables of a statement that ran, *repeat* runs it again
-        on every cache-on cell (the repeat executes the cached plan tree).
-        Returns the first cell's observables."""
-
-        def observe(dialect):
-            observation = observe_rows(lambda: dialect.execute(statement))
-            if repeat and dialect.prepared.enabled:
-                assert observe_rows(lambda: dialect.execute(statement)) == observation, statement
-            if plan and observation["error"] is None:
-                observation.update(observe_plan(dialect, statement))
-                assert observation["analyze"][0] == observation["rows"], statement
-            return observation
-
-        observed = self.each(observe)
+        """Observe *statement* in every cell and compare; returns the first
+        cell's observables."""
+        observed = self.each(lambda dialect: self.observe(dialect, statement, plan, repeat))
         self.agree(statement, observed)
         return observed[0]

@@ -17,7 +17,7 @@ from repro.catalog.schema import Column, DataType, TableSchema
 from repro.engine import arrays
 from repro.engine.expressions import _arithmetic, _compare, _to_bool
 from repro.storage.table import HeapTable
-from statement_matrix import Matrix, kernel_cells
+from statement_matrix import Matrix, kernel_cells, observe_rows
 
 np = pytest.importorskip("numpy")
 
@@ -523,8 +523,9 @@ class TestHashJoinProbeParity:
     def _join_rows(matrix, join="JOIN"):
         """The oracle's rows of the join, once every engine agreed on them."""
         query = f"SELECT lt.v, rt.w FROM lt {join} rt ON lt.k = rt.k ORDER BY lt.v, rt.w"
-        assert matrix.check(query)["error"] is None
-        return matrix.dialects[0].execute(query)
+        results = matrix.each(lambda dialect: dialect.execute(query))
+        matrix.agree(query, [observe_rows(lambda rows=rows: rows) for rows in results])
+        return results[0]
 
     @staticmethod
     def _snapshot(matrix, table):

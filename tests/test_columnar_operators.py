@@ -66,11 +66,21 @@ class Engines(Matrix):
         if operator is not None:
             plan = self.dialects[0].planner.plan_statement(parse_sql(query)[0])
             assert any(node.kind is operator for node in plan.walk()), query
-        for batch_size in BATCH_SIZES:
-            for dialect in self.dialects[1:]:
-                dialect.executor.batch_size = batch_size
-            observed = self.check(query, plan=True)
+        self._batch(BATCH_SIZES[0])
+        observed = self.check(query, plan=True)
+        # Only the vectorized cells read the batch size.
+        for batch_size in BATCH_SIZES[1:]:
+            self._batch(batch_size)
+            for cell, dialect in zip(self.cells[1:], self.dialects[1:]):
+                arrays.set_numpy_enabled(cell.numpy)
+                assert self.observe(dialect, query, plan=True) == observed, (
+                    f"{query!r} at batch size {batch_size}: {cell} differs from row"
+                )
         return observed["rows"] if observed["error"] is None else ["error", observed["error"]]
+
+    def _batch(self, batch_size):
+        for dialect in self.dialects[1:]:
+            dialect.executor.batch_size = batch_size
 
 
 # ---------------------------------------------------------------------------

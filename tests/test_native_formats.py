@@ -186,3 +186,23 @@ def test_tidb_formats_convert_to_one_structure(seed):
         assert len(set(fingerprints.values())) == 1, (query, fingerprints)
         compared += 1
     assert compared >= 40
+
+
+def _right_aligned(table):
+    """*table* with every cell right-aligned, each column padded differently."""
+    return "\n".join(
+        "|" + "|".join(cell.strip().rjust(len(cell) + index) + " "
+                       for index, cell in enumerate(line.strip("|").split("|"))) + "|"
+        if line.startswith("|") else line
+        for line in table.splitlines()
+    )
+
+
+@pytest.mark.parametrize("dbms", ["mysql", "sqlserver"])
+def test_right_aligned_table_plans_convert_like_left_aligned(dbms, dialect_format_example_texts):
+    # A client that right-aligns numbers pads MySQL's id / rows / filtered
+    # and SQL Server's NodeId / Parent keys: their cells must still strip.
+    text = dialect_format_example_texts[(dbms, "table")]
+    converter = converter_for(dbms)
+    right = converter.convert(_right_aligned(text), format="table")
+    assert right.fingerprint() == converter.convert(text, format="table").fingerprint()

@@ -363,6 +363,19 @@ class TestClusterReports:
         assert sorted(len(cluster) for cluster in clusters) == [1, 2]
         assert [cluster.members for cluster in clusters if len(cluster) == 1] == [[broken]]
 
+    def test_plans_too_deep_to_rerank_are_skipped(self):
+        # Two 5 000-level plans that differ only at the leaf read and embed,
+        # but the edit-distance rerank between them cannot be afforded.
+        plan = build_plan()
+        deep = [_report(leaf, plan) for leaf in ("Producer", "Folder")]
+        for report in deep:
+            report.trigger_plan = dict(plan.to_dict(), tree=_nested(5000, category=report.bug_id))
+        assert [UnifiedPlan.from_dict(report.trigger_plan).depth() for report in deep] == [5001] * 2
+        clusters = cluster_reports([_report("1", plan), *deep, _report("2", plan)])
+        assert [cluster.members for cluster in clusters] == [
+            [clusters[0].members[0], clusters[0].members[1]], [deep[0]], [deep[1]]
+        ]
+
     def test_exemplar_is_edit_distance_medoid(self):
         hub = build_plan(scans=2)  # between scans=1 and scans=3
         a = build_plan(scans=1)

@@ -6,7 +6,8 @@ databases mutated and re-analyzed in lockstep, and every pair of cells is
 compared on the observables the axes they differ in leave unchanged
 (tests/statement_matrix.py).  Every fifth query also compares the plan
 observables: EXPLAIN text, ``EXPLAIN ANALYZE`` counts node for node and the
-unified fingerprints.
+unified fingerprints.  Seeds 5 and 7 are strict xfails on one known defect
+(``StarColumnOrder``); any other mismatch still fails them.
 """
 
 from collections import Counter
@@ -67,8 +68,27 @@ class TestCells:
         assert len(settings) == 4 and min(settings.values()) >= 2, settings
 
 
+class StarColumnOrder(AssertionError):
+    """With optimize_joins on, ``SELECT *`` over joins the planner reorders
+    lists its columns in join order, not FROM order (CHANGES.md, FOUND)."""
+
+
+def _only_star_column_order(statement, observed, found):
+    """Whether every mismatch *found* is :class:`StarColumnOrder`'s: row
+    multisets across optimize_joins that differ only in column order."""
+    unordered = [sorted(tuple(sorted(row)) for row in one["row_multiset"] or ()) for one in observed]
+    return statement.startswith("SELECT *") and all(
+        name == "row_multiset" and "optimize_joins" in axes and unordered[index] == unordered[earlier]
+        for name, index, earlier, axes in found
+    )
+
+
 class TestGeneratorCorpus:
-    SEEDS = (1, 2, 3, 4, 5, 7)
+    #: Seeds 5 and 7 hit StarColumnOrder, one statement each.
+    SEEDS = (1, 2, 3, 4) + tuple(
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, raises=StarColumnOrder))
+        for seed in (5, 7)
+    )
     QUERIES_PER_SEED = 60
     MUTATE_EVERY = 15
 
@@ -77,15 +97,25 @@ class TestGeneratorCorpus:
         generator = RandomQueryGenerator(seed=seed, config=GeneratorConfig(max_tables=2))
         matrix = Matrix(CELLS, generator.schema_statements())
         matrix.analyze()
-        compared = 0
+        compared, star_column_order = 0, []
         for position in range(self.QUERIES_PER_SEED):
-            observed = matrix.check(generator.select_query(), plan=position % 5 == 0)
-            compared += observed["error"] is None
+            statement = generator.select_query()
+            observed = matrix.each(
+                lambda dialect: matrix.observe(dialect, statement, plan=position % 5 == 0)
+            )
+            found = matrix.mismatches(statement, observed)
+            if found and _only_star_column_order(statement, observed, found):
+                star_column_order.append(statement)
+            else:
+                matrix.agree(statement, observed)
+            compared += observed[0]["error"] is None
             if position and position % self.MUTATE_EVERY == 0:
                 matrix.check(generator.mutation_statement())
                 matrix.analyze()
         # The corpus must exercise the engine, not only its rejections.
         assert compared >= self.QUERIES_PER_SEED // 3
+        if star_column_order:
+            raise StarColumnOrder(star_column_order)
 
     def test_corpus_emits_every_subquery_shape(self):
         # Decorrelation has something to rewrite: IN, NOT IN and EXISTS.
