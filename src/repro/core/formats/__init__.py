@@ -5,7 +5,11 @@ formats optimized for readability (graph, text, table) and *structured*
 formats optimized for machine reading (JSON, XML, YAML).  UPlan can be
 serialized into any of them; JSON, XML, YAML, the indented text form, and
 the grammar form can also be parsed back, and every round-trip preserves the
-plan's fingerprint (the pipeline layer's round-trip invariant).
+plan's fingerprint (the pipeline layer's round-trip invariant).  The text,
+YAML and grammar forms share one value codec (:mod:`.codec`), and every
+writer and reader walks the tree on an explicit stack except JSON's, which
+is bounded like the stdlib reader (about 490 plan levels; deeper is a
+:class:`~repro.errors.FormatError`).
 
 The registry exposed here lets applications look formats up by name::
 

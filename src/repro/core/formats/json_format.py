@@ -29,19 +29,24 @@ from repro.errors import FormatError
 
 
 def dumps(plan: UnifiedPlan) -> str:
-    """Serialize *plan* to a two-space-indented JSON document."""
-    return dumps_indented(plan.to_dict())
+    """Serialize *plan* to a two-space-indented JSON document.
+
+    The emitter recurses once per container: a plan nested deeper than the
+    interpreter's recursion limit allows (about 490 levels, as for the
+    stdlib reader) is a ``FormatError``.
+    """
+    try:
+        return dumps_indented(plan.to_dict())
+    except RecursionError as exc:
+        raise FormatError(f"plan too deep for a JSON document: {exc}") from exc
 
 
 def loads(text: str) -> UnifiedPlan:
     """Parse a unified plan from its JSON document form."""
     try:
         data: Dict[str, Any] = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, or nested past the parser's stack
         raise FormatError(f"invalid JSON document: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("a unified plan JSON document must be an object")
-    try:
-        return UnifiedPlan.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed unified plan document: {exc}") from exc
+    return UnifiedPlan.from_dict(data)

@@ -11,15 +11,17 @@ indented property lines::
           Producer->Full Table Scan
             Configuration->name object: "partsupp"
 
-The format can be parsed back, which converters for indentation-based raw
-plans also reuse.
+The format parses back (indentation-based raw plans are read by the
+converters' own ``IndentedTree``); values go through the shared
+:mod:`~repro.core.formats.codec`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.categories import OperationCategory, PropertyCategory
+from repro.core.formats import codec
 from repro.core.model import (
     Operation,
     PlanNode,
@@ -36,65 +38,11 @@ _OPERATION_CATEGORIES = {member.value: member for member in OperationCategory}
 _PROPERTY_CATEGORIES = {member.value: member for member in PropertyCategory}
 
 
-#: Characters str.splitlines() treats as line terminators; they must be
-#: escaped inside rendered values or parsing would split mid-value.
-_LINE_TERMINATORS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _render_value(value: PropertyValue) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    text = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    text = text.replace("\n", "\\n").replace("\r", "\\r")
-    for terminator in _LINE_TERMINATORS[2:]:
-        text = text.replace(terminator, f"\\u{ord(terminator):04x}")
-    return '"' + text + '"'
-
-
-def _unescape_string(text: str) -> str:
-    chars = []
-    index = 0
-    while index < len(text):
-        ch = text[index]
-        if ch == "\\" and index + 1 < len(text):
-            follower = text[index + 1]
-            if follower == "u" and index + 5 < len(text):
-                try:
-                    chars.append(chr(int(text[index + 2 : index + 6], 16)))
-                    index += 6
-                    continue
-                except ValueError:
-                    pass
-            chars.append(
-                {"n": "\n", "r": "\r", '"': '"', "\\": "\\"}.get(follower, follower)
-            )
-            index += 2
-            continue
-        chars.append(ch)
-        index += 1
-    return "".join(chars)
-
-
 def _parse_value(text: str) -> PropertyValue:
-    stripped = text.strip()
-    if stripped == "null":
-        return None
-    if stripped == "true":
-        return True
-    if stripped == "false":
-        return False
-    if stripped.startswith('"') and stripped.endswith('"') and len(stripped) >= 2:
-        return _unescape_string(stripped[1:-1])
     try:
-        if any(ch in stripped for ch in ".eE"):
-            return float(stripped)
-        return int(stripped)
-    except ValueError:
-        return stripped
+        return codec.read_value(text)
+    except ValueError as exc:
+        raise FormatError(f"invalid value in text plan: {text.strip()!r}") from exc
 
 
 def render(plan: UnifiedPlan, with_properties: bool = True) -> str:
@@ -109,11 +57,11 @@ def render(plan: UnifiedPlan, with_properties: bool = True) -> str:
             for prop in node.properties:
                 lines.append(
                     f"{prefix}{_INDENT}* {prop.category.value}->{prop.identifier}: "
-                    f"{_render_value(prop.value)}"
+                    f"{codec.write_value(prop.value)}"
                 )
     for prop in plan.properties:
         lines.append(
-            f"= {prop.category.value}->{prop.identifier}: {_render_value(prop.value)}"
+            f"= {prop.category.value}->{prop.identifier}: {codec.write_value(prop.value)}"
         )
     return "\n".join(lines)
 

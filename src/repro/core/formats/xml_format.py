@@ -17,21 +17,26 @@ XML is one of the structured formats supported by PostgreSQL and SQL Server
 from __future__ import annotations
 
 from xml.etree import ElementTree
-from xml.dom import minidom
 
 from repro.core.categories import OperationCategory, PropertyCategory
-from repro.core.model import Operation, PlanNode, Property, UnifiedPlan
+from repro.core.model import Operation, PlanNode, Property, UnifiedPlan, fold_tree, walk_tree
 from repro.errors import FormatError
 
+_INDENT = "  "
 
-def _value_attributes(prop: Property) -> str:
-    if prop.value is None:
+
+def _value_type(value) -> str:
+    if value is None:
         return "null"
-    if isinstance(prop.value, bool):
+    if isinstance(value, bool):
         return "boolean"
-    if isinstance(prop.value, (int, float)):
+    if isinstance(value, (int, float)):
         return "number"
     return "string"
+
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;").replace(">", "&gt;")
 
 
 def _needs_escaping(text: str) -> bool:
@@ -41,45 +46,42 @@ def _needs_escaping(text: str) -> bool:
     return any(ord(ch) < 0x20 and ch not in "\t\n" for ch in text)
 
 
-def _property_element(prop: Property) -> ElementTree.Element:
-    element = ElementTree.Element(
-        "property",
-        category=prop.category.value,
-        identifier=prop.identifier,
-        type=_value_attributes(prop),
+def _property_line(prop: Property, indent: str) -> str:
+    value = prop.value
+    head = (
+        f'{indent}<property category="{_escape(prop.category.value)}" '
+        f'identifier="{_escape(prop.identifier)}" type="{_value_type(value)}"'
     )
-    if prop.value is not None:
-        text = str(prop.value).lower() if isinstance(prop.value, bool) else str(prop.value)
-        if isinstance(prop.value, str) and _needs_escaping(text):
-            element.set("escape", "python")
-            text = text.encode("unicode_escape").decode("ascii")
-        element.text = text
-    return element
-
-
-def _node_element(node: PlanNode) -> ElementTree.Element:
-    element = ElementTree.Element(
-        "node",
-        category=node.operation.category.value,
-        identifier=node.operation.identifier,
-    )
-    for prop in node.properties:
-        element.append(_property_element(prop))
-    for child in node.children:
-        element.append(_node_element(child))
-    return element
+    text = "" if value is None else str(value).lower() if isinstance(value, bool) else str(value)
+    if isinstance(value, str) and _needs_escaping(text):
+        head += ' escape="python"'
+        text = text.encode("unicode_escape").decode("ascii")
+    return f"{head}>{_escape(text)}</property>" if text else head + "/>"
 
 
 def dumps(plan: UnifiedPlan) -> str:
-    """Serialize *plan* to a pretty-printed XML document."""
-    root = ElementTree.Element("unifiedPlan", sourceDbms=plan.source_dbms or "")
-    plan_properties = ElementTree.SubElement(root, "planProperties")
-    for prop in plan.properties:
-        plan_properties.append(_property_element(prop))
-    if plan.root is not None:
-        root.append(_node_element(plan.root))
-    raw = ElementTree.tostring(root, encoding="unicode")
-    return minidom.parseString(raw).toprettyxml(indent="  ").strip()
+    """Serialize *plan* to an XML document indented by two spaces per level."""
+    lines = ['<?xml version="1.0" ?>', f'<unifiedPlan sourceDbms="{_escape(plan.source_dbms or "")}">']
+    if plan.properties:
+        lines.append(f"{_INDENT}<planProperties>")
+        lines.extend(_property_line(prop, _INDENT * 2) for prop in plan.properties)
+        lines.append(f"{_INDENT}</planProperties>")
+    else:
+        lines.append(f"{_INDENT}<planProperties/>")
+    for node, depth, _, _, _, exit in walk_tree(plan.root):
+        indent = _INDENT * (depth + 1)
+        empty = not node.properties and not node.children
+        if exit:
+            if not empty:
+                lines.append(f"{indent}</node>")
+            continue
+        lines.append(
+            f'{indent}<node category="{_escape(node.operation.category.value)}" '
+            f'identifier="{_escape(node.operation.identifier)}"{"/>" if empty else ">"}'
+        )
+        lines.extend(_property_line(prop, indent + _INDENT) for prop in node.properties)
+    lines.append("</unifiedPlan>")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +130,11 @@ def _property_from_element(element: ElementTree.Element) -> Property:
     return Property(category, identifier, _value_from_element(element))
 
 
-def _node_from_element(element: ElementTree.Element) -> PlanNode:
+def _child_nodes(element: ElementTree.Element) -> list:
+    return [child for child in element if child.tag == "node"]
+
+
+def _node_from_element(element: ElementTree.Element, children: list) -> PlanNode:
     category_name = element.get("category")
     identifier = element.get("identifier")
     if category_name is None or identifier is None:
@@ -137,15 +143,13 @@ def _node_from_element(element: ElementTree.Element) -> PlanNode:
         category = OperationCategory.from_name(category_name)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    node = PlanNode(Operation(category, identifier))
+    properties = []
     for child in element:
         if child.tag == "property":
-            node.properties.append(_property_from_element(child))
-        elif child.tag == "node":
-            node.children.append(_node_from_element(child))
-        else:
+            properties.append(_property_from_element(child))
+        elif child.tag != "node":
             raise FormatError(f"unexpected XML element <{child.tag}> inside node")
-    return node
+    return PlanNode(Operation(category, identifier), properties=properties, children=children)
 
 
 def loads(text: str) -> UnifiedPlan:
@@ -168,7 +172,7 @@ def loads(text: str) -> UnifiedPlan:
         elif child.tag == "node":
             if plan.root is not None:
                 raise FormatError("XML plan has more than one root node")
-            plan.root = _node_from_element(child)
+            plan.root = fold_tree(child, _child_nodes, _node_from_element)
         else:
             raise FormatError(f"unexpected XML element <{child.tag}> in unifiedPlan")
     return plan

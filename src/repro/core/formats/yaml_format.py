@@ -5,92 +5,70 @@ Only PostgreSQL, of the studied DBMSs, exposes query plans as YAML
 parser implement the small YAML subset needed for plan documents (nested
 mappings, sequences and scalars) — the parser accepts exactly the documents
 the emitter produces, which is what the pipeline's round-trip invariant
-requires.
+requires.  Both work through an explicit stack, so a plan of any depth
+writes and reads back; scalars go through the shared
+:mod:`~repro.core.formats.codec`.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Tuple
 
+from repro.core.formats import codec
 from repro.core.model import UnifiedPlan
 from repro.errors import FormatError
 
 _INDENT = "  "
 
+#: Characters that make a string need quotes, besides a line terminator.
+_SPECIAL = set(":#{}[],&*?|-<>=!%@`\"'" + codec.LINE_TERMINATORS)
 
-def _looks_numeric(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
+
+def _plain(text: str) -> bool:
+    """Whether *text* may stay unquoted: it must not read back as anything
+    else (a scalar, a YAML 1.1 boolean, an empty container) or carry
+    surrounding space or YAML syntax."""
+    if not text or text.strip() != text or text.lower() in ("yes", "no"):
         return False
-    return True
-
-
-#: Every character str.splitlines() treats as a line terminator; any of them
-#: inside a scalar must be escaped or the parser would split the document
-#: mid-value.
-_LINE_TERMINATORS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _escape_string(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    escaped = escaped.replace("\r", "\\r")
-    for terminator in _LINE_TERMINATORS[2:]:
-        escaped = escaped.replace(terminator, f"\\u{ord(terminator):04x}")
-    return escaped
+    if not _SPECIAL.isdisjoint(text):
+        return False
+    try:
+        codec.read_scalar(text.lower())
+    except ValueError:
+        return True
+    return False
 
 
 def _scalar(value: Any) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    text = str(value)
-    needs_quotes = (
-        text == ""
-        or text.strip() != text
-        or any(ch in text for ch in ":#{}[],&*?|-<>=!%@`\"'")
-        or any(ch in text for ch in _LINE_TERMINATORS)
-        or text.lower() in {"null", "true", "false", "yes", "no"}
-        # Quote numeric-looking strings so parsing restores them as strings.
-        or _looks_numeric(text)
-    )
-    if needs_quotes:
-        return f'"{_escape_string(text)}"'
-    return text
-
-
-def _emit(value: Any, depth: int, lines: List[str]) -> None:
-    prefix = _INDENT * depth
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{prefix}{key}:")
-                _emit(item, depth + 1, lines)
-            elif isinstance(item, (dict, list)):
-                lines.append(f"{prefix}{key}: " + ("{}" if isinstance(item, dict) else "[]"))
-            else:
-                lines.append(f"{prefix}{key}: {_scalar(item)}")
-        return
-    if isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{prefix}-")
-                _emit(item, depth + 1, lines)
-            elif isinstance(item, (dict, list)):
-                lines.append(f"{prefix}- " + ("{}" if isinstance(item, dict) else "[]"))
-            else:
-                lines.append(f"{prefix}- {_scalar(item)}")
-        return
-    lines.append(f"{prefix}{_scalar(value)}")
+    if isinstance(value, str) and _plain(value):
+        return value
+    return codec.write_value(value)
 
 
 def dumps(plan: UnifiedPlan) -> str:
     """Serialize *plan* to a YAML document."""
     lines: List[str] = []
-    _emit(plan.to_dict(), 0, lines)
+    stack: List[Any] = [(0, plan.to_dict())]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        depth, block = item
+        prefix = _INDENT * depth
+        if isinstance(block, dict):
+            entries = [(f"{prefix}{key}:", value) for key, value in block.items()]
+        else:
+            entries = [(f"{prefix}-", value) for value in block]
+        pending: List[Any] = []
+        for head, value in entries:
+            if isinstance(value, (dict, list)) and value:
+                pending.extend((head, (depth + 1, value)))
+            elif isinstance(value, (dict, list)):
+                pending.append(head + (" {}" if isinstance(value, dict) else " []"))
+            else:
+                pending.append(f"{head} {_scalar(value)}")
+        stack.extend(reversed(pending))
     return "\n".join(lines)
 
 
@@ -99,55 +77,17 @@ def dumps(plan: UnifiedPlan) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _unquote(text: str) -> str:
-    chars: List[str] = []
-    index = 1  # skip opening quote
-    end = len(text) - 1
-    while index < end:
-        ch = text[index]
-        if ch == "\\" and index + 1 < end:
-            follower = text[index + 1]
-            if follower == "u" and index + 5 < end:
-                try:
-                    chars.append(chr(int(text[index + 2 : index + 6], 16)))
-                    index += 6
-                    continue
-                except ValueError:
-                    pass
-            chars.append(
-                {"n": "\n", "r": "\r", '"': '"', "\\": "\\"}.get(follower, follower)
-            )
-            index += 2
-            continue
-        chars.append(ch)
-        index += 1
-    return "".join(chars)
-
-
 def _parse_scalar(text: str) -> Any:
     stripped = text.strip()
-    if stripped == "null":
-        return None
-    if stripped == "true":
-        return True
-    if stripped == "false":
-        return False
     if stripped == "[]":
         return []
     if stripped == "{}":
         return {}
-    if stripped.startswith('"'):
-        if not stripped.endswith('"') or len(stripped) < 2:
-            raise FormatError(f"unterminated YAML string: {stripped!r}")
-        return _unquote(stripped)
     try:
-        return int(stripped)
-    except ValueError:
-        pass
-    try:
-        return float(stripped)
-    except ValueError:
-        pass
+        return codec.read_value(stripped)
+    except ValueError as exc:
+        if stripped.startswith('"'):
+            raise FormatError(f"invalid YAML string: {stripped!r}") from exc
     return stripped
 
 
@@ -164,52 +104,40 @@ def _split_lines(text: str) -> List[Tuple[int, str]]:
     return lines
 
 
-def _parse_block(lines: List[Tuple[int, str]], index: int, depth: int) -> Tuple[Any, int]:
-    """Parse the block starting at *index*, which sits at *depth*."""
-    if lines[index][1].startswith("-"):
-        return _parse_sequence(lines, index, depth)
-    return _parse_mapping(lines, index, depth)
-
-
-def _parse_sequence(lines, index, depth):
-    items: List[Any] = []
-    while index < len(lines) and lines[index][0] == depth:
-        line_depth, content = lines[index]
-        if not content.startswith("-"):
-            break
-        remainder = content[1:].strip()
-        if remainder:
-            items.append(_parse_scalar(remainder))
-            index += 1
+def _parse_document(lines: List[Tuple[int, str]]) -> dict:
+    """The mapping *lines* spell out.  ``blocks[d]`` is the open container
+    at depth ``d``; a ``key:`` or ``-`` with nothing after it leaves a
+    *slot* that the next, one-deeper line fills with a new block."""
+    root: dict = {}
+    blocks: List[Any] = [root]
+    slot = None
+    for depth, content in lines:
+        sequence_item = content.startswith("-")
+        if slot is not None and depth == len(blocks):
+            container, key = slot
+            container[key] = [] if sequence_item else {}
+            blocks.append(container[key])
+        slot = None
+        if depth >= len(blocks):
+            raise FormatError(f"unexpected YAML indentation: {content!r}")
+        del blocks[depth + 1:]
+        block = blocks[depth]
+        if sequence_item != isinstance(block, list):
+            raise FormatError(f"YAML line does not fit its block: {content!r}")
+        if sequence_item:
+            key, rest = len(block), content[1:]
+            block.append(None)
+        elif ":" in content:
+            key, _, rest = content.partition(":")
+            key = key.strip()
         else:
-            index += 1
-            if index < len(lines) and lines[index][0] > depth:
-                value, index = _parse_block(lines, index, depth + 1)
-            else:
-                value = None
-            items.append(value)
-    return items, index
-
-
-def _parse_mapping(lines, index, depth):
-    mapping = {}
-    while index < len(lines) and lines[index][0] == depth:
-        line_depth, content = lines[index]
-        if content.startswith("-"):
-            break
-        if ":" not in content:
             raise FormatError(f"expected 'key: value' in YAML line: {content!r}")
-        key, _, rest = content.partition(":")
-        key = key.strip()
-        rest = rest.strip()
-        index += 1
-        if rest:
-            mapping[key] = _parse_scalar(rest)
-        elif index < len(lines) and lines[index][0] > depth:
-            mapping[key], index = _parse_block(lines, index, depth + 1)
+        if rest.strip():
+            block[key] = _parse_scalar(rest)
         else:
-            mapping[key] = None
-    return mapping, index
+            block[key] = None
+            slot = (block, key)
+    return root
 
 
 def loads(text: str) -> UnifiedPlan:
@@ -217,14 +145,4 @@ def loads(text: str) -> UnifiedPlan:
     lines = _split_lines(text)
     if not lines:
         raise FormatError("empty YAML document")
-    data, index = _parse_mapping(lines, 0, 0)
-    if index != len(lines):
-        raise FormatError(
-            f"trailing YAML content at line {index + 1}: {lines[index][1]!r}"
-        )
-    if not isinstance(data, dict):
-        raise FormatError("a unified plan YAML document must be a mapping")
-    try:
-        return UnifiedPlan.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed unified plan document: {exc}") from exc
+    return UnifiedPlan.from_dict(_parse_document(lines))

@@ -19,20 +19,26 @@ This module provides a faithful serializer (:func:`serialize`) and parser
 does not admit spaces, identifiers containing spaces (the unified naming
 convention uses e.g. ``Full Table Scan``) are encoded with underscores on
 serialization and decoded back to spaces on parsing.  The encoding is lossless
-for unified names, which never contain literal underscores.
+for unified names, which never contain literal underscores.  Values are
+written and read by :mod:`repro.core.formats.codec`, the text and YAML
+forms' codec, so a number may also be ``inf``, ``-inf`` or ``nan``.  Both
+directions walk the tree on an explicit stack: a plan of any depth
+serializes and parses back.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.categories import OperationCategory, PropertyCategory
+from repro.core.formats import codec
 from repro.core.model import (
     Operation,
     PlanNode,
     Property,
     PropertyValue,
     UnifiedPlan,
+    walk_tree,
 )
 from repro.errors import GrammarError
 
@@ -57,48 +63,32 @@ def _decode_keyword(keyword: str) -> str:
     return keyword.replace("_", " ")
 
 
-def _encode_value(value: PropertyValue) -> str:
-    """Render a property value per the ``value`` production."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
 def _serialize_properties(properties: List[Property]) -> str:
     rendered = [
-        f"{prop.category.value}->{_encode_keyword(prop.identifier)}: {_encode_value(prop.value)}"
+        f"{prop.category.value}->{_encode_keyword(prop.identifier)}: {codec.write_value(prop.value)}"
         for prop in properties
     ]
     return ", ".join(rendered)
 
 
-def _serialize_node(node: PlanNode) -> str:
-    parts = [
-        f"Operation: {node.operation.category.value}->"
-        f"{_encode_keyword(node.operation.identifier)}"
-    ]
-    if node.properties:
-        parts.append(_serialize_properties(node.properties))
-    text = " ".join(parts)
-    if node.children:
-        children = ", ".join(_serialize_node(child) for child in node.children)
-        text = f"{text} {_CHILDREN_ARROW} {{ {children} }}"
-    return text
-
-
 def serialize(plan: UnifiedPlan) -> str:
     """Serialize *plan* into the canonical grammar text form."""
     pieces = []
-    if plan.root is not None:
-        pieces.append(_serialize_node(plan.root))
+    for node, _, _, _, last, exit in walk_tree(plan.root):
+        if exit:
+            pieces.append((" }" if node.children else "") + ("" if last else ", "))
+            continue
+        pieces.append(
+            f"Operation: {node.operation.category.value}->"
+            f"{_encode_keyword(node.operation.identifier)}"
+        )
+        if node.properties:
+            pieces.append(" " + _serialize_properties(node.properties))
+        if node.children:
+            pieces.append(f" {_CHILDREN_ARROW} {{ ")
     if plan.properties:
-        pieces.append(_serialize_properties(plan.properties))
-    return " ".join(pieces)
+        pieces.append((" " if pieces else "") + _serialize_properties(plan.properties))
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +133,16 @@ def _tokenize(text: str) -> List[_Token]:
             index += 1
             continue
         if char == '"':
-            end = index + 1
-            value_chars: List[str] = []
-            while end < length:
-                if text[end] == "\\" and end + 1 < length:
-                    value_chars.append(text[end + 1])
-                    end += 2
-                    continue
-                if text[end] == '"':
-                    break
-                value_chars.append(text[end])
-                end += 1
-            if end >= length:
-                raise GrammarError(f"unterminated string at position {index}")
-            tokens.append(_Token("STRING", "".join(value_chars), index))
-            index = end + 1
+            try:
+                value, end = codec.unquote(text, index)
+            except ValueError as exc:
+                raise GrammarError(str(exc)) from exc
+            tokens.append(_Token("STRING", value, index))
+            index = end
             continue
         if char == "-" or char.isdigit():
             end = index + 1
-            while end < length and (text[end].isdigit() or text[end] in ".eE+-"):
+            while end < length and (text[end].isalnum() or text[end] in ".+-"):
                 end += 1
             tokens.append(_Token("NUMBER", text[index:end], index))
             index = end
@@ -178,7 +159,7 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
-    """Recursive-descent parser for the grammar text form."""
+    """Descent parser for the grammar text form (trees on an explicit stack)."""
 
     def __init__(self, tokens: List[_Token]) -> None:
         self._tokens = tokens
@@ -208,6 +189,13 @@ class _Parser:
             )
         return token
 
+    def _accept(self, kind: str) -> bool:
+        token = self._peek()
+        if token is None or token.kind != kind:
+            return False
+        self._index += 1
+        return True
+
     def at_end(self) -> bool:
         return self._index >= len(self._tokens)
 
@@ -227,19 +215,26 @@ class _Parser:
         return plan
 
     def _parse_tree(self) -> PlanNode:
-        node = self._parse_node()
-        token = self._peek()
-        if token is not None and token.kind == "ARROW_CHILDREN":
-            self._next()
-            self._expect("LBRACE")
-            node.children.append(self._parse_tree())
-            while self._peek() is not None and self._peek().kind == "COMMA":
-                # A comma may either separate sibling trees or (outside a brace)
-                # separate properties; inside the braces it is always a sibling.
-                self._next()
-                node.children.append(self._parse_tree())
-            self._expect("RBRACE")
-        return node
+        """A node and its children: *open* holds the nodes whose ``{`` has
+        been read and whose ``}`` has not."""
+        root: Optional[PlanNode] = None
+        open: List[PlanNode] = []
+        while True:
+            node = self._parse_node()
+            if open:
+                open[-1].children.append(node)
+            else:
+                root = node
+            if self._accept("ARROW_CHILDREN"):
+                self._expect("LBRACE")
+                open.append(node)
+                continue
+            # Inside braces a comma always separates sibling trees.
+            while open and not self._accept("COMMA"):
+                self._expect("RBRACE")
+                open.pop()
+            if not open:
+                return root
 
     def _parse_node(self) -> PlanNode:
         keyword = self._expect("WORD")
@@ -316,22 +311,11 @@ class _Parser:
         token = self._next()
         if token.kind == "STRING":
             return token.text
-        if token.kind == "NUMBER":
-            text = token.text
+        if token.kind in ("NUMBER", "WORD"):
             try:
-                if any(ch in text for ch in ".eE") and not text.lstrip("-").isdigit():
-                    return float(text)
-                return int(text)
-            except ValueError as exc:
-                raise GrammarError(f"invalid number {text!r}") from exc
-        if token.kind == "WORD":
-            lowered = token.text.lower()
-            if lowered == "true":
-                return True
-            if lowered == "false":
-                return False
-            if lowered == "null":
-                return None
+                return codec.read_scalar(token.text)
+            except ValueError:
+                pass
         raise GrammarError(
             f"expected a value at position {token.position}, found {token.text!r}"
         )

@@ -11,35 +11,41 @@ list of human-readable findings when ``raise_on_error=False``.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.core.categories import OperationCategory, PropertyCategory
-from repro.core.model import PlanNode, UnifiedPlan, is_valid_keyword, is_valid_value
+from repro.core.model import PlanNode, Property, UnifiedPlan, is_valid_keyword, is_valid_value
 from repro.errors import PlanValidationError
 
+#: Where a node sits: its parent's link and its index among the siblings,
+#: ``None`` at the root.  The path string is built only for a finding.
+_Link = Optional[Tuple["_Link", int]]
 
-def _validate_node(node: PlanNode, seen: Set[int], findings: List[str], path: str) -> None:
-    if id(node) in seen:
-        findings.append(f"{path}: node appears more than once in the tree (not a tree)")
-        return
-    seen.add(id(node))
 
-    if not isinstance(node.operation.category, OperationCategory):
-        findings.append(f"{path}: invalid operation category {node.operation.category!r}")
-    if not is_valid_keyword(node.operation.identifier):
-        findings.append(f"{path}: invalid operation identifier {node.operation.identifier!r}")
+def _path(link: _Link) -> str:
+    indexes = []
+    while link is not None:
+        link, index = link
+        indexes.append(f".children[{index}]")
+    return "plan.tree" + "".join(reversed(indexes))
 
-    for index, prop in enumerate(node.properties):
-        prop_path = f"{path}.properties[{index}]"
+
+def _property_problems(properties: List[Property]) -> Iterator[str]:
+    for index, prop in enumerate(properties):
         if not isinstance(prop.category, PropertyCategory):
-            findings.append(f"{prop_path}: invalid property category {prop.category!r}")
+            yield f".properties[{index}]: invalid property category {prop.category!r}"
         if not is_valid_keyword(prop.identifier):
-            findings.append(f"{prop_path}: invalid property identifier {prop.identifier!r}")
+            yield f".properties[{index}]: invalid property identifier {prop.identifier!r}"
         if not is_valid_value(prop.value):
-            findings.append(f"{prop_path}: invalid property value {prop.value!r}")
+            yield f".properties[{index}]: invalid property value {prop.value!r}"
 
-    for index, child in enumerate(node.children):
-        _validate_node(child, seen, findings, f"{path}.children[{index}]")
+
+def _node_problems(node: PlanNode) -> Iterator[str]:
+    if not isinstance(node.operation.category, OperationCategory):
+        yield f": invalid operation category {node.operation.category!r}"
+    if not is_valid_keyword(node.operation.identifier):
+        yield f": invalid operation identifier {node.operation.identifier!r}"
+    yield from _property_problems(node.properties)
 
 
 def validate_plan(plan: UnifiedPlan, raise_on_error: bool = True) -> List[str]:
@@ -53,19 +59,20 @@ def validate_plan(plan: UnifiedPlan, raise_on_error: bool = True) -> List[str]:
         When true (default) a :class:`PlanValidationError` is raised if any
         finding is produced; otherwise the findings are returned.
     """
-    findings: List[str] = []
-
-    for index, prop in enumerate(plan.properties):
-        path = f"plan.properties[{index}]"
-        if not isinstance(prop.category, PropertyCategory):
-            findings.append(f"{path}: invalid property category {prop.category!r}")
-        if not is_valid_keyword(prop.identifier):
-            findings.append(f"{path}: invalid property identifier {prop.identifier!r}")
-        if not is_valid_value(prop.value):
-            findings.append(f"{path}: invalid property value {prop.value!r}")
-
-    if plan.root is not None:
-        _validate_node(plan.root, set(), findings, "plan.tree")
+    findings = ["plan" + problem for problem in _property_problems(plan.properties)]
+    seen: Set[int] = set()
+    stack: List[Tuple[PlanNode, _Link]] = [] if plan.root is None else [(plan.root, None)]
+    while stack:
+        node, link = stack.pop()
+        if id(node) in seen:
+            findings.append(f"{_path(link)}: node appears more than once in the tree (not a tree)")
+            continue
+        seen.add(id(node))
+        problems = list(_node_problems(node))
+        if problems:
+            path = _path(link)
+            findings.extend(path + problem for problem in problems)
+        stack.extend((node.children[i], (link, i)) for i in reversed(range(len(node.children))))
 
     if plan.root is None and not plan.properties:
         findings.append("plan has neither a tree nor plan-associated properties")

@@ -55,7 +55,7 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     """Parse one frame's JSON payload."""
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, or nested past the parser's stack
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError("frame payload must be a JSON object")

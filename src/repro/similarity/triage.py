@@ -19,8 +19,8 @@ shape instead of every report:
    minimises the total edit distance to its co-members becomes the
    exemplar, ties breaking by structural fingerprint then arrival order.
 
-Reports without a readable captured plan, or with one deeper than
-:data:`MAX_TRIGGER_DEPTH`, become singleton clusters in arrival order.
+Reports without a readable captured plan become singleton clusters in
+arrival order; a readable plan of any depth clusters.
 The function is pure — it never mutates the reports — and duck-typed over
 any object with ``trigger_plan``, so it clusters live :class:`BugReport`
 objects and payload-restored ones identically.  Cluster assignments are
@@ -46,11 +46,6 @@ from repro.similarity.index import cosine_distance
 #: ``TestClusterReports``).
 DEFAULT_CLUSTER_THRESHOLD = 0.15
 
-#: Trigger plans deeper than this are skipped like unreadable ones: the
-#: exemplar rerank's edit distance recurses once per level and costs the
-#: product of the two plans' sizes.
-MAX_TRIGGER_DEPTH = 256
-
 
 @dataclass
 class ReportCluster:
@@ -73,10 +68,9 @@ def _trigger_plan(report: object) -> Optional[UnifiedPlan]:
     if not isinstance(payload, dict):
         return None
     try:
-        plan = UnifiedPlan.from_dict(payload)
+        return UnifiedPlan.from_dict(payload)
     except ReproError:
         return None
-    return plan if plan.depth() <= MAX_TRIGGER_DEPTH else None
 
 
 def _rerank_exemplar(

@@ -24,7 +24,7 @@ from repro.core import (
     validate_plan,
 )
 from repro.core.compare import strip_unstable_suffix
-from repro.errors import FormatError, GrammarError, PlanValidationError
+from repro.errors import FormatError, GrammarError, PlanValidationError, ReproError
 
 
 def sample_plan() -> UnifiedPlan:
@@ -378,6 +378,26 @@ class TestRoundTripFingerprints:
         restored = formats.deserialize(formats.serialize(plan, format_name), format_name)
         assert restored.fingerprint() == plan.fingerprint()
 
+    #: Values the formats once lost: non-finite and negative-zero floats,
+    #: every line terminator ``str.splitlines()`` splits on, a backslash.
+    EDGE_VALUES = [float("inf"), float("-inf"), float("nan"), -0.0, "back\\slash \\u2028"] + [
+        f"line{terminator}break" for terminator in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    ]
+
+    @pytest.mark.parametrize("format_name", PARSEABLE)
+    def test_round_trip_preserves_edge_values(self, format_name):
+        plan = self.rich_plan()
+        for index, value in enumerate(self.EDGE_VALUES):
+            plan.root.properties.append(Property(PropertyCategory.CONFIGURATION, f"v{index}", value))
+            plan.add_property(PropertyCategory.STATUS, f"v{index}", value)
+        restored = formats.deserialize(formats.serialize(plan, format_name), format_name)
+        for properties in (restored.root.properties, restored.properties):
+            values = {p.identifier: p.value for p in properties}
+            for index, value in enumerate(self.EDGE_VALUES):
+                assert type(values[f"v{index}"]) is type(value)
+                assert repr(values[f"v{index}"]) == repr(value)
+        assert restored.fingerprint() == plan.fingerprint()
+
     def test_plan_property_flag_round_trips(self):
         plan = self.rich_plan()
         for format_name in self.PARSEABLE:
@@ -386,3 +406,47 @@ class TestRoundTripFingerprints:
             )
             node = restored.root.children[0].children[0]
             assert node.property_value("Flag") is True
+
+
+class TestReaderFuzz:
+    """Every reader answers hostile input with a typed error or a plan:
+    never a ``RecursionError`` or an untyped crash."""
+
+    @staticmethod
+    def documents():
+        plan = TestRoundTripFingerprints().rich_plan()
+        return {name: formats.serialize(plan, name) for name in TestRoundTripFingerprints.PARSEABLE}
+
+    @given(
+        format_name=st.sampled_from(TestRoundTripFingerprints.PARSEABLE),
+        edits=st.lists(
+            st.tuples(st.floats(0, 1), st.integers(0, 8), st.text(alphabet='"\\:->{}[],<>/=* \n-#&;0123456789enaufl', max_size=6)),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edited_documents(self, format_name, edits):
+        text = self.documents()[format_name]
+        for where, cut, inserted in edits:
+            position = int(where * len(text))
+            text = text[:position] + inserted + text[position + cut:]
+        self._read(text, format_name)
+
+    @given(
+        format_name=st.sampled_from(TestRoundTripFingerprints.PARSEABLE),
+        text=st.text(max_size=60),
+        nesting=st.integers(0, 3000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_arbitrary_and_deeply_nested_text(self, format_name, text, nesting):
+        opener = {"json": "[", "xml": "<node>", "yaml": "  -\n", "grammar": "Operation: Producer->X --children--> { ", "text": " "}
+        self._read(text, format_name)
+        self._read(opener[format_name] * nesting + text, format_name)
+
+    @staticmethod
+    def _read(text, format_name):
+        try:
+            plan = formats.deserialize(text, format_name)
+        except ReproError:
+            return
+        assert isinstance(plan, UnifiedPlan)

@@ -2,10 +2,15 @@
 
 Every tree walk goes through an explicit stack (``walk_tree``, ``fold_tree``
 or ``PlanNode.walk``), so a unified plan of any depth walks, renders,
-copies, canonicalizes, and serializes to and from dicts without
-``RecursionError``.  No nested function in ``src/repro``
-calls itself: each such closure referenced itself through its cell, a
-reference cycle per call that only the cyclic collector could free.
+copies, canonicalizes, validates, and serializes to and from dicts and
+the text, grammar, XML and YAML formats without ``RecursionError``.  JSON
+is the one bounded format: the stdlib reader stops at about 1 000 nested
+containers (about 490 plan levels), so past that both directions raise a
+``FormatError``.  No function of the unified formats, comparison or
+validation calls itself, directly or through another function, and no
+nested function in ``src/repro`` calls itself: each such closure
+referenced itself through its cell, a reference cycle per call that only
+the cyclic collector could free.
 """
 
 import ast
@@ -15,8 +20,11 @@ import pathlib
 import pytest
 
 from repro.core import formats
-from repro.core.categories import OperationCategory
-from repro.core.model import Operation, PlanNode, UnifiedPlan, walk_tree
+from repro.core.categories import OperationCategory, PropertyCategory
+from repro.core.compare import structural_signature
+from repro.core.model import Operation, PlanNode, Property, UnifiedPlan, walk_tree
+from repro.core.validate import validate_plan
+from repro.errors import FormatError
 from repro.testing.campaign import TestingCampaign
 from repro.visualize.renderers import render_ascii, render_dot, render_html
 
@@ -47,6 +55,90 @@ def _self_calling_nested_functions():
 
 def test_no_nested_function_calls_itself():
     assert _self_calling_nested_functions() == []
+
+
+#: The modules that read, write, compare and validate whole unified plans.
+ITERATIVE_MODULES = ["core/formats", "core/grammar.py", "core/compare.py", "core/validate.py"]
+
+#: Functions allowed to recurse, with the reason.
+ALLOWED_RECURSION = {
+    # MySQL's EXPLAIN JSON writer on the campaign hot path, bounded like
+    # the stdlib reader: json_format turns its RecursionError into a
+    # FormatError.
+    "core/formats/json_emit.py:_write",
+}
+
+
+def _call_graph():
+    """``"<file>:<function>" -> {callees}`` over :data:`ITERATIVE_MODULES`:
+    calls by bare name to a function of the same file, ``self.`` / ``cls.``
+    calls to a method of the same class, and ``module.function`` calls to a
+    module of the scope imported by name."""
+    paths = sorted(
+        path for entry in ITERATIVE_MODULES
+        for path in ((SRC / entry).rglob("*.py") if (SRC / entry).is_dir() else [SRC / entry])
+    )
+    modules = {path.stem: str(path.relative_to(SRC)) for path in paths}
+    graph = {}
+    for path in paths:
+        name = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {
+            alias.asname or alias.name: modules[alias.name]
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in modules
+        }
+        scopes = [(None, node) for node in tree.body]
+        scopes += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
+                   for item in node.body]
+        functions = {
+            (owner, node.name): node for owner, node in scopes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for (owner, function_name), function in functions.items():
+            callees = set()
+            for call in ast.walk(function):
+                if not isinstance(call, ast.Call):
+                    continue
+                target = call.func
+                if isinstance(target, ast.Name) and (None, target.id) in functions:
+                    callees.add(f"{name}:{target.id}")
+                elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                    base = target.value.id
+                    if base in ("self", "cls") and (owner, target.attr) in functions:
+                        callees.add(f"{name}:{owner}.{target.attr}")
+                    elif base in aliases:
+                        callees.add(f"{aliases[base]}:{target.attr}")
+            qualified = function_name if owner is None else f"{owner}.{function_name}"
+            graph[f"{name}:{qualified}"] = callees
+    return graph
+
+
+def _recursive_functions(graph):
+    found = []
+    for start in sorted(graph):
+        seen, stack = set(), list(graph[start])
+        while stack:
+            current = stack.pop()
+            if current == start:
+                found.append(start)
+                break
+            if current not in seen:
+                seen.add(current)
+                stack.extend(graph.get(current, ()))
+    return found
+
+
+def test_no_plan_format_function_recurses():
+    graph = _call_graph()
+    assert "core/grammar.py:_Parser._parse_tree" in graph
+    assert "core/formats/codec.py:write_value" in graph["core/grammar.py:_serialize_properties"]
+    assert _recursive_functions(graph) == sorted(ALLOWED_RECURSION)
+
+
+def test_the_recursion_scan_sees_indirect_recursion():
+    graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}, "e": {"e"}}
+    assert _recursive_functions(graph) == ["a", "b", "c", "e"]
 
 
 def test_a_campaign_round_leaves_no_cyclic_garbage():
@@ -94,6 +186,7 @@ DEEP_CALLS = {
     "to_dict": lambda plan: _payload_depth(plan.to_dict()["tree"]),
     "from_dict": lambda plan: UnifiedPlan.from_dict(plan.to_dict()).root.size(),
     "canonicalize": lambda plan: plan.canonicalize(sort_children=True).root.size(),
+    "structural_signature": lambda plan: structural_signature(plan).count("("),
 }
 
 
@@ -121,6 +214,48 @@ def test_deep_copies_keep_fingerprints_and_their_caches(deep_plan):
     assert copied.fingerprint() == fingerprint
     assert UnifiedPlan.from_dict(deep_plan.to_dict()).fingerprint() == fingerprint
     assert deep_plan.canonicalize().fingerprint() == fingerprint
+
+
+#: Levels each parseable format round-trips.  YAML indents two spaces per
+#: nesting and nests twice per plan level, so a 5 000-level document would
+#: run to 300 MB; 1 000 levels is past the interpreter's recursion limit.
+ROUND_TRIP_LEVELS = {"text": DEPTH, "grammar": DEPTH, "xml": DEPTH, "yaml": 1000, "json": 400}
+
+
+def _with_properties(plan):
+    plan.root.properties.append(Property(PropertyCategory.CONFIGURATION, "Filter", 'a\n"b"'))
+    plan.properties.append(Property(PropertyCategory.STATUS, "Planning Time", float("inf")))
+    return plan
+
+
+@pytest.mark.parametrize("format_name", sorted(ROUND_TRIP_LEVELS))
+def test_deep_plans_round_trip(format_name, deep_plan):
+    levels = ROUND_TRIP_LEVELS[format_name]
+    plan = _with_properties(deep_plan.copy() if levels == DEPTH else _deep_plan(levels))
+    restored = formats.deserialize(formats.serialize(plan, format_name), format_name)
+    assert restored.root.depth() == levels
+    assert restored.fingerprint() == plan.fingerprint()
+
+
+def test_json_past_the_stdlib_bound_is_a_format_error(deep_plan):
+    with pytest.raises(FormatError):
+        formats.serialize(deep_plan, "json")
+    node = '{"operation": {"category": "Executor", "identifier": "Selection"}, "children": ['
+    document = '{"tree": ' + node * DEPTH + "]}" * DEPTH + "}"
+    with pytest.raises(FormatError):
+        formats.deserialize(document, "json")
+
+
+def test_deep_plans_validate_with_paths(deep_plan):
+    assert validate_plan(deep_plan) == []
+    plan = deep_plan.copy()
+    leaf = list(plan.root.walk())[-1]
+    shared = PlanNode(Operation(OperationCategory.PRODUCER, "Index Scan"))
+    leaf.children.extend([shared, shared])
+    assert validate_plan(plan, raise_on_error=False) == [
+        "plan.tree" + ".children[0]" * (DEPTH - 1) + ".children[1]: node appears more than once"
+        " in the tree (not a tree)"
+    ]
 
 
 def test_walk_tree_events():

@@ -13,6 +13,10 @@ The read direction is pinned for TiDB, whose table, text and JSON plans
 nest operators three ways: one golden conversion of a table plan three
 levels deep, and one structure for all three formats over a generator
 corpus.
+
+The unified formats are pinned the same way, one SHA-256 per format over
+every plan the converters make of that corpus, captured before the unified
+writers shared one value codec and one tree walk.
 """
 
 import hashlib
@@ -22,6 +26,7 @@ import pytest
 
 from repro.benchmarking import tpch
 from repro.converters import converter_for
+from repro.core import formats
 from repro.core.compare import structural_fingerprint
 from repro.dialects import DIALECTS, RELATIONAL_DIALECTS, create_dialect
 from repro.errors import ReproError
@@ -121,8 +126,13 @@ def digest(texts):
 
 
 @pytest.fixture(scope="module")
-def digests():
-    return {pair: digest(texts) for pair, texts in native_outputs().items()}
+def natives():
+    return native_outputs()
+
+
+@pytest.fixture(scope="module")
+def digests(natives):
+    return {pair: digest(texts) for pair, texts in natives.items()}
 
 
 def test_every_dialect_format_pair_is_pinned(digests):
@@ -134,6 +144,38 @@ def test_every_dialect_format_pair_is_pinned(digests):
 @pytest.mark.parametrize("pair", sorted(GOLDEN))
 def test_native_output_is_byte_identical(pair, digests):
     assert digests[pair] == GOLDEN[pair]
+
+
+#: SHA-256 of each unified format over every converted native plan.
+UNIFIED_GOLDEN = {
+    "json": "4fe6b0cf6024b57b500321251fe4620a6745b7032f252a1f594c905cf73507f7",
+    "text": "773cf422bbc03efe445079739e71fff91b799b67b72dd26a60e111b2c420b543",
+    "table": "2d6d96dec10708637a72bae2527785c38e65e4773dd6d2c0fbdb0647bf4dc913",
+    "xml": "6f0f2030bfa685fa0613502d3e22646de732a2b1ef4f8b6a859bdaad005823de",
+    "yaml": "df2a172dc98708d78b1387a82020e90981cac283860a2d29914acf5f6fad7033",
+    "grammar": "0d1ac4f116eff1f491e9f80839f5cea4ec32df69976b3d28774105b8010a42e4",
+}
+
+
+@pytest.fixture(scope="module")
+def converted_plans(natives):
+    """The unified plan of every native output its dialect's converter reads."""
+    plans = []
+    for (name, format_name), texts in sorted(natives.items()):
+        converter = converter_for(name)
+        if format_name in converter.formats:
+            plans.extend(converter.convert(text, format=format_name) for text in texts)
+    return plans
+
+
+def test_unified_corpus_covers_every_converter_format(converted_plans):
+    assert len(converted_plans) == 810
+
+
+@pytest.mark.parametrize("format_name", sorted(UNIFIED_GOLDEN))
+def test_unified_output_is_byte_identical(format_name, converted_plans):
+    texts = [formats.serialize(plan, format_name) for plan in converted_plans]
+    assert digest(texts) == UNIFIED_GOLDEN[format_name]
 
 
 #: A TiDB table plan three levels deep, as the dialect writes it.

@@ -7,6 +7,7 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service import (
     FrameDecoder,
@@ -63,6 +64,13 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode_payload(b"[1, 2, 3]")
 
+    def test_payload_nested_past_the_parser_stack_rejected(self):
+        nested = b"[" * 5000 + b"]" * 5000
+        with pytest.raises(ProtocolError):
+            decode_payload(nested)
+        with pytest.raises(ProtocolError):
+            FrameDecoder().feed(len(nested).to_bytes(4, "big") + nested)
+
     def test_exact_float_and_int_round_trip(self):
         message = {"f": 0.1 + 0.2, "i": 2 ** 80, "neg": -1.5e-300}
         (decoded,) = FrameDecoder().feed(encode_message(message))
@@ -75,6 +83,45 @@ class TestFraming:
         message = {"i": numpy.int64(7), "f": numpy.float64(1.25)}
         (decoded,) = FrameDecoder().feed(encode_message(message))
         assert decoded == {"i": 7, "f": 1.25}
+
+
+class TestFrameDecoderFuzz:
+    """Whatever bytes arrive, in whatever pieces, the decoder returns
+    messages or raises ``ProtocolError``: never a ``RecursionError`` or an
+    untyped crash."""
+
+    _VALID = encode_message({"op": "execute", "sql": "SELECT 1", "id": 3, "values": [1, 2.5, None]})
+
+    @given(
+        edits=st.lists(st.tuples(st.floats(0, 1), st.integers(0, 6), st.binary(max_size=6)), max_size=3),
+        nesting=st.integers(0, 4000),
+        pieces=st.lists(st.integers(1, 64), min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edited_frames_in_pieces(self, edits, nesting, pieces):
+        payload = self._VALID[4:]
+        for where, cut, inserted in edits:
+            position = int(where * len(payload))
+            payload = payload[:position] + inserted + payload[position + cut:]
+        payload = b'{"a":' + b"[" * nesting + payload if nesting else payload
+        stream = len(payload).to_bytes(4, "big") + payload + self._VALID
+        decoder = FrameDecoder()
+        position = 0
+        try:
+            for size in pieces + [len(stream)]:
+                for message in decoder.feed(stream[position:position + size]):
+                    assert isinstance(message, dict)
+                position += size
+        except ProtocolError:
+            pass
+
+    @given(data=st.binary(max_size=200))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes(self, data):
+        try:
+            assert all(isinstance(message, dict) for message in FrameDecoder().feed(data))
+        except ProtocolError:
+            pass
 
 
 class TestServiceSurface:
@@ -280,11 +327,14 @@ class TestHostileFrames:
         "not-utf8": (2).to_bytes(4, "big") + b"\xff\xfe",
         "not-json": (5).to_bytes(4, "big") + b"{nope",
         "json-array": (9).to_bytes(4, "big") + b"[1, 2, 3]",
+        "nested-past-the-parser-stack": (10000).to_bytes(4, "big") + b"[" * 5000 + b"]" * 5000,
         "cut-off-mid-payload": _PING[:-3],
     }
 
     @pytest.mark.parametrize("name", sorted(HOSTILE))
-    def test_malformed_frame_closes_that_connection_only(self, service, name):
+    def test_malformed_frame_closes_that_connection_only(self, service, name, monkeypatch):
+        crashes = []  # exceptions that escaped a connection thread
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
         with ServiceClient(service.address) as bystander:  # connected before the attack
             session = bystander.open_session("postgresql", tenant="hostile")
             session.execute("CREATE TABLE IF NOT EXISTS h (a INT)")
@@ -305,6 +355,7 @@ class TestHostileFrames:
             assert session.execute("SELECT COUNT(*) AS n FROM h") == [{"n": 0}]
             # No connection thread outlives its socket.
             assert not _threads_since(before, settle=2.0)
+        assert crashes == []
 
     def test_well_formed_frame_after_connect_still_answers(self, service):
         # The control for the cases above: the same raw-socket path, valid bytes.
