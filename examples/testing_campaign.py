@@ -1,7 +1,9 @@
-"""DBMS testing with UPlan (application A.1): QPG + CERT campaign (Table V).
+"""DBMS testing with UPlan (application A.1): QPG + CERT + Bound campaign (Table V).
 
 Runs the bounded testing campaign against the fault-injected simulations of
-MySQL, PostgreSQL, and TiDB and prints the Table V bug report.
+MySQL, PostgreSQL, and TiDB and prints the Table V bug report.  QPG and CERT
+find the paper's 17 bugs; the intermediate-size-bound oracle runs too, and
+files nothing, because Table V has no bug of its kind.
 
 Run with:  python examples/testing_campaign.py
 """
@@ -16,7 +18,7 @@ from repro.testing import TestingCampaign
 
 def main() -> None:
     campaign = TestingCampaign(queries_per_dbms=120, cert_pairs_per_dbms=60)
-    print("Running QPG and CERT (DBMS-agnostic, on UPlan) against MySQL, PostgreSQL, TiDB …")
+    print("Running QPG, CERT and Bound (DBMS-agnostic, on UPlan) against MySQL, PostgreSQL, TiDB …")
     result = campaign.run()
 
     print(f"\nQueries generated:        {result.queries_generated}")

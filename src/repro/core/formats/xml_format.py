@@ -39,6 +39,18 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;").replace(">", "&gt;")
 
 
+def _attribute(text: str) -> str:
+    """*text* escaped for an attribute value.
+
+    Parsers turn a raw tab, newline or CR in an attribute into a space, so
+    those are written as character references; XML 1.0 cannot carry any
+    other C0 control character at all.
+    """
+    if any(ord(ch) < 0x20 and ch not in "\t\n\r" for ch in text):
+        raise FormatError(f"XML 1.0 cannot carry the control characters in {text!r}")
+    return _escape(text).replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
+
+
 def _needs_escaping(text: str) -> bool:
     # XML text nodes cannot carry most control characters, and parsers
     # normalize "\r" to "\n"; such strings are stored escaped instead so the
@@ -49,8 +61,8 @@ def _needs_escaping(text: str) -> bool:
 def _property_line(prop: Property, indent: str) -> str:
     value = prop.value
     head = (
-        f'{indent}<property category="{_escape(prop.category.value)}" '
-        f'identifier="{_escape(prop.identifier)}" type="{_value_type(value)}"'
+        f'{indent}<property category="{_attribute(prop.category.value)}" '
+        f'identifier="{_attribute(prop.identifier)}" type="{_value_type(value)}"'
     )
     text = "" if value is None else str(value).lower() if isinstance(value, bool) else str(value)
     if isinstance(value, str) and _needs_escaping(text):
@@ -61,7 +73,7 @@ def _property_line(prop: Property, indent: str) -> str:
 
 def dumps(plan: UnifiedPlan) -> str:
     """Serialize *plan* to an XML document indented by two spaces per level."""
-    lines = ['<?xml version="1.0" ?>', f'<unifiedPlan sourceDbms="{_escape(plan.source_dbms or "")}">']
+    lines = ['<?xml version="1.0" ?>', f'<unifiedPlan sourceDbms="{_attribute(plan.source_dbms or "")}">']
     if plan.properties:
         lines.append(f"{_INDENT}<planProperties>")
         lines.extend(_property_line(prop, _INDENT * 2) for prop in plan.properties)
@@ -76,8 +88,8 @@ def dumps(plan: UnifiedPlan) -> str:
                 lines.append(f"{indent}</node>")
             continue
         lines.append(
-            f'{indent}<node category="{_escape(node.operation.category.value)}" '
-            f'identifier="{_escape(node.operation.identifier)}"{"/>" if empty else ">"}'
+            f'{indent}<node category="{_attribute(node.operation.category.value)}" '
+            f'identifier="{_attribute(node.operation.identifier)}"{"/>" if empty else ">"}'
         )
         lines.extend(_property_line(prop, indent + _INDENT) for prop in node.properties)
     lines.append("</unifiedPlan>")

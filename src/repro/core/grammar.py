@@ -87,7 +87,13 @@ def serialize(plan: UnifiedPlan) -> str:
         if node.children:
             pieces.append(f" {_CHILDREN_ARROW} {{ ")
     if plan.properties:
-        pieces.append((" " if pieces else "") + _serialize_properties(plan.properties))
+        separator = " " if pieces else ""
+        root = plan.root
+        if root is not None and not root.children and not root.properties:
+            # A comma ends the bare root, or it would read the plan's first
+            # property as its own.
+            separator = ", "
+        pieces.append(separator + _serialize_properties(plan.properties))
     return "".join(pieces)
 
 
@@ -260,9 +266,9 @@ class _Parser:
         node.properties = self._parse_properties(allow_leading_comma=False)
         return node
 
-    def _looking_at_property(self) -> bool:
-        token = self._peek()
-        arrow = self._peek(1)
+    def _looking_at_property(self, offset: int = 0) -> bool:
+        token = self._peek(offset)
+        arrow = self._peek(offset + 1)
         return (
             token is not None
             and token.kind == "WORD"
@@ -272,25 +278,19 @@ class _Parser:
         )
 
     def _parse_properties(self, allow_leading_comma: bool) -> List[Property]:
+        """A property list.  Every property after the first follows a comma,
+        so a node's list ends where the plan's list begins."""
         properties: List[Property] = []
         while True:
             token = self._peek()
-            if token is None:
-                break
-            if token.kind == "COMMA":
-                follow = self._peek(1)
-                is_property_next = (
-                    follow is not None
-                    and follow.kind == "WORD"
-                    and follow.text in _PROPERTY_CATEGORIES
-                    and self._peek(2) is not None
-                    and self._peek(2).kind == "ARROW"
-                )
-                if (properties or allow_leading_comma) and is_property_next:
-                    self._next()
-                    continue
-                break
-            if not self._looking_at_property():
+            if (
+                token is not None
+                and token.kind == "COMMA"
+                and (properties or allow_leading_comma)
+                and self._looking_at_property(1)
+            ):
+                self._next()
+            elif properties or not self._looking_at_property():
                 break
             properties.append(self._parse_property())
         return properties

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.engine import arrays
 from repro.pipeline.coverage import CoverageStore
-from repro.testing.bugs import fold_reports, report_from_payload
+from repro.similarity import PlanIndex
 from repro.testing.campaign import CampaignResult, TestingCampaign
 
 try:  # BrokenProcessPool location varies with Python version
@@ -226,8 +226,6 @@ class ShardedCampaign:
         store = self._merged_store()
         merged_index = None
         if self.campaign.novelty == "similarity":
-            from repro.similarity import PlanIndex
-
             # The merged sidecar index lives next to the merged store;
             # re-merging is safe for the same reason: first-wins set union
             # over content-derived vectors is idempotent.
@@ -244,38 +242,15 @@ class ShardedCampaign:
 
             # Fold the per-round payloads back together in round-index
             # order — the serial campaign's accumulation order — so the
-            # first-occurrence dedupe below keeps exactly the rows the
-            # serial run keeps.
-            rounds = sorted(
-                (index, payload)
-                for result in shard_results
-                for index, payload in result.round_payloads
-            )
-            for index, payload in rounds:
-                merged.queries_generated += payload.get("queries_generated", 0)
-                merged.cert_pairs_checked += payload.get("cert_pairs_checked", 0)
-                merged.bound_queries_checked += payload.get("bound_queries_checked", 0)
-                merged.unexpected_errors += payload.get("unexpected_errors", 0)
-                merged.novelty_reward_total += payload.get("novelty_reward_total", 0.0)
-                for row in payload.get("reports", []):
-                    merged.reports.append(report_from_payload(row))
+            # first-occurrence dedupe keeps exactly the rows the serial run
+            # keeps.
+            for index, payload in sorted(
+                pair for result in shard_results for pair in result.round_payloads
+            ):
+                merged.add_round(index, payload)
                 if merged_index is not None and "index" in payload:
                     merged_index.merge_payload(payload["index"])
-                merged.round_payloads.append((index, payload))
-
-            merged.plan_fingerprints |= store.structural_fingerprints()
-            merged.unique_plans = len(merged.plan_fingerprints)
-            merged.reports = fold_reports(merged.reports)
-            order = {
-                name: position for position, name in enumerate(self.campaign.dbms_names)
-            }
-            merged.reports.sort(
-                key=lambda report: (
-                    order.get(report.dbms, 9),
-                    report.found_by != "QPG",
-                    report.bug_id,
-                )
-            )
+            merged.finish(self.campaign.dbms_names, store)
             if store.path is not None:
                 store.save()
             merged.store_payload = store.to_payload()

@@ -72,13 +72,9 @@ class SizeBoundChecker:
 
     def run(self, queries: int = 100, setup_statements: Optional[List[str]] = None) -> BoundStatistics:
         """Generate and check *queries* random SELECT queries."""
-        statements = setup_statements or self.generator.schema_statements()
-        skip = SkipFailures()
-        for statement in statements:
-            with skip:
-                self.dialect.execute(statement)
-        if hasattr(self.dialect, "analyze_tables"):
-            self.dialect.analyze_tables()
+        skip = SkipFailures.load(
+            self.dialect, setup_statements or self.generator.schema_statements()
+        )
         for _ in range(queries):
             query = self.generator.select_query()
             with skip:

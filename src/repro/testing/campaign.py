@@ -2,10 +2,15 @@
 
 The paper ran QPG and CERT for 24 hours against MySQL, PostgreSQL, and TiDB
 and reported 17 previously unknown bugs.  The campaign here runs the same two
-oracles against the simulated dialects with seeded faults
-(:mod:`repro.testing.bugs`) for a bounded number of iterations, attributing
-every detected violation to the corresponding known bug id, so the resulting
-report has the same rows as Table V.
+oracles, plus the intermediate-size-bound oracle, against the simulated
+dialects with seeded faults (:mod:`repro.testing.bugs`) for a bounded number
+of iterations, attributing every detected violation to the corresponding
+known bug id, so the resulting report has the same rows as Table V.
+
+A round runs each oracle of ``TestingCampaign._ORACLES`` on a fresh
+fault-injected dialect and returns one payload of reports and counters.
+Fresh, restored and sharded rounds all fold into the result through
+:meth:`CampaignResult.add_round`; :meth:`CampaignResult.finish` ends the fold.
 
 Campaigns are **resumable**.  With ``persist_to=`` the campaign's ingest
 service keeps its coverage index in a durable
@@ -30,13 +35,14 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.converters import ConverterHub
 from repro.dialects import EngineConfig, create_dialect
 from repro.pipeline import PlanIngestService
+from repro.similarity import PlanIndex
 from repro.testing.bound import SizeBoundChecker
 from repro.testing.bugs import (
     BugReport,
     FaultyDialect,
-    KnownBug,
     bugs_for,
     fold_reports,
     report_from_payload,
@@ -47,6 +53,17 @@ from repro.testing.generator import GeneratorConfig, RandomQueryGenerator
 from repro.testing.qpg import NOVELTY_MODES, QPGConfig, QueryPlanGuidance
 
 __all__ = ["BugReport", "CampaignResult", "TestingCampaign"]
+
+
+#: The counters a round payload carries; :meth:`CampaignResult.add_round`
+#: adds them up.
+_ROUND_COUNTERS = (
+    "queries_generated",
+    "cert_pairs_checked",
+    "bound_queries_checked",
+    "unexpected_errors",
+    "novelty_reward_total",
+)
 
 
 @dataclass
@@ -98,6 +115,31 @@ class CampaignResult:
     #: None under ``novelty="exact"``; picklable for the sharded handoff.
     index_payload: Optional[dict] = None
 
+    def add_round(self, index: int, payload: dict) -> None:
+        """Fold one round's payload into the result: its counters, its
+        reports, and the payload itself under its round *index*."""
+        for key in _ROUND_COUNTERS:
+            setattr(self, key, getattr(self, key) + payload.get(key, 0))
+        self.reports.extend(report_from_payload(row) for row in payload.get("reports", []))
+        self.round_payloads.append((index, payload))
+
+    def finish(self, dbms_names: List[str], store) -> None:
+        """Complete the fold once every round is in.
+
+        Coverage becomes the union with *store*'s structural fingerprints,
+        which include rounds completed by earlier runs of an interrupted
+        campaign.  Reports keep the first ``(dbms, bug id)`` occurrence in
+        round order and sort like Table V: by position in *dbms_names*,
+        QPG before the other oracles, then by bug id.
+        """
+        self.plan_fingerprints |= store.structural_fingerprints()
+        self.unique_plans = len(self.plan_fingerprints)
+        self.reports = fold_reports(self.reports)
+        order = {name: position for position, name in enumerate(dbms_names)}
+        self.reports.sort(
+            key=lambda report: (order.get(report.dbms, 9), report.found_by != "QPG", report.bug_id)
+        )
+
     def cluster_reports(self, *, threshold: Optional[float] = None):
         """Similarity-clustered triage of the campaign's bug reports.
 
@@ -134,13 +176,9 @@ class CampaignResult:
         ]
 
 
-#: Backwards-compatible alias — report dedup now lives with the report
-#: type in :mod:`repro.testing.bugs` so payload folding has no import cycle.
-_dedupe = fold_reports
-
-
 class TestingCampaign:
-    """Runs QPG and CERT with UPlan against the three target DBMSs."""
+    """Runs the QPG, CERT and Bound oracles with UPlan against the three
+    target DBMSs."""
 
     #: Not a pytest test class despite the name.
     __test__ = False
@@ -263,16 +301,12 @@ class TestingCampaign:
         result = CampaignResult()
         # One ingest service shared by every round, over a private hub so
         # the reported conversion/cache counters are truly per-campaign.
-        from repro.converters import ConverterHub
-
         ingest_service = PlanIngestService(
             hub=ConverterHub(), persist_to=self.persist_to
         )
         store = ingest_service.coverage
         campaign_index = None
         if self.novelty == "similarity":
-            from repro.similarity import PlanIndex
-
             # The campaign-level index accumulates the per-round indexes;
             # with persist_to= it rides as sim-*.jsonl sidecars in the
             # coverage store's directory and resumes with it.
@@ -308,34 +342,17 @@ class TestingCampaign:
             handle.write("\n")
         os.replace(tmp, path)
 
-    def _restore_round(
-        self,
-        result: CampaignResult,
-        index: int,
-        label: str,
-        campaign_index=None,
-    ) -> None:
-        """Fold a previously-completed round's persisted results into
-        *result*, so a resumed campaign returns the same Table V rows (not
-        just the same coverage) as an uninterrupted run."""
+    def _load_round(self, label: str) -> Optional[dict]:
+        """A completed round's persisted payload (None when it left none),
+        so a resumed campaign returns the same Table V rows as a whole run."""
         path = self._round_report_path(label)
         if path is None or not os.path.exists(path):
-            return
+            return None
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        result.queries_generated += payload.get("queries_generated", 0)
-        result.cert_pairs_checked += payload.get("cert_pairs_checked", 0)
-        result.bound_queries_checked += payload.get("bound_queries_checked", 0)
-        result.unexpected_errors += payload.get("unexpected_errors", 0)
-        result.novelty_reward_total += payload.get("novelty_reward_total", 0.0)
-        for row in payload.get("reports", []):
-            result.reports.append(report_from_payload(row))
-        if campaign_index is not None and "index" in payload:
-            campaign_index.merge_payload(payload["index"])
-        result.round_payloads.append((index, payload))
+            return json.load(handle)
 
     def _capture_trigger_plan(
-        self, result: CampaignResult, triage_hub, dialect, query: str
+        self, payload: dict, triage_hub, dialect, query: str
     ) -> Optional[dict]:
         """Best-effort unified-plan capture for a bug report's trigger query.
 
@@ -353,7 +370,7 @@ class TestingCampaign:
             output = dialect.explain(query, format=explain_format)
             plan = triage_hub.convert(dialect.name, output.text, explain_format)
             return plan.to_dict()
-        result.unexpected_errors += skip.unexpected
+        payload["unexpected_errors"] += skip.unexpected
         return None
 
     def _run_rounds(
@@ -361,11 +378,7 @@ class TestingCampaign:
     ) -> None:
         if only_indexes is not None:
             only_indexes = set(only_indexes)
-        triage_hub = None
-        if self.capture_trigger_plans:
-            from repro.converters import ConverterHub
-
-            triage_hub = ConverterHub()
+        triage_hub = ConverterHub() if self.capture_trigger_plans else None
         for index, dbms_name in enumerate(self.dbms_names):
             if only_indexes is not None and index not in only_indexes:
                 continue
@@ -374,183 +387,146 @@ class TestingCampaign:
             label = self._round_label(index, dbms_name)
             if store.is_marked(label):
                 result.rounds_skipped += 1
-                self._restore_round(result, index, label, campaign_index)
+                payload = self._load_round(label)
+                if payload is not None:
+                    if campaign_index is not None and "index" in payload:
+                        campaign_index.merge_payload(payload["index"])
+                    result.add_round(index, payload)
                 continue
-            round_start = {
-                "reports": len(result.reports),
-                "queries": result.queries_generated,
-                "pairs": result.cert_pairs_checked,
-                "bound_queries": result.bound_queries_checked,
-                "unexpected_errors": result.unexpected_errors,
-            }
-            logic_bugs = bugs_for(dbms_name, "logic")
-            performance_bugs = bugs_for(dbms_name, "performance")
-            dialect = FaultyDialect(
-                self._create_dialect(dbms_name),
-                logic_bugs=logic_bugs,
-                performance_bugs=performance_bugs,
-            )
-
-            # --- QPG with the TLP oracle ------------------------------------
-            generator = RandomQueryGenerator(
-                seed=self.seed + index, config=GeneratorConfig(max_tables=2)
-            )
-            round_index = None
-            if self.novelty == "similarity":
-                from repro.similarity import PlanIndex
-
-                # Fresh per round, like seen_fingerprints: round behaviour
-                # must not depend on which process runs the round, so a
-                # sharded campaign reproduces the serial one exactly.
-                round_index = PlanIndex()
-            qpg = QueryPlanGuidance(
-                dialect,
-                generator,
-                config=QPGConfig(
-                    queries_per_round=self.queries_per_dbms,
-                    novelty=self.novelty,
-                    novelty_threshold=self.novelty_threshold,
-                ),
-                ingest_service=ingest_service,
-                plan_index=round_index,
-            )
-            statistics = qpg.run()
-            result.queries_generated += statistics.queries_generated
-            result.unexpected_errors += statistics.unexpected_errors
-            # Hub-level fast-path hits never reach the ingest service's
-            # counters; account them here so every observed plan is either a
-            # conversion or a cache hit.
-            result.conversion_cache_hits += statistics.fast_path_hits
-            result.plan_fingerprints |= qpg.seen_fingerprints
-            if statistics.oracle_violations and logic_bugs:
-                for position, query in enumerate(statistics.violating_queries):
-                    bug = logic_bugs[min(position, len(logic_bugs) - 1)]
-                    result.reports.append(
-                        BugReport(
-                            dbms=dbms_name,
-                            found_by="QPG",
-                            bug_id=bug.bug_id,
-                            status=bug.status,
-                            severity=bug.severity,
-                            trigger_query=query,
-                            trigger_plan=self._capture_trigger_plan(
-                                result, triage_hub, dialect, query
-                            ),
-                        )
-                    )
-
-            # --- CERT ----------------------------------------------------------
-            cert_generator = RandomQueryGenerator(
-                seed=self.seed + 100 + index, config=GeneratorConfig(max_tables=2)
-            )
-            cert_dialect = FaultyDialect(
-                self._create_dialect(dbms_name),
-                logic_bugs=(),
-                performance_bugs=performance_bugs,
-            )
-            cert = CardinalityRestrictionTester(cert_dialect, cert_generator)
-            cert_statistics = cert.run(pairs=self.cert_pairs_per_dbms)
-            result.cert_pairs_checked += cert_statistics.pairs_checked
-            result.unexpected_errors += cert_statistics.unexpected_errors
-            if cert_statistics.violations and performance_bugs:
-                for position, violation in enumerate(cert_statistics.violations):
-                    bug = performance_bugs[min(position, len(performance_bugs) - 1)]
-                    result.reports.append(
-                        BugReport(
-                            dbms=dbms_name,
-                            found_by="CERT",
-                            bug_id=bug.bug_id,
-                            status=bug.status,
-                            severity=bug.severity,
-                            trigger_query=violation.restricted_query,
-                            trigger_plan=self._capture_trigger_plan(
-                                result, triage_hub, cert_dialect, violation.restricted_query
-                            ),
-                        )
-                    )
-
-            # --- Bound oracle -------------------------------------------------
-            # Intermediate-size bounds double as a runtime oracle: a correct
-            # engine can never report an actual operator row count above its
-            # proven bound, so any EXPLAIN ANALYZE violation is a bug.  No
-            # real DBMS in Table V has a "bound"-kind bug, so this section
-            # adds zero reports to default campaigns — it exists so seeded
-            # bound faults (tests) surface through the same reporting path.
-            bound_bugs = bugs_for(dbms_name, "bound")
-            bound_generator = RandomQueryGenerator(
-                seed=self.seed + 200 + index, config=GeneratorConfig(max_tables=2)
-            )
-            bound_dialect = FaultyDialect(
-                self._create_dialect(dbms_name),
-                logic_bugs=(),
-                performance_bugs=(),
-                bound_bugs=bound_bugs,
-            )
-            bound_checker = SizeBoundChecker(bound_dialect, bound_generator)
-            bound_statistics = bound_checker.run(queries=self.bound_checks_per_dbms)
-            result.bound_queries_checked += bound_statistics.queries_checked
-            result.unexpected_errors += bound_statistics.unexpected_errors
-            if bound_statistics.violations and bound_bugs:
-                for position, bound_violation in enumerate(bound_statistics.violations):
-                    bug = bound_bugs[min(position, len(bound_bugs) - 1)]
-                    result.reports.append(
-                        BugReport(
-                            dbms=dbms_name,
-                            found_by="Bound",
-                            bug_id=bug.bug_id,
-                            status=bug.status,
-                            severity=bug.severity,
-                            trigger_query=bound_violation.query,
-                            trigger_plan=self._capture_trigger_plan(
-                                result, triage_hub, bound_dialect, bound_violation.query
-                            ),
-                        )
-                    )
-
+            payload = self._run_round(index, dbms_name, ingest_service, triage_hub, result)
+            if campaign_index is not None:
+                # The per-round index folds into the campaign-level sidecar
+                # before the round is marked, matching the store's
+                # checkpoint granularity.
+                campaign_index.merge_payload(payload["index"])
+                campaign_index.flush()
             # The round is complete: persist its results, mark it, and
             # atomically checkpoint the store, so a stop/crash from here on
             # resumes after this round with nothing lost — coverage *and*
             # the round's Table V rows.
-            round_payload = {
-                "reports": [
-                    dict(vars(report))
-                    for report in result.reports[round_start["reports"]:]
-                ],
-                "queries_generated": result.queries_generated
-                - round_start["queries"],
-                "cert_pairs_checked": result.cert_pairs_checked
-                - round_start["pairs"],
-                "bound_queries_checked": result.bound_queries_checked
-                - round_start["bound_queries"],
-                "unexpected_errors": result.unexpected_errors
-                - round_start["unexpected_errors"],
-            }
-            if campaign_index is not None:
-                # The per-round index rides in the payload (JSON emits
-                # repr-faithful doubles, so vectors round-trip exactly) and
-                # folds into the campaign-level sidecar before the round is
-                # marked, matching the store's checkpoint granularity.
-                round_payload["novelty_reward_total"] = statistics.novelty_reward_total
-                round_payload["index"] = round_index.to_payload()
-                result.novelty_reward_total += statistics.novelty_reward_total
-                campaign_index.merge_payload(round_payload["index"])
-                campaign_index.flush()
-            self._persist_round(label, round_payload)
-            result.round_payloads.append((index, round_payload))
+            self._persist_round(label, payload)
+            result.add_round(index, payload)
             store.mark(label)
             result.rounds_completed += 1
             ingest_service.checkpoint()
 
-        # Coverage is the union over every completed round, including
-        # rounds completed by earlier runs of an interrupted campaign
-        # (their structural fingerprints were persisted via the store).
-        result.plan_fingerprints |= store.structural_fingerprints()
-        result.unique_plans = len(result.plan_fingerprints)
         result.conversions = ingest_service.stats.conversions
         result.conversion_cache_hits += ingest_service.stats.cache_hits
         if campaign_index is not None:
             result.index_payload = campaign_index.to_payload()
-        result.reports = fold_reports(result.reports)
-        # Order like Table V: MySQL, PostgreSQL, TiDB; QPG before CERT.
-        order = {name: position for position, name in enumerate(self.dbms_names)}
-        result.reports.sort(key=lambda report: (order.get(report.dbms, 9), report.found_by != "QPG", report.bug_id))
+        result.finish(self.dbms_names, store)
+
+    def _run_round(self, index, dbms_name, ingest_service, triage_hub, result) -> dict:
+        """Run every oracle of one per-DBMS round; return the round payload.
+
+        Each oracle gets its own fault-injected dialect and a generator
+        seeded from the round *index*, never from which rounds ran before,
+        so any process reproduces the round.  Its trigger queries become
+        reports against the DBMS's bugs of the oracle's first fault kind.
+        """
+        payload = {
+            "reports": [],
+            "queries_generated": 0,
+            "cert_pairs_checked": 0,
+            "bound_queries_checked": 0,
+            "unexpected_errors": 0,
+        }
+        for found_by, kinds, seed_offset, runner in self._ORACLES:
+            dialect = FaultyDialect(
+                self._create_dialect(dbms_name),
+                **{f"{kind}_bugs": bugs_for(dbms_name, kind) for kind in kinds},
+            )
+            generator = RandomQueryGenerator(
+                seed=self.seed + seed_offset + index, config=GeneratorConfig(max_tables=2)
+            )
+            triggers, counters = runner(self, dialect, generator, ingest_service, result)
+            payload["unexpected_errors"] += counters.pop("unexpected_errors")
+            payload.update(counters)
+            bugs = bugs_for(dbms_name, kinds[0])
+            if not bugs:
+                continue
+            for position, query in enumerate(triggers):
+                bug = bugs[min(position, len(bugs) - 1)]
+                report = BugReport(
+                    dbms=dbms_name,
+                    found_by=found_by,
+                    bug_id=bug.bug_id,
+                    status=bug.status,
+                    severity=bug.severity,
+                    trigger_query=query,
+                    trigger_plan=self._capture_trigger_plan(
+                        payload, triage_hub, dialect, query
+                    ),
+                )
+                payload["reports"].append(dict(vars(report)))
+        return payload
+
+    # Each runner runs one oracle over its dialect and generator and returns
+    # ``(trigger queries, counters)``; the counters are round-payload keys.
+
+    def _run_qpg(self, dialect, generator, ingest_service, result):
+        """QPG with the TLP oracle; its coverage joins *result* directly."""
+        # Fresh per round, like seen_fingerprints: round behaviour must not
+        # depend on which process runs the round, so a sharded campaign
+        # reproduces the serial one exactly.
+        round_index = PlanIndex() if self.novelty == "similarity" else None
+        qpg = QueryPlanGuidance(
+            dialect,
+            generator,
+            config=QPGConfig(
+                queries_per_round=self.queries_per_dbms,
+                novelty=self.novelty,
+                novelty_threshold=self.novelty_threshold,
+            ),
+            ingest_service=ingest_service,
+            plan_index=round_index,
+        )
+        statistics = qpg.run()
+        # Hub-level fast-path hits never reach the ingest service's
+        # counters; account them here so every observed plan is either a
+        # conversion or a cache hit.
+        result.conversion_cache_hits += statistics.fast_path_hits
+        result.plan_fingerprints |= qpg.seen_fingerprints
+        counters = {
+            "queries_generated": statistics.queries_generated,
+            "unexpected_errors": statistics.unexpected_errors,
+        }
+        if round_index is not None:
+            # The per-round index rides in the payload: JSON emits
+            # repr-faithful doubles, so vectors round-trip exactly.
+            counters["novelty_reward_total"] = statistics.novelty_reward_total
+            counters["index"] = round_index.to_payload()
+        return statistics.violating_queries, counters
+
+    def _run_cert(self, dialect, generator, ingest_service, result):
+        statistics = CardinalityRestrictionTester(dialect, generator).run(
+            pairs=self.cert_pairs_per_dbms
+        )
+        return [violation.restricted_query for violation in statistics.violations], {
+            "cert_pairs_checked": statistics.pairs_checked,
+            "unexpected_errors": statistics.unexpected_errors,
+        }
+
+    def _run_bound(self, dialect, generator, ingest_service, result):
+        # Intermediate-size bounds double as a runtime oracle: a correct
+        # engine can never report an actual operator row count above its
+        # proven bound.  No real DBMS in Table V has a "bound"-kind bug, so
+        # this oracle files no reports in default campaigns; seeded bound
+        # faults (tests) surface through the same filing loop.
+        statistics = SizeBoundChecker(dialect, generator).run(
+            queries=self.bound_checks_per_dbms
+        )
+        return [violation.query for violation in statistics.violations], {
+            "bound_queries_checked": statistics.queries_checked,
+            "unexpected_errors": statistics.unexpected_errors,
+        }
+
+    #: The oracles of a round, run in this order: the ``found_by`` name of
+    #: their reports, the fault kinds their dialect carries (reports name
+    #: bugs of the first kind), the offset of their generator's seed, and
+    #: their runner.  A new campaign oracle is one more row.
+    _ORACLES = (
+        ("QPG", ("logic", "performance"), 0, _run_qpg),
+        ("CERT", ("performance",), 100, _run_cert),
+        ("Bound", ("bound",), 200, _run_bound),
+    )

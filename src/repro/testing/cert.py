@@ -18,6 +18,10 @@ from repro.core.model import UnifiedPlan
 from repro.testing.failures import SkipFailures
 from repro.testing.generator import RandomQueryGenerator
 
+#: How much larger than the base estimate a restricted query's estimate may
+#: be before CERT reports it.
+TOLERANCE = 1.05
+
 
 @dataclass
 class CERTViolation:
@@ -61,18 +65,11 @@ def root_cardinality_estimate(plan: UnifiedPlan) -> Optional[float]:
 class CardinalityRestrictionTester:
     """The DBMS-agnostic CERT loop over a simulated DBMS."""
 
-    def __init__(
-        self,
-        dialect,
-        generator: RandomQueryGenerator,
-        tolerance: float = 1.05,
-        explain_format: Optional[str] = None,
-    ) -> None:
+    def __init__(self, dialect, generator: RandomQueryGenerator) -> None:
         self.dialect = dialect
         self.generator = generator
-        self.tolerance = tolerance
         self.converter = converter_for(dialect.name)
-        self.explain_format = explain_format or self.converter.formats[0]
+        self.explain_format = self.converter.formats[0]
         self.statistics = CERTStatistics()
 
     def estimate(self, query: str) -> Optional[float]:
@@ -92,7 +89,7 @@ class CardinalityRestrictionTester:
         self.statistics.pairs_checked += 1
         if base is None or restricted is None:
             return None
-        if restricted > base * self.tolerance:
+        if restricted > base * TOLERANCE:
             violation = CERTViolation(
                 dbms=self.dialect.name,
                 query=query,
@@ -106,13 +103,9 @@ class CardinalityRestrictionTester:
 
     def run(self, pairs: int = 100, setup_statements: Optional[List[str]] = None) -> CERTStatistics:
         """Generate and check *pairs* random (query, restricted query) pairs."""
-        statements = setup_statements or self.generator.schema_statements()
-        skip = SkipFailures()
-        for statement in statements:
-            with skip:
-                self.dialect.execute(statement)
-        if hasattr(self.dialect, "analyze_tables"):
-            self.dialect.analyze_tables()
+        skip = SkipFailures.load(
+            self.dialect, setup_statements or self.generator.schema_statements()
+        )
         for _ in range(pairs):
             query = self.generator.select_query()
             table = self.generator.random.choice(self.generator.tables)

@@ -18,6 +18,20 @@ class SkipFailures:
         self.unexpected = 0
         self.failed = False
 
+    @classmethod
+    def load(cls, dialect, statements) -> "SkipFailures":
+        """Run the set-up *statements* on *dialect*, skipping the ones it
+        rejects (e.g. a key violation), then analyze its tables.
+
+        Returns the skipper, so the loop that follows keeps counting.
+        """
+        skip = cls()
+        for statement in statements:
+            with skip:
+                dialect.execute(statement)
+        dialect.analyze_tables()
+        return skip
+
     def __enter__(self) -> "SkipFailures":
         return self
 

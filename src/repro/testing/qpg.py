@@ -46,7 +46,7 @@ round, or an interrupted campaign would diverge from an uninterrupted one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.core.compare import structural_fingerprint
 from repro.core.model import UnifiedPlan
@@ -67,7 +67,6 @@ class QPGConfig:
 
     queries_per_round: int = 200
     stagnation_threshold: int = 12
-    explain_format: Optional[str] = None
     run_tlp: bool = True
     #: How plan novelty is judged — ``"exact"`` (structural-fingerprint set
     #: membership, the byte-identical default) or ``"similarity"``
@@ -107,7 +106,6 @@ class QueryPlanGuidance:
         dialect,
         generator: RandomQueryGenerator,
         config: Optional[QPGConfig] = None,
-        oracle: Optional[Callable[[str], bool]] = None,
         ingest_service: Optional[PlanIngestService] = None,
         plan_index: Optional[PlanIndex] = None,
     ) -> None:
@@ -133,8 +131,6 @@ class QueryPlanGuidance:
         else:
             self.plan_index = None
         self.statistics = QPGStatistics()
-        #: Optional external oracle: called with the query, returns True when OK.
-        self.oracle = oracle
 
     # ------------------------------------------------------------------ plan handling
 
@@ -181,7 +177,7 @@ class QueryPlanGuidance:
         their structural fingerprint is read from the store's entry
         metadata instead of the plan object.
         """
-        explain_format = self.config.explain_format or self.converter.formats[0]
+        explain_format = self.converter.formats[0]
         output = self.dialect.explain(query, format=explain_format)
         hub = self.ingest_service.hub
         # Fast path (PR-1 follow-up): raw plan texts a campaign has already
@@ -231,13 +227,7 @@ class QueryPlanGuidance:
 
     # ------------------------------------------------------------------ oracle
 
-    def _check_oracle(self, query: str) -> None:
-        if self.oracle is not None:
-            self.statistics.oracle_checks += 1
-            if not self.oracle(query):
-                self.statistics.oracle_violations += 1
-                self.statistics.violating_queries.append(query)
-            return
+    def _check_oracle(self) -> None:
         if not self.config.run_tlp:
             return
         table = self.generator.random.choice(self.generator.tables)
@@ -252,15 +242,9 @@ class QueryPlanGuidance:
 
     def run(self, setup_statements: Optional[List[str]] = None) -> QPGStatistics:
         """Run one QPG campaign round and return its statistics."""
-        statements = setup_statements or self.generator.schema_statements()
-        skip = SkipFailures()
-        for statement in statements:
-            # A rejected setup statement (e.g. a key violation) is skipped.
-            with skip:
-                self.dialect.execute(statement)
-        if hasattr(self.dialect, "analyze_tables"):
-            self.dialect.analyze_tables()
-
+        skip = SkipFailures.load(
+            self.dialect, setup_statements or self.generator.schema_statements()
+        )
         stagnation = 0
         for _ in range(self.config.queries_per_round):
             query = self.generator.select_query()
@@ -270,7 +254,7 @@ class QueryPlanGuidance:
                 self.dialect.execute(query)
             if skip.failed:
                 continue
-            self._check_oracle(query)
+            self._check_oracle()
             if is_new:
                 stagnation = 0
             else:
@@ -279,8 +263,7 @@ class QueryPlanGuidance:
                 mutation = self.generator.mutation_statement()
                 with skip:
                     self.dialect.execute(mutation)
-                    if hasattr(self.dialect, "analyze_tables"):
-                        self.dialect.analyze_tables()
+                    self.dialect.analyze_tables()
                 self.statistics.mutations_applied += 1
                 stagnation = 0
         self.statistics.unique_plans = len(self.seen_fingerprints)

@@ -204,6 +204,15 @@ class TestFormats:
         assert "<unifiedPlan" in rendered
         assert 'identifier="Full Table Scan"' in rendered
 
+    @pytest.mark.parametrize("source", ["pg\tx", "pg\nx", "pg\rx", " pg\r\n\tx "])
+    def test_xml_source_dbms_keeps_its_whitespace(self, source):
+        rendered = formats.serialize(UnifiedPlan(source_dbms=source), "xml")
+        assert formats.deserialize(rendered, "xml").source_dbms == source
+
+    def test_xml_refuses_a_source_dbms_it_cannot_carry(self):
+        with pytest.raises(FormatError):
+            formats.serialize(UnifiedPlan(source_dbms="pg\x01x"), "xml")
+
     def test_yaml_output(self):
         rendered = formats.serialize(sample_plan(), "yaml")
         assert "source_dbms: tidb" in rendered
@@ -396,6 +405,19 @@ class TestRoundTripFingerprints:
             for index, value in enumerate(self.EDGE_VALUES):
                 assert type(values[f"v{index}"]) is type(value)
                 assert repr(values[f"v{index}"]) == repr(value)
+        assert restored.fingerprint() == plan.fingerprint()
+
+    @pytest.mark.parametrize("node_properties", [1, 0])
+    @pytest.mark.parametrize("format_name", PARSEABLE)
+    def test_round_trip_childless_root_with_plan_properties(self, format_name, node_properties):
+        root = PlanNode(Operation(OperationCategory.PRODUCER, "Full Table Scan"))
+        if node_properties:
+            root.add_property(PropertyCategory.STATUS, "v", None)
+        plan = UnifiedPlan(root=root)
+        plan.add_property(PropertyCategory.CARDINALITY, "Planning Time", 1.5)
+        restored = formats.deserialize(formats.serialize(plan, format_name), format_name)
+        assert len(restored.root.properties) == node_properties
+        assert [p.identifier for p in restored.properties] == ["Planning Time"]
         assert restored.fingerprint() == plan.fingerprint()
 
     def test_plan_property_flag_round_trips(self):
