@@ -25,6 +25,20 @@ Concurrency contract (the "Service layer" invariants in ROADMAP.md):
   torn state.  (The planner's lazy auto-analyze may bump the version during
   a read — it recomputes statistics from the same rows and is the one
   benign write allowed under the shared gate.)
+* **Result cache** — a read whose statements are all ``SELECT`` is
+  answered from its tenant dialect's result cache
+  (:meth:`~repro.service.tenants.TenantCatalog.results`) when it can be.
+  The key is ``(normalized text, EngineConfig, plan freshness of every
+  table the statements name)``, taken under the shared gate before the
+  statement runs; every row change, DDL statement and ``analyze`` moves
+  that freshness, so after a write the entries that read the written table
+  can no longer be found, and nothing is ever dropped explicitly — the
+  prepared plan cache's argument.  Only a miss pins a view and executes.
+  ``prepared_cache=False`` turns the cache off with the plan cache.  EXPLAIN
+  of every kind, writes, errors and results over
+  :data:`~repro.service.tenants.RESULT_CACHE_MAX_ROWS` rows are never
+  stored.  Stored rows are shared between hits and never mutated (the
+  engine builds fresh row objects on every execution).
 * **Sessions** — statements of one session execute one at a time, in the
   order their connection threads acquire the per-session lock, matching
   single-connection semantics even when the session is addressed from
@@ -45,12 +59,14 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.concurrency import AtomicCounter
+from repro.errors import ParseError
 from repro.service import protocol
 from repro.service.replica import ProcessReadPool
-from repro.service.tenants import TenantCatalog, TenantRegistry
+from repro.service.tenants import RESULT_CACHE_MAX_ROWS, TenantCatalog, TenantRegistry
 from repro.sqlparser import ast_nodes as ast
 
 
@@ -65,6 +81,8 @@ class _Session:
         self.id = session_id
         self.catalog = catalog
         self.dialect = dialect
+        #: The dialect's result cache, shared by every session of the tenant.
+        self.results = catalog.results(dialect.name)
         #: Serializes the session's statements across connection threads.
         self.lock = threading.Lock()
         #: Set by ``cancel``; checked by the in-flight statement.
@@ -92,6 +110,37 @@ def _is_read_only(statements) -> bool:
             continue
         return False
     return True
+
+
+def _result_key(dialect, text_key: str, statements):
+    """The result-cache key of a read-only script, or ``None`` if uncacheable.
+
+    Only all-``SELECT`` scripts on a dialect whose prepared cache is on are
+    cached.  Call under the shared gate: the freshness must be that of the
+    rows the statement is about to read.
+    """
+    if not dialect.prepared.enabled or not all(
+        isinstance(parsed, ast.SelectStatement) for parsed in statements
+    ):
+        return None
+    tables = sorted(set().union(*statements.tables))
+    return (text_key, dialect.config, dialect.database.plan_freshness(tables))
+
+
+def _pinned(dialect, work):
+    """Run *work* with the dialect's executor reading a freshly pinned view.
+
+    Call under the shared gate.  Concurrent readers of the same dialect race
+    on the executor's view slot, but every view pinned under the shared gate
+    has identical content (writers are excluded), and a cleared slot just
+    falls back to the live current-version snapshot — the same data.
+    """
+    executor = dialect.executor
+    executor.snapshot_view = dialect.database.pin_view()
+    try:
+        return work()
+    finally:
+        executor.snapshot_view = None
 
 
 class QueryService:
@@ -309,28 +358,32 @@ class QueryService:
     def _op_execute(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
         sql = request["sql"]
         delay_ms = int(request.get("delay_ms", 0))
-        _, statements = session.dialect.prepared.parse(sql)
+        text_key, statements = session.dialect.prepared.parse(sql)
         read_only = _is_read_only(statements)
-        if (
-            read_only
-            and self._process_pool is not None
-            and not any(isinstance(parsed, ast.Explain) for parsed in statements)
-        ):
-            rows = self._run_statement(
-                session,
-                lambda: self._execute_on_replica(session, sql),
-                read_only=True,
-                delay_ms=delay_ms,
-                pin_view=False,
-            )
+        if read_only:
+            work = partial(self._read, session, sql, text_key, statements)
         else:
-            rows = self._run_statement(
-                session,
-                lambda: session.dialect.execute(sql),
-                read_only=read_only,
-                delay_ms=delay_ms,
-            )
+            work = partial(session.dialect.execute, sql)
+        rows = self._run_statement(session, work, read_only=read_only, delay_ms=delay_ms)
         return {"rows": rows, "read_only": read_only}
+
+    def _read(self, session: _Session, sql: str, text_key: str, statements):
+        """Answer a read-only script under the shared gate: cached, or run."""
+        dialect = session.dialect
+        key = _result_key(dialect, text_key, statements)
+        if key is not None:
+            rows = session.results.get(key)
+            if rows is not None:
+                return rows
+        if self._process_pool is not None and not any(
+            isinstance(parsed, ast.Explain) for parsed in statements
+        ):
+            rows = self._execute_on_replica(session, sql)
+        else:
+            rows = _pinned(dialect, lambda: dialect.execute(sql))
+        if key is not None and len(rows) <= RESULT_CACHE_MAX_ROWS:
+            session.results.put(key, rows)
+        return rows
 
     def _op_explain(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
         sql = request["sql"]
@@ -349,18 +402,22 @@ class QueryService:
                 "bound_violations": [dict(item) for item in output.bound_violations],
             }
 
-        return self._run_statement(session, work, read_only=read_only)
+        if read_only:
+            return self._run_statement(
+                session, lambda: _pinned(session.dialect, work), read_only=True
+            )
+        return self._run_statement(session, work, read_only=False)
 
     def _op_estimate(self, session: _Session, request: Dict[str, Any]) -> Dict[str, Any]:
-        sql = request["sql"]
+        _, statements = session.dialect.prepared.parse(request["sql"])
+        if len(statements) != 1:
+            raise ParseError(f"expected exactly one statement, found {len(statements)}")
 
         def work():
-            from repro.sqlparser.parser import parse_one
-
-            physical = session.dialect.planner.plan_statement(parse_one(sql))
+            physical = session.dialect.planner.plan_statement(statements[0])
             return {"rows": max(physical.estimated_rows, 1.0)}
 
-        return self._run_statement(session, work, read_only=True, pin_view=False)
+        return self._run_statement(session, work, read_only=True)
 
     def _op_catalog(self, session: _Session) -> Dict[str, Any]:
         def work():
@@ -371,16 +428,9 @@ class QueryService:
                 "version": database.version,
             }
 
-        return self._run_statement(session, work, read_only=True, pin_view=False)
+        return self._run_statement(session, work, read_only=True)
 
-    def _run_statement(
-        self,
-        session: _Session,
-        work,
-        read_only: bool,
-        delay_ms: int = 0,
-        pin_view: bool = True,
-    ):
+    def _run_statement(self, session: _Session, work, read_only: bool, delay_ms: int = 0):
         """Run *work* on this thread under the session and gate contracts."""
         with session.lock:
             if session.cancel_event.is_set():
@@ -388,7 +438,7 @@ class QueryService:
                 raise StatementCancelled("cancelled before execution")
             session.inflight = True
             try:
-                result = self._call_blocking(session, work, read_only, delay_ms, pin_view)
+                result = self._call_blocking(session, work, read_only, delay_ms)
                 if session.cancel_event.is_set():
                     # Past its last check: the work is done (and the lock
                     # was held throughout) but its result is discarded.
@@ -398,7 +448,7 @@ class QueryService:
                 session.inflight = False
                 session.cancel_event.clear()
 
-    def _call_blocking(self, session: _Session, work, read_only: bool, delay_ms: int, pin_view: bool):
+    def _call_blocking(self, session: _Session, work, read_only: bool, delay_ms: int):
         if delay_ms:
             # Test hook: simulate a long-running statement in interruptible
             # slices, so cancellation-mid-statement is deterministic.
@@ -412,19 +462,7 @@ class QueryService:
             with database.gate.read_locked():
                 if session.cancel_event.is_set():
                     raise StatementCancelled("cancelled during execution")
-                if not pin_view:
-                    return work()
-                executor = session.dialect.executor
-                executor.snapshot_view = database.pin_view()
-                try:
-                    return work()
-                finally:
-                    # Concurrent readers of the same dialect race on this
-                    # attribute, but every view pinned under the shared gate
-                    # has identical content (writers are excluded), and a
-                    # cleared slot just falls back to the live current-
-                    # version snapshot — the same data.
-                    executor.snapshot_view = None
+                return work()
         with database.gate.write_locked():
             if session.cancel_event.is_set():
                 raise StatementCancelled("cancelled during execution")

@@ -17,12 +17,18 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
+from repro.core.caching import LRUCache
 from repro.dialects import EngineConfig, create_dialect
 from repro.dialects.base import SimulatedDBMS
 
+#: Entries each dialect's result cache keeps (least recently used go first).
+RESULT_CACHE_ENTRIES = 256
+#: Results longer than this many rows are never cached; they always execute.
+RESULT_CACHE_MAX_ROWS = 256
+
 
 class TenantCatalog:
-    """One tenant's dialects, keyed by DBMS name.
+    """One tenant's dialects, keyed by DBMS name, each with its result cache.
 
     Dialects are created lazily on first use and shared by every session of
     the tenant (two sessions of one tenant that open ``postgresql`` see the
@@ -30,11 +36,16 @@ class TenantCatalog:
     exercise).  Creation is lock-guarded so two sessions opening the same
     DBMS concurrently share one instance instead of racing two into
     existence.
+
+    Beside each dialect lives the service's result cache for it (see
+    :meth:`results`), so a tenant's cached rows are as private as its
+    database.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._dialects: Dict[str, SimulatedDBMS] = {}
+        self._results: Dict[str, LRUCache] = {}
         self._lock = threading.Lock()
 
     def dialect(self, dbms_name: str, options: Optional[Dict[str, object]] = None) -> SimulatedDBMS:
@@ -54,7 +65,18 @@ class TenantCatalog:
             if dialect is None:
                 dialect = create_dialect(key, **options)
                 self._dialects[key] = dialect
+                self._results[key] = LRUCache(maxsize=RESULT_CACHE_ENTRIES)
             return dialect
+
+    def results(self, dbms_name: str) -> LRUCache:
+        """The result cache of this tenant's (already opened) *dbms_name* dialect.
+
+        The service keys it on ``(normalized text, config, freshness of
+        every table read)``, so a write makes the entries that read the
+        written table unreachable and nothing is ever dropped explicitly.
+        """
+        with self._lock:
+            return self._results[dbms_name.lower()]
 
     def dbms_names(self) -> List[str]:
         """The DBMS names this tenant has opened so far."""

@@ -18,6 +18,10 @@ shape instead of every report:
    (:func:`repro.core.compare.plan_distance`): the member whose plan
    minimises the total edit distance to its co-members becomes the
    exemplar, ties breaking by structural fingerprint then arrival order.
+   The distance is an n x m dynamic programme, so a cluster whose
+   structurally different member pairs sum past
+   :data:`RERANK_CELL_BUDGET` cells skips it and takes the first member
+   in (structural fingerprint, arrival) order instead.
 
 Reports without a readable captured plan become singleton clusters in
 arrival order; a readable plan of any depth clusters.
@@ -45,6 +49,12 @@ from repro.similarity.index import cosine_distance
 #: shape while splitting different plan families (tests/test_similarity.py,
 #: ``TestClusterReports``).
 DEFAULT_CLUSTER_THRESHOLD = 0.15
+
+#: The most n x m edit-distance cells one cluster's exemplar rerank may
+#: cost, summed over its ordered pairs of structurally different plans.
+#: Two 300-level plans cost ~0.2 M; two differing 5 000-level plans would
+#: cost 50 M cells and most of a minute.
+RERANK_CELL_BUDGET = 2_000_000
 
 
 @dataclass
@@ -76,16 +86,29 @@ def _trigger_plan(report: object) -> Optional[UnifiedPlan]:
 def _rerank_exemplar(
     items: List[Tuple[object, Optional[UnifiedPlan]]]
 ) -> object:
-    """The member minimising total edit distance to its co-members."""
+    """The member minimising total edit distance to its co-members.
+
+    Past :data:`RERANK_CELL_BUDGET` no distance is computed: the first
+    member in (structural fingerprint, arrival) order, the rerank's own
+    tie-break, is the exemplar.
+    """
     if len(items) == 1:
         return items[0][0]
+    fingerprints = [structural_fingerprint(plan) for _, plan in items]
+    sizes = [plan.node_count() for _, plan in items]
+    positions = range(len(items))
+    cells = sum(
+        sizes[i] * sizes[j] for i in positions for j in positions if fingerprints[i] != fingerprints[j]
+    )
+    if cells > RERANK_CELL_BUDGET:
+        return items[min(positions, key=lambda position: (fingerprints[position], position))][0]
     best: Optional[Tuple[int, str, int]] = None
     for position, (_, plan) in enumerate(items):
         total = 0
         for other_position, (_, other_plan) in enumerate(items):
             if other_position != position:
                 total += plan_distance(plan, other_plan)
-        key = (total, structural_fingerprint(plan), position)
+        key = (total, fingerprints[position], position)
         if best is None or key < best:
             best = key
     return items[best[2]][0]

@@ -13,6 +13,7 @@ Pins the subsystem's four contracts:
 """
 
 import json
+import time
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.similarity import (
     cosine_distance,
     embed_plan,
 )
+from repro.similarity import triage
 from repro.similarity.embedding import _OPERATION_DIMS, _PROPERTY_DIMS
 from repro.testing import BugReport, TestingCampaign
 from repro.testing.qpg import QPGConfig, QueryPlanGuidance
@@ -383,6 +385,47 @@ class TestClusterReports:
         clusters = cluster_reports([_report("1", plan), *deep, _report("2", plan)])
         assert [len(cluster) for cluster in clusters] == [2, 2]
         assert clusters[1].members == deep
+
+    def test_differing_plans_past_the_rerank_budget_cluster_quickly(self):
+        # Two 5 000-level plans that differ at the leaf would cost the edit
+        # distance 50 M cells; the rerank skips it and falls back to the
+        # (structural fingerprint, arrival) order.
+        plan = build_plan()
+        deep = [_report(leaf, plan) for leaf in ("Producer", "Folder")]
+        for report in deep:
+            report.trigger_plan = dict(plan.to_dict(), tree=_nested(5000, category=report.bug_id))
+        started = time.perf_counter()
+        clusters = cluster_reports(deep)
+        assert time.perf_counter() - started < 2.0
+        assert [cluster.members for cluster in clusters] == [deep]
+        fingerprints = [
+            structural_fingerprint(UnifiedPlan.from_dict(report.trigger_plan)) for report in deep
+        ]
+        assert clusters[0].exemplar is deep[fingerprints.index(min(fingerprints))]
+
+    def test_rerank_runs_under_the_budget_and_not_past_it(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return plan_distance(a, b)
+
+        monkeypatch.setattr(triage, "plan_distance", counting)
+        reports = [
+            _report("a", build_plan(scans=1)),
+            _report("hub", build_plan(scans=2)),
+            _report("b", build_plan(scans=3)),
+        ]
+        assert cluster_reports(reports, threshold=1.0)[0].exemplar.bug_id == "hub"
+        assert len(calls) == 6
+        monkeypatch.setattr(triage, "RERANK_CELL_BUDGET", 0)
+        del calls[:]
+        exemplar = cluster_reports(reports, threshold=1.0)[0].exemplar
+        assert calls == []
+        fingerprints = [
+            structural_fingerprint(UnifiedPlan.from_dict(report.trigger_plan)) for report in reports
+        ]
+        assert exemplar is reports[fingerprints.index(min(fingerprints))]
 
     def test_exemplar_is_edit_distance_medoid(self):
         hub = build_plan(scans=2)  # between scans=1 and scans=3

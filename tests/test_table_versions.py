@@ -490,14 +490,20 @@ class TestServicePinnedReader:
                 database = dialect.database
                 with database.gate.read_locked():
                     pinned = database.pin_view()
-                hits = dialect.prepared.plan_stats.hits
+                results = registry.catalog("pins").results("postgresql")
 
                 session.execute("INSERT INTO a VALUES (1000, 1)")
+                before_a = results.stats.snapshot()
                 assert session.execute(count_a) == [{"n": 81}]
+                after_a = results.stats.snapshot()
+                plans = dialect.prepared.plan_stats.snapshot()
                 assert session.execute(count_b) == [{"n": 80}]
-                # The served count of b was a plan-cache hit: the write to
-                # a re-planned only the statement that names a.
-                assert dialect.prepared.plan_stats.hits == hits + 1
+                # The write to a made only the results that read a
+                # unreachable: count_a missed and ran again, while count_b
+                # was a result-cache hit that never reached the plan cache.
+                assert (after_a.hits, after_a.misses) == (before_a.hits, before_a.misses + 1)
+                assert (results.stats.hits, results.stats.misses) == (after_a.hits + 1, after_a.misses)
+                assert dialect.prepared.plan_stats == plans
 
                 with database.gate.read_locked():
                     current = database.pin_view()
